@@ -28,7 +28,7 @@ from .closedform import (
     symmetric_rmin_lattice,
     symmetric_rmin_ml,
 )
-from .errors import ConfigurationError, NonConvergenceError
+from .errors import ConfigurationError, NonConvergenceError, PowerBudgetError
 from .gaussint import (
     CoeffVector,
     GaussianInt,
@@ -71,6 +71,7 @@ __all__ = [
     "Lattice",
     "NestedPair",
     "NonConvergenceError",
+    "PowerBudgetError",
     "RateReport",
     "ResultRow",
     "SolveTrace",

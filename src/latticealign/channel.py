@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 import json
+import math
 
 import numpy as np
 
@@ -44,12 +45,14 @@ class SystemConfig:
             raise ConfigurationError(
                 f"L={self.L} streams do not fit in min(M, N)={min(self.M, self.N)}"
             )
-        if not self.P > 0:
-            raise ConfigurationError(f"P must be positive, got {self.P!r}")
-        if not self.gamma > 0:
-            raise ConfigurationError(f"gamma must be positive, got {self.gamma!r}")
-        if self.epsilon < 0:
-            raise ConfigurationError(f"epsilon must be non-negative, got {self.epsilon!r}")
+        if not (self.P > 0 and math.isfinite(self.P)):
+            raise ConfigurationError(f"P must be positive and finite, got {self.P!r}")
+        if not (self.gamma > 0 and math.isfinite(self.gamma)):
+            raise ConfigurationError(f"gamma must be positive and finite, got {self.gamma!r}")
+        if not (self.epsilon >= 0 and math.isfinite(self.epsilon)):
+            raise ConfigurationError(
+                f"epsilon must be non-negative and finite, got {self.epsilon!r}"
+            )
 
 
 def snr_db_to_power(snr_db: float) -> float:
@@ -78,8 +81,12 @@ class ChannelSet:
             raise ConfigurationError(
                 f"Hhat shape {Hhat.shape} does not match H shape {H.shape}"
             )
-        if self.epsilon < 0:
-            raise ValueError(f"epsilon must be non-negative, got {self.epsilon!r}")
+        if not (np.all(np.isfinite(H)) and np.all(np.isfinite(Hhat))):
+            raise ConfigurationError("H and Hhat must have finite entries")
+        if not (self.epsilon >= 0 and math.isfinite(self.epsilon)):
+            raise ConfigurationError(
+                f"epsilon must be non-negative and finite, got {self.epsilon!r}"
+            )
         err = np.sqrt(np.sum(np.abs(Hhat - H) ** 2, axis=(2, 3)))
         worst = float(err.max())
         if worst > self.epsilon + 1e-9:

@@ -16,3 +16,13 @@ class NonConvergenceError(RuntimeError):
         super().__init__(message)
         self.best = best
         self.trace = trace
+
+
+class PowerBudgetError(RuntimeError):
+    """Raised when a finished design spends more than a user's power budget."""
+
+    def __init__(self, user, power, budget):
+        super().__init__(f"user {user} transmits power {power!r}, over its budget {budget!r}")
+        self.user = user
+        self.power = power
+        self.budget = budget

@@ -6,8 +6,9 @@ scalings c.  It is non-convex jointly but splits into blocks that are exact
 or convex:
 
 * receive-side block: per-decoder regularized least squares for u and utilde
-  (closed form when the CSI bound is zero, smoothed convex descent
-  otherwise) plus a finite integer search for each c;
+  (closed form when the CSI bound is zero, otherwise damped Newton steps on
+  a smoothed copy, all decoders of the block in one batch) plus a finite
+  integer search for each c;
 * transmit-side block: the epigraph problem in (v, relaxed a, t) is convex
   and is solved with a log-barrier method under the per-user power budget.
 
@@ -25,7 +26,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .channel import ChannelSet, SystemConfig, complex_gaussian
-from .errors import ConfigurationError, NonConvergenceError
+from .errors import ConfigurationError, NonConvergenceError, PowerBudgetError
 from .gaussint import GaussianInt, common_divisor, exact_div
 from .rates import (
     DesignState,
@@ -98,181 +99,381 @@ class SolveTrace:
 
 
 # ---------------------------------------------------------------------------
-# per-decoder pieces
+# per-decoder pieces: each takes one decoder (k, l) or equal-length index
+# arrays of decoders, and then returns one result row per decoder
 # ---------------------------------------------------------------------------
 
 
-def _cross_vectors(Hhat: np.ndarray, V: np.ndarray, k: int) -> np.ndarray:
-    """w[i*L+n] = Hhat_ki v_in as a (K*L, N) stack for receiver k."""
-    t = np.einsum("iab,inb->ina", Hhat[k], V)
-    return t.reshape(-1, t.shape[-1])
+def _cross_vectors(Hhat: np.ndarray, V: np.ndarray, k) -> np.ndarray:
+    """w[..., i*L+n, :] = Hhat_ki v_in: a (K*L, N) stack per receiver k."""
+    t = np.einsum("...iab,inb->...ina", Hhat[k], V)
+    return t.reshape(t.shape[:-3] + (-1, t.shape[-1]))
 
 
-def _stage_targets(st: DesignState, k: int, l: int, stage: int) -> np.ndarray:
-    a = st.a[k, l].reshape(-1)
+def _stream_norms(V: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.sum(np.abs(V) ** 2, axis=2)).reshape(-1)
+
+
+def _own_stream(st: DesignState, k, l) -> np.ndarray:
+    """Mask of decoder (k, l)'s own entry among the K*L stream indices."""
+    return (np.asarray(k) * st.L + np.asarray(l))[..., None] == np.arange(st.K * st.L)
+
+
+def _stage_targets(st: DesignState, k, l, stage: int, c=None) -> np.ndarray:
+    """Residual targets of decoder (k, l): a for stage one, c a + e_own for
+    stage two, with the scalings c (one per decoder) defaulting to st.c."""
+    a = st.a[k, l].reshape(np.shape(k) + (-1,)).copy()
     if stage == 1:
-        return a.copy()
-    E = np.zeros_like(a)
-    E[k * st.L + l] = 1.0
-    return st.c[k, l] * a + E
+        return a
+    c = np.asarray(st.c[k, l] if c is None else c, dtype=complex)
+    return c[..., None] * a + _own_stream(st, k, l)
+
+
+def _scalar_or_array(x: np.ndarray):
+    return float(x) if x.ndim == 0 else x
 
 
 def decorrelator_objective(
-    ch: ChannelSet, st: DesignState, k: int, l: int, stage: int, u: np.ndarray
-) -> float:
+    ch: ChannelSet, st: DesignState, k, l, stage: int, u: np.ndarray, c=None
+):
     """Exact robust decorrelator objective ||u||^2 + P sum (|residual| + eps bound)^2."""
     w = _cross_vectors(ch.Hhat, st.v, k)
-    b = _stage_targets(st, k, l, stage)
-    nv = np.sqrt(np.sum(np.abs(st.v) ** 2, axis=2)).reshape(-1)
-    u = np.asarray(u, dtype=complex).reshape(-1)
-    z = w @ u.conj() - b
-    pen = np.abs(z) + ch.epsilon * nv * np.linalg.norm(u)
-    return float(np.linalg.norm(u) ** 2 + st.P * np.sum(pen**2))
+    b = _stage_targets(st, k, l, stage, c)
+    u = np.asarray(u, dtype=complex)
+    z = np.einsum("...ja,...a->...j", w, u.conj()) - b
+    nu = np.sqrt(np.sum(np.abs(u) ** 2, axis=-1))
+    pen = np.abs(z) + ch.epsilon * _stream_norms(st.v) * nu[..., None]
+    return _scalar_or_array(nu**2 + st.P * np.sum(pen**2, axis=-1))
+
+
+def _least_squares_filters(w: np.ndarray, b: np.ndarray, P: float) -> np.ndarray:
+    """u = (sum_j w_j w_j^H + I/P)^(-1) sum_j w_j conj(b_j) for each stacked (w, b)."""
+    A = np.einsum("...ja,...jb->...ab", w, w.conj()) + np.eye(w.shape[-1]) / P
+    rhs = np.einsum("...j,...ja->...a", b.conj(), w)
+    return np.linalg.solve(A, rhs[..., None])[..., 0]
 
 
 def decorrelator_closed_form(
-    ch: ChannelSet, st: DesignState, k: int, l: int, stage: int
+    ch: ChannelSet, st: DesignState, k, l, stage: int, c=None
 ) -> np.ndarray:
     """Regularized least-squares receive filter for the zero-CSI-error case.
 
     Solves min ||u||^2 + P sum_j |u^H w_j - b_j|^2 exactly:
     u = (sum_j w_j w_j^H + I/P)^(-1) sum_j w_j conj(b_j).
     """
-    w = _cross_vectors(ch.Hhat, st.v, k)
-    b = _stage_targets(st, k, l, stage)
-    N = w.shape[1]
-    A = np.einsum("ja,jb->ab", w, w.conj()) + np.eye(N) / st.P
-    rhs = b.conj() @ w
-    return np.linalg.solve(A, rhs)
+    return _least_squares_filters(
+        _cross_vectors(ch.Hhat, st.v, k), _stage_targets(st, k, l, stage, c), st.P
+    )
 
 
-def _robust_fun_grad(x, w, b, nv, eps, P):
-    N = w.shape[1]
-    u = x[:N] + 1j * x[N:]
-    z = w @ u.conj() - b
-    az = np.sqrt(np.abs(z) ** 2 + _DELTA**2)
-    nu2 = float(np.sum(np.abs(u) ** 2))
-    nus = np.sqrt(nu2 + _DELTA**2)
-    s = eps * nv * nus
-    f = nu2 + P * float(np.sum((az + s) ** 2 - _DELTA**2))
-    coef = (az + s) / az * z.conj()
-    g = u + P * np.einsum("j,ja->a", coef, w)
-    if eps > 0:
-        g = g + P * float(np.sum((az + s) * eps * nv)) * u / nus
-    grad = np.concatenate([2 * g.real, 2 * g.imag])
-    return f, grad
+# Smoothed robust residual problems, stacked along a leading batch axis.  In
+# real coordinates x = [Re u, Im u] each problem is
+#
+#     f(x) = rho ||x||^2 + P sum_j [(|A_j x - beta_j|_d + s0_j + sigma_j ||x||_d)^2 - d^2]
+#
+# with |y|_d = sqrt(|y|^2 + d^2): smooth and strictly convex.  A_j is the
+# (2, 2n) real form of a complex row C_j, so |A_j x - beta_j| = |C_j u - t_j|.
+
+
+@dataclass
+class _Problems:
+    A: np.ndarray  # (B, J, 2, 2n)
+    beta: np.ndarray  # (B, J, 2)
+    s0: np.ndarray  # (B, J) constant offsets
+    sigma: np.ndarray  # (B, J) weights of ||x||_d
+    rho: float
+    P: float
+
+    def __post_init__(self):
+        shape = self.A.shape[:2]
+        self.s0 = np.broadcast_to(self.s0, shape)
+        self.sigma = np.broadcast_to(self.sigma, shape)
+        self.AtA = np.einsum("bjrk,bjrl->bjkl", self.A, self.A)
+
+    @staticmethod
+    def from_complex(C, t, s0, sigma, rho, P) -> "_Problems":
+        A = np.stack(
+            [np.concatenate([C.real, -C.imag], -1), np.concatenate([C.imag, C.real], -1)],
+            axis=-2,
+        )
+        return _Problems(A, np.stack([t.real, t.imag], -1), s0, sigma, rho, P)
+
+    def take(self, idx) -> "_Problems":
+        return _Problems(
+            self.A[idx], self.beta[idx], self.s0[idx], self.sigma[idx], self.rho, self.P
+        )
+
+    def _terms(self, x: np.ndarray):
+        """Residuals e_j, |e_j|_d, ||x||^2, ||x||_d and the offsets s0_j + sigma_j ||x||_d."""
+        d2 = _DELTA**2
+        e = np.einsum("bjrk,bk->bjr", self.A, x) - self.beta
+        az = np.sqrt(np.einsum("bjr,bjr->bj", e, e) + d2)
+        nx2 = np.einsum("bk,bk->b", x, x)
+        nxs = np.sqrt(nx2 + d2)
+        return e, az, nx2, nxs, self.s0 + self.sigma * nxs[:, None]
+
+    def evaluate(self, x: np.ndarray, derivatives: bool = False):
+        """f per problem; with derivatives also the gradient and the Hessian."""
+        d2 = _DELTA**2
+        e, az, nx2, nxs, offset = self._terms(x)
+        r = az + offset
+        f = self.rho * nx2 + self.P * np.sum(r * r - d2, axis=1)
+        if not derivatives:
+            return f
+        daz = np.einsum("bjrk,bjr->bjk", self.A, e) / az[..., None]
+        dr = daz + (self.sigma / nxs[:, None])[..., None] * x[:, None, :]
+        grad = 2 * self.rho * x + 2 * self.P * np.einsum("bj,bjk->bk", r, dr)
+        # sum_j [dr dr^T + r Hess(|.|_d) + r sigma Hess(||x||_d)]
+        w = r / az
+        rs = np.einsum("bj,bj->b", r, self.sigma) / nxs
+        eye = np.eye(x.shape[1])
+        hess = (
+            np.einsum("bjk,bjl->bkl", dr, dr)
+            + np.einsum("bj,bjkl->bkl", w, self.AtA)
+            - np.einsum("bjk,bjl->bkl", daz * w[..., None], daz)
+            + rs[:, None, None] * (eye - x[:, :, None] * x[:, None, :] / (nxs**2)[:, None, None])
+        )
+        return f, grad, 2 * self.P * hess + 2 * self.rho * eye
+
+    def kinks(self, x, dx, grad, hess, tol):
+        """How the Newton steps dx meet the kinks of |A_j x - beta_j| and ||x||.
+
+        Out beyond the smoothing width the Hessian of |.|_d hardly sees a
+        kink, so a Newton step overshoots across it and backtracking then
+        crawls along it.  For the rows whose step crosses a kink from out
+        there, the returned steps instead model each crossed term around its
+        kink, where (|e| + c)^2 ~ (d + c)^2 + (d + c) |e|^2 / d is a stiff
+        quadratic that pulls e to zero: they land on the kink.
+
+        Near a kink the term's radial curvature 2 P r d^2 / |e|_d^3 dwarfs
+        the unit curvature of the square, so the Newton decrement stays tiny
+        even when the optimum lies well off the kink: the stiffness hides
+        the push away from it.  That push is the curvature times the step's
+        move of e, and leaving the kink would gain about push^2 / (4 P).  A
+        row is settled when its step crosses no kink and these gains sum to
+        at most tol (likewise for ||x||_d, against the curvature of rho ||x||^2).
+
+        Returns (settled per row, rows with a kink step, their steps).
+        """
+        e, az, _, nxs, offset = self._terms(x)
+        r = az + offset
+        moves = np.einsum("bjrk,bk->bjr", self.A, dx)
+        crossed = (az > 10 * _DELTA) & (np.einsum("bjr,bjr->bj", e, e + moves) < 0)
+        hidden = r * _DELTA**2 * np.sqrt(np.einsum("bjr,bjr->bj", moves, moves)) / az**3
+        gain = self.P * np.sum(hidden**2, axis=1)
+        if self.rho > 0:
+            rs = np.einsum("bj,bj->b", r, self.sigma)
+            hidden = self.P * rs * _DELTA**2 * np.sqrt(np.einsum("bk,bk->b", dx, dx)) / nxs**3
+            gain = gain + hidden**2 / self.rho
+        settled = ~crossed.any(axis=1) & (gain <= tol)
+        rows = np.flatnonzero(crossed.any(axis=1))
+        weight = np.where(crossed[rows], 2 * self.P * (_DELTA + offset[rows]) / _DELTA, 0.0)
+        hess = hess[rows] + np.einsum("bj,bjkl->bkl", weight, self.AtA[rows])
+        pull = np.einsum("bjrk,bjr->bjk", self.A[rows], e[rows])
+        grad = grad[rows] + np.einsum("bj,bjk->bk", weight, pull)
+        return settled, rows, -np.linalg.solve(hess, grad[..., None])[..., 0]
+
+
+_ARMIJO = 0.25  # sufficient-decrease fraction of the backtracking line search
+_MAX_HALVINGS = 60
+
+
+def _newton_batch(
+    prob: _Problems, x0: np.ndarray, tol: float, max_iter: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Damped Newton method on a stack of problems (Boyd & Vandenberghe §9.5).
+
+    Every problem takes its own backtracking step along its Newton direction,
+    or the kink-landing step of _Problems.kinks where that one ends lower.
+    A problem leaves the active set once its Newton decrement lambda^2 / 2
+    drops to tol with its kinks settled (after that last step, which the
+    quadratic model makes nearly exact) or when no step lowers its objective
+    any more.  Returns the iterates and a per-problem flag that is False where the
+    decrement never reached tol within max_iter steps or before the problem
+    stalled.
+    """
+    x = np.array(x0, dtype=float)
+    converged = np.zeros(len(x), dtype=bool)
+    active = np.arange(len(x))
+    sub = prob
+    for _ in range(max_iter):
+        xa = x[active]
+        f, grad, hess = sub.evaluate(xa, derivatives=True)
+        dx = -np.linalg.solve(hess, grad[..., None])[..., 0]
+        slope = np.einsum("bk,bk->b", grad, dx)  # -lambda^2
+        step = np.ones(len(active))
+        pending = np.ones(len(active), dtype=bool)
+        for _ in range(_MAX_HALVINGS):
+            f_new = sub.evaluate(xa + step[:, None] * dx)
+            pending &= ~(f_new <= f + _ARMIJO * step * slope)
+            if not pending.any():
+                break
+            step[pending] *= 0.5
+        x_new = xa + step[:, None] * dx
+        f_new = np.where(pending, f, f_new)
+        settled, rows, dk = sub.kinks(xa, dx, grad, hess, tol)
+        if len(rows):
+            f_kink = sub.take(rows).evaluate(xa[rows] + dk)
+            lower = f_kink < f_new[rows]
+            x_new[rows[lower]] = xa[rows[lower]] + dk[lower]
+            f_new[rows[lower]] = f_kink[lower]
+        moved = f_new < f
+        x[active[moved]] = x_new[moved]
+        small = -slope <= 2 * tol
+        done = small & settled
+        # a problem whose objective no step can lower is at its floating-point
+        # optimum; that counts as converged where the decrement is small
+        converged[active[done | small & ~moved]] = True
+        keep = moved & ~done
+        if not keep.all():
+            active = active[keep]
+            if not len(active):
+                break
+            sub = sub.take(keep)
+    return x, converged
 
 
 def decorrelator_robust(
     ch: ChannelSet,
     st: DesignState,
-    k: int,
-    l: int,
+    k,
+    l,
     stage: int,
     cfg: SolverConfig | None = None,
     u0: np.ndarray | None = None,
+    c=None,
 ) -> np.ndarray:
     """Receive filter minimizing the worst-case residual objective.
 
-    Convex in u for any CSI bound; solved by quasi-Newton descent on a
+    Convex in u for any CSI bound; solved by damped Newton steps on a
     smoothed copy of the objective (the smoothing vanishes identically when
-    the bound is zero, so this must agree with the closed form there).
-    Starts from the zero filter unless a warm start is given.
+    the bound is zero, so this must agree with the closed form there).  Each
+    problem starts from the better of its warm start u0 (zero when not given)
+    and the zero-bound closed form.  Index arrays k, l (and optional stage-two
+    scalings c) fit a whole stack of decoders at once.
+
+    Raises NonConvergenceError, carrying every fitted filter in ``best``,
+    when some fit does not reach cfg.newton_tol within cfg.max_inner_iters
+    Newton steps.
     """
     cfg = cfg or SolverConfig()
     w = _cross_vectors(ch.Hhat, st.v, k)
-    b = _stage_targets(st, k, l, stage)
-    nv = np.sqrt(np.sum(np.abs(st.v) ** 2, axis=2)).reshape(-1)
-    N = w.shape[1]
-    if u0 is None:
-        x0 = np.zeros(2 * N)
-    else:
-        u0 = np.asarray(u0, dtype=complex).reshape(-1)
-        x0 = np.concatenate([u0.real, u0.imag])
-    res = minimize(
-        _robust_fun_grad,
-        x0,
-        args=(w, b, nv, ch.epsilon, st.P),
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": cfg.max_inner_iters * 5, "ftol": 1e-15, "gtol": cfg.newton_tol},
+    b = _stage_targets(st, k, l, stage, c)
+    shape, N = b.shape[:-1], w.shape[-1]
+    w, b = w.reshape(-1, *w.shape[-2:]), b.reshape(-1, b.shape[-1])
+    prob = _Problems.from_complex(
+        w.conj(), b.conj(), 0.0, ch.epsilon * _stream_norms(st.v), 1.0, st.P
     )
-    u = res.x[:N] + 1j * res.x[N:]
-    if res.nit >= cfg.max_inner_iters * 5:
+    starts = [
+        np.broadcast_to(0.0 if u0 is None else u0, (len(w), N)),
+        _least_squares_filters(w, b, st.P),
+    ]
+    starts = [np.concatenate([u.real, u.imag], axis=-1) for u in starts]
+    closer = prob.evaluate(starts[1]) < prob.evaluate(starts[0])
+    x, ok = _newton_batch(
+        prob, np.where(closer[:, None], starts[1], starts[0]), cfg.newton_tol, cfg.max_inner_iters
+    )
+    u = (x[:, :N] + 1j * x[:, N:]).reshape(shape + (N,))
+    if not ok.all():
+        kk, ll = (np.broadcast_to(i, shape).reshape(-1) for i in (k, l))
+        bad = [(int(kk[i]), int(ll[i])) for i in np.flatnonzero(~ok)]
         raise NonConvergenceError(
-            f"receive-filter descent hit the iteration cap for decoder ({k},{l})",
+            f"receive-filter Newton solve did not reach newton_tol within "
+            f"{cfg.max_inner_iters} steps for decoders {bad}",
             best=u,
         )
     return u
 
 
-def _scaling_objective(q, avals, s, c) -> float:
-    pen = np.abs(q - c * avals) + s
-    return float(np.sum(pen**2))
+def _scaling_terms(ch: ChannelSet, st: DesignState, k, l):
+    """q_j (post-filter gain minus the own-stream target) and the worst-case
+    offsets s_j = eps ||v_j|| ||utilde|| of decoder (k, l)."""
+    ut = st.utilde[k, l]
+    q = np.einsum("...ja,...a->...j", _cross_vectors(ch.Hhat, st.v, k), ut.conj())
+    q = q - _own_stream(st, k, l)
+    s = ch.epsilon * _stream_norms(st.v) * np.sqrt(np.sum(np.abs(ut) ** 2, axis=-1))[..., None]
+    return q, s
 
 
-def scaling_candidates(
-    ch: ChannelSet, st: DesignState, k: int, l: int
-) -> tuple[GaussianInt, list[GaussianInt]]:
+def _scaling_objective(q, avals, s, c):
+    pen = np.abs(q - np.asarray(c)[..., None] * avals) + s
+    return np.sum(pen**2, axis=-1)
+
+
+def _scaling_value(ch, st, k, l, c):
+    """f(c) of scaling_candidates for decoder (k, l) and its current utilde."""
+    q, s = _scaling_terms(ch, st, k, l)
+    a = st.a[k, l].reshape(np.shape(k) + (-1,))
+    return _scalar_or_array(_scaling_objective(q, a, s, c))
+
+
+def _quadrant_rank(g: GaussianInt) -> int:
+    return 0 if (g.re > 0 and g.im >= 0) else 1
+
+
+def scaling_candidates(ch: ChannelSet, st: DesignState, k, l, cfg: SolverConfig | None = None):
     """Best Gaussian-integer scaling for decoder (k, l) plus the set examined.
 
     Minimizes f(c) = sum_j (|q_j - c a_j| + eps ||v_j|| ||utilde||)^2 where
     q_j is the estimated post-filter gain minus the own-stream target.  The
-    relaxed complex minimizer is found first (weighted least squares, then a
-    short descent when the CSI bound couples in), and every Gaussian integer
-    in the closed unit box around it is evaluated exactly; ties prefer the
-    smaller norm and then the first-quadrant associate.
+    relaxed complex minimizer is found first (weighted least squares, then
+    damped Newton steps when the CSI bound couples in), and every Gaussian
+    integer in the closed unit box around it is evaluated exactly; ties
+    prefer the smaller norm and then the first-quadrant associate.
+
+    For index arrays k, l every decoder's relaxed fit runs in one batch and
+    the result is a list of bests and a list of candidate sets.
     """
-    w = _cross_vectors(ch.Hhat, st.v, k)
-    a = st.a[k, l].reshape(-1)
-    if np.all(a == 0):
-        return GaussianInt(1, 0), [GaussianInt(1, 0)]
-    E = np.zeros_like(a)
-    E[k * st.L + l] = 1.0
-    ut = st.utilde[k, l]
-    q = w @ ut.conj() - E
-    nv = np.sqrt(np.sum(np.abs(st.v) ** 2, axis=2)).reshape(-1)
-    s = ch.epsilon * nv * np.linalg.norm(ut)
+    cfg = cfg or SolverConfig()
+    single = np.ndim(k) == 0 and np.ndim(l) == 0
+    kk, ll = (np.broadcast_to(i, np.broadcast(k, l).shape).reshape(-1) for i in (k, l))
+    a = st.a[kk, ll].reshape(len(kk), -1)
+    q, s = _scaling_terms(ch, st, kk, ll)
+    live = np.any(a != 0, axis=1)
 
-    wsum = float(np.sum(np.abs(a) ** 2))
-    c_rel = complex(np.sum(a.conj() * q) / wsum)
-    if ch.epsilon > 0:
+    c_rel = np.zeros(len(kk), dtype=complex)
+    al, ql = a[live], q[live]
+    c_rel[live] = np.sum(al.conj() * ql, axis=1) / np.sum(np.abs(al) ** 2, axis=1)
+    if ch.epsilon > 0 and live.any():
+        # the relaxed point only centres the candidate box, so a fit that
+        # stops at the iteration cap is still a usable centre
+        prob = _Problems.from_complex(al[..., None], ql, s[live], 0.0, 0.0, 1.0)
+        x0 = np.stack([c_rel[live].real, c_rel[live].imag], axis=1)
+        x, _ = _newton_batch(prob, x0, cfg.newton_tol, cfg.max_inner_iters)
+        c_rel[live] = x[:, 0] + 1j * x[:, 1]
 
-        def fg(x):
-            c = x[0] + 1j * x[1]
-            z = q - c * a
-            az = np.sqrt(np.abs(z) ** 2 + _DELTA**2)
-            f = float(np.sum((az + s) ** 2 - _DELTA**2))
-            g = np.sum((az + s) / az * z.conj() * (-a))
-            return f, np.array([2 * g.real, 2 * g.imag])
+    cands: list[list[GaussianInt]] = []
+    for d in range(len(kk)):
+        if not live[d]:
+            cands.append([GaussianInt(1, 0)])
+            continue
+        cr = c_rel[d]
+        box = [
+            GaussianInt(re, im)
+            for re in range(int(np.ceil(cr.real - 1 - 1e-12)), int(np.floor(cr.real + 1 + 1e-12)) + 1)
+            for im in range(int(np.ceil(cr.imag - 1 - 1e-12)), int(np.floor(cr.imag + 1 + 1e-12)) + 1)
+        ]
+        # keep the incumbent in the running so a scaling update can never regress
+        cur = st.c[kk[d], ll[d]]
+        if abs(cur.real - round(cur.real)) < 1e-9 and abs(cur.imag - round(cur.imag)) < 1e-9:
+            inc = GaussianInt(int(round(cur.real)), int(round(cur.imag)))
+            if inc not in box:
+                box.append(inc)
+        cands.append(box)
 
-        res = minimize(fg, np.array([c_rel.real, c_rel.imag]), jac=True, method="L-BFGS-B")
-        c_rel = complex(res.x[0], res.x[1])
-
-    res_lo = int(np.ceil(c_rel.real - 1 - 1e-12))
-    res_hi = int(np.floor(c_rel.real + 1 + 1e-12))
-    ims_lo = int(np.ceil(c_rel.imag - 1 - 1e-12))
-    ims_hi = int(np.floor(c_rel.imag + 1 + 1e-12))
-    cands = [
-        GaussianInt(re, im)
-        for re in range(res_lo, res_hi + 1)
-        for im in range(ims_lo, ims_hi + 1)
-    ]
-    # keep the incumbent in the running so a scaling update can never regress
-    cur = st.c[k, l]
-    if abs(cur.real - round(cur.real)) < 1e-9 and abs(cur.imag - round(cur.imag)) < 1e-9:
-        inc = GaussianInt(int(round(cur.real)), int(round(cur.imag)))
-        if inc not in cands:
-            cands.append(inc)
-
-    def quadrant_rank(g: GaussianInt) -> int:
-        return 0 if (g.re > 0 and g.im >= 0) else 1
-
-    fvals = [_scaling_objective(q, a, s, complex(g)) for g in cands]
-    fmin = min(fvals)
-    tied = [g for g, fv in zip(cands, fvals) if fv <= fmin + 1e-12 * (1 + abs(fmin))]
-    best = min(tied, key=lambda g: (g.norm(), quadrant_rank(g), g.re, g.im))
-    return best, cands
+    owner = np.repeat(np.arange(len(kk)), [len(cs) for cs in cands])
+    cvals = np.array([complex(g) for cs in cands for g in cs])
+    fvals = _scaling_objective(q[owner], a[owner], s[owner], cvals)
+    bests = []
+    for d, cs in enumerate(cands):
+        if not live[d]:
+            bests.append(cs[0])
+            continue
+        fv = fvals[owner == d]
+        fmin = fv.min()
+        tied = [g for g, f in zip(cs, fv) if f <= fmin + 1e-12 * (1 + abs(fmin))]
+        bests.append(min(tied, key=lambda g: (g.norm(), _quadrant_rank(g), g.re, g.im)))
+    return (bests[0], cands[0]) if single else (bests, cands)
 
 
 def optimize_scaling(ch: ChannelSet, st: DesignState, k: int, l: int) -> GaussianInt:
@@ -287,54 +488,57 @@ def optimize_scaling(ch: ChannelSet, st: DesignState, k: int, l: int) -> Gaussia
 # ---------------------------------------------------------------------------
 
 
-def _best_filter(ch, st, k, l, stage, cfg, current) -> np.ndarray:
-    """Candidate filter for one decoder, never worse than the current one."""
+def _fit_filters(ch, st, k, l, stage, cfg, u0, c=None):
+    """Candidate filters for a stack of decoders, plus the error of a capped fit."""
     if ch.epsilon == 0:
-        cand = decorrelator_closed_form(ch, st, k, l, stage)
-    else:
-        cand = decorrelator_robust(ch, st, k, l, stage, cfg, u0=current)
-    f_cand = decorrelator_objective(ch, st, k, l, stage, cand)
-    f_cur = decorrelator_objective(ch, st, k, l, stage, current)
-    return cand if f_cand < f_cur else current
+        return decorrelator_closed_form(ch, st, k, l, stage, c), None
+    try:
+        return decorrelator_robust(ch, st, k, l, stage, cfg, u0=u0, c=c), None
+    except NonConvergenceError as exc:
+        return exc.best, exc
 
 
 def _stage2_joint_update(
-    ch: ChannelSet, st: DesignState, k: int, l: int, cfg: SolverConfig,
-    cands: list[GaussianInt],
-) -> tuple[complex, np.ndarray, bool]:
-    """Best (scaling, stage-two filter) pair among the candidate scalings.
+    ch: ChannelSet, st: DesignState, cfg: SolverConfig, candidate_log: list | None
+) -> tuple[bool, NonConvergenceError | None]:
+    """Best (scaling, stage-two filter) pair of every decoder, written into st.
 
     Scoring a candidate scaling with the current filter understates it, and
     pure coordinate descent over (utilde, c) can lock onto whichever scaling
     the filter was first fitted to.  Each candidate is therefore scored by
     the objective of its own refit filter.  The incumbent pair is always in
-    the running, so the decoder's objective cannot increase.
+    the running, so no decoder's objective can increase.  Decoders do not
+    interact here, so all refits of all decoders run as one batch.
+
+    Returns whether any scaling changed and the error of a capped fit.
     """
-    cur_c = st.c[k, l]
-    cur_u = st.utilde[k, l]
-    f_best = decorrelator_objective(ch, st, k, l, 2, cur_u)
-    best = (cur_c, cur_u, False)
+    kk, ll = np.divmod(np.arange(st.K * st.L), st.L)
+    _, cands = scaling_candidates(ch, st, kk, ll, cfg)
+    if candidate_log is not None:
+        candidate_log.extend(cands)
+    owner = np.repeat(np.arange(len(kk)), [len(cs) for cs in cands])
+    cvals = np.array([complex(g) for cs in cands for g in cs])
     # cheap proxy ordering with the current filter caps the refit work when
     # every refit is an iterative robust fit
-    proxy = [_scaling_value(ch, st, k, l, complex(g)) for g in cands]
-    order = np.argsort(proxy, kind="stable")
-    n_refit = len(cands) if ch.epsilon == 0 else min(4, len(cands))
-    for idx in order[:n_refit]:
-        g = complex(cands[idx])
-        st.c[k, l] = g
-        try:
-            if ch.epsilon == 0:
-                u_g = decorrelator_closed_form(ch, st, k, l, 2)
-            else:
-                u_g = decorrelator_robust(ch, st, k, l, 2, cfg, u0=cur_u)
-        except NonConvergenceError as exc:
-            u_g = exc.best
-        f_g = decorrelator_objective(ch, st, k, l, 2, u_g)
-        if f_g < f_best:
-            f_best = f_g
-            best = (g, u_g, g != cur_c)
-    st.c[k, l] = cur_c
-    return best
+    proxy = _scaling_value(ch, st, kk[owner], ll[owner], cvals)
+    n_refit = None if ch.epsilon == 0 else 4
+    pick = np.concatenate([
+        idx[np.argsort(proxy[idx], kind="stable")][:n_refit]
+        for idx in (np.flatnonzero(owner == d) for d in range(len(kk)))
+    ])
+    kr, lr, cr = kk[owner[pick]], ll[owner[pick]], cvals[pick]
+    u_g, err = _fit_filters(ch, st, kr, lr, 2, cfg, st.utilde[kr, lr], c=cr)
+    f_g = decorrelator_objective(ch, st, kr, lr, 2, u_g, c=cr)
+    f_cur = decorrelator_objective(ch, st, kk, ll, 2, st.utilde[kk, ll])
+    changed = False
+    for d in range(len(kk)):
+        mine = np.flatnonzero(owner[pick] == d)
+        j = mine[np.argmin(f_g[mine])]  # first of the best in proxy order
+        if f_g[j] < f_cur[d]:
+            changed = changed or cr[j] != st.c[kk[d], ll[d]]
+            st.c[kk[d], ll[d]] = cr[j]
+            st.utilde[kk[d], ll[d]] = u_g[j]
+    return changed, err
 
 
 def optimize_receivers(
@@ -344,55 +548,47 @@ def optimize_receivers(
     """Receive-side block: refit every u once, then alternate utilde and c.
 
     Precoders and combination coefficients stay fixed.  Each u is the exact
-    (or descent-refined) minimizer of its stage-one objective; each (utilde,
+    (or Newton-refined) minimizer of its stage-one objective; each (utilde,
     c) pair is improved jointly until a fixed point, and every update is
-    accepted only if it does not increase its objective, so the per-decoder
-    rate bounds are non-decreasing along the returned trace of stage-two
-    rate arrays.
+    accepted only if it lowers its objective, so the per-decoder rate bounds
+    are non-decreasing along the returned trace of stage-two rate arrays.
+
+    Raises NonConvergenceError with the finished state in ``best`` when the
+    fixed point or one of the filter fits hit its iteration cap.
     """
     cfg = cfg or SolverConfig()
     st = st.copy()
-    for k in range(st.K):
-        for l in range(st.L):
-            if np.all(st.a[k, l] == 0):
-                st.u[k, l] = 0.0  # no aggregate to decode
-                continue
-            st.u[k, l] = _best_filter(ch, st, k, l, 1, cfg, st.u[k, l])
+    kk, ll = np.divmod(np.arange(st.K * st.L), st.L)
+    live = np.any(st.a != 0, axis=(2, 3)).reshape(-1)
+    st.u[kk[~live], ll[~live]] = 0.0  # no aggregate to decode
+    err = None
+    if live.any():
+        k1, l1 = kk[live], ll[live]
+        cur = st.u[k1, l1]
+        cand, err = _fit_filters(ch, st, k1, l1, 1, cfg, cur)
+        better = decorrelator_objective(ch, st, k1, l1, 1, cand) < decorrelator_objective(
+            ch, st, k1, l1, 1, cur
+        )
+        st.u[k1[better], l1[better]] = cand[better]
 
     trace: list[np.ndarray] = []
     prev_mu = None
     for _ in range(cfg.max_inner_iters):
-        c_changed = False
-        for k in range(st.K):
-            for l in range(st.L):
-                _, cands = scaling_candidates(ch, st, k, l)
-                if candidate_log is not None:
-                    candidate_log.append(cands)
-                new_c, new_u, changed = _stage2_joint_update(ch, st, k, l, cfg, cands)
-                st.c[k, l] = new_c
-                st.utilde[k, l] = new_u
-                c_changed = c_changed or changed
+        c_changed, err2 = _stage2_joint_update(ch, st, cfg, candidate_log)
+        err = err if err is not None else err2
         mu_t = np.log2(st.P / stage2_denominators(ch, st))
         trace.append(mu_t)
         if prev_mu is not None and not c_changed:
             if float(np.max(np.abs(mu_t - prev_mu))) < cfg.rate_tol:
+                if err is not None:
+                    raise NonConvergenceError(
+                        f"receive-side block: {err}", best=st, trace=trace
+                    ) from err
                 return st, trace
         prev_mu = mu_t
     raise NonConvergenceError(
         "receive-side fixed-point iteration hit the iteration cap", best=st, trace=trace
     )
-
-
-def _scaling_value(ch, st, k, l, c) -> float:
-    w = _cross_vectors(ch.Hhat, st.v, k)
-    a = st.a[k, l].reshape(-1)
-    E = np.zeros_like(a)
-    E[k * st.L + l] = 1.0
-    ut = st.utilde[k, l]
-    q = w @ ut.conj() - E
-    nv = np.sqrt(np.sum(np.abs(st.v) ** 2, axis=2)).reshape(-1)
-    s = ch.epsilon * nv * np.linalg.norm(ut)
-    return _scaling_objective(q, a, s, c)
 
 
 # ---------------------------------------------------------------------------
@@ -551,12 +747,8 @@ def optimize_precoders(
 
 def _pseudo_target_filter(ch: ChannelSet, st: DesignState, k: int, l: int) -> np.ndarray:
     """Least-squares filter fit to unit gains on every cross stream."""
-    w = _cross_vectors(ch.Hhat, st.v, k)
-    b = np.ones(w.shape[0], dtype=complex)
-    b[k * st.L + l] = 0.0
-    N = w.shape[1]
-    A = np.einsum("ja,jb->ab", w, w.conj()) + np.eye(N) / st.P
-    return np.linalg.solve(A, b.conj() @ w)
+    targets = 1.0 - _own_stream(st, k, l)
+    return _least_squares_filters(_cross_vectors(ch.Hhat, st.v, k), targets, st.P)
 
 
 def initial_state(
@@ -709,8 +901,7 @@ def solve(
         else:
             trace.converged = False
     except NonConvergenceError as exc:
-        if isinstance(exc.best, DesignState):
-            st = exc.best
+        st = exc.best
         trace.converged = False
 
     st = _quantize_coefficients(st)
@@ -718,8 +909,7 @@ def solve(
     try:
         st, _ = optimize_receivers(ch, st, cfg=solver)
     except NonConvergenceError as exc:
-        if isinstance(exc.best, DesignState):
-            st = exc.best
+        st = exc.best
         trace.converged = False
     report = rate_report(ch, st)
     den_worst = float(
@@ -729,7 +919,7 @@ def solve(
 
     for k in range(cfg.K):
         if st.power(k) > cfg.gamma + 1e-9:
-            raise AssertionError(f"power budget violated for user {k}: {st.power(k)}")
+            raise PowerBudgetError(k, st.power(k), cfg.gamma)
     return st, report, trace
 
 
@@ -813,7 +1003,7 @@ def multi_start(
         try:
             st_rx, _ = optimize_receivers(ch, st0, solver)
         except NonConvergenceError as exc:
-            st_rx = exc.best if isinstance(exc.best, DesignState) else st0
+            st_rx = exc.best
         rep_rx = rate_report(ch, st_rx)
         tr_rx = SolveTrace()
         tr_rx.add(0, "receivers", rep_rx.r_min, 0.0)

@@ -35,6 +35,30 @@ def test_system_config_validation():
         SystemConfig(K=3, M=2, N=2, L=1, P=10.0, gamma=0.0)
 
 
+@pytest.mark.parametrize(
+    "over",
+    [{"P": float("inf")}, {"P": float("nan")}, {"gamma": float("inf")},
+     {"epsilon": float("nan")}, {"epsilon": float("inf")}],
+)
+def test_system_config_rejects_non_finite(over):
+    kwargs = dict(K=3, M=2, N=2, L=1, P=10.0)
+    kwargs.update(over)
+    with pytest.raises(ConfigurationError):
+        SystemConfig(**kwargs)
+
+
+@pytest.mark.parametrize("field", ["H", "Hhat", "epsilon"])
+def test_channelset_rejects_nan(field):
+    ch = generate_channels(SystemConfig(K=2, M=2, N=2, L=1, P=1.0, seed=3))
+    kwargs = {"H": ch.H.copy(), "Hhat": ch.Hhat.copy(), "epsilon": 0.1}
+    if field == "epsilon":
+        kwargs["epsilon"] = float("nan")
+    else:
+        kwargs[field][1, 0, 0, 1] = complex(float("nan"), 0.0)
+    with pytest.raises(ConfigurationError):
+        ChannelSet(**kwargs)
+
+
 def test_snr_db_to_power():
     assert snr_db_to_power(0.0) == pytest.approx(1.0)
     assert snr_db_to_power(10.0) == pytest.approx(10.0)

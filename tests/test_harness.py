@@ -229,3 +229,22 @@ def test_experiment_from_json_solver_section():
 def test_experiment_from_json_rejects(text, fragment):
     with pytest.raises(ConfigurationError, match=fragment):
         experiment_from_json(text)
+
+
+def test_trial_computes_the_alignment_design_once(monkeypatch):
+    """The lattice start and the distributive-IA baseline share one design."""
+    from latticealign import baselines
+
+    calls = []
+    real = baselines.distributive_ia_design
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(baselines, "distributive_ia_design", counted)
+    spec = _spec(methods=("lattice", "distributive_ia"), epsilon_grid=(0.1,), trials=2,
+                 solver=SolverConfig(max_outer_iters=2))
+    rows = run_experiment(spec)
+    assert len(rows) == 4
+    assert len(calls) == 2

@@ -10,14 +10,14 @@ from latticealign.channel import (
     perturb_csi,
 )
 from latticealign.closedform import SymmetricInstance, symmetric_channelset, symmetric_rmin_lattice
-from latticealign.errors import ConfigurationError, NonConvergenceError
+from latticealign.errors import ConfigurationError, NonConvergenceError, PowerBudgetError
 from latticealign.gaussint import GaussianInt
-from latticealign.rates import rate_report, stage2_rates
+from latticealign.rates import DesignState, rate_report, stage2_rates
 from latticealign.solver import (
     SolveTrace,
     SolverConfig,
     _cross_vectors,
-    _robust_fun_grad,
+    _Problems,
     _scaling_value,
     _stage_targets,
     decorrelator_closed_form,
@@ -56,25 +56,34 @@ def test_solver_config_validation():
 
 @pytest.mark.parametrize("eps", [0.0, 0.15])
 def test_robust_objective_gradient_finite_difference(eps):
+    """The Newton kernel's value, gradient and Hessian agree with the exact
+    objective and with central differences."""
     ch, cfg = _random_instance(eps=eps, seed=5)
     st = initial_state(ch, cfg, "random_unit", seed=7, init_a="round")
     w = _cross_vectors(ch.Hhat, st.v, 0)
     b = _stage_targets(st, 0, 0, 2)
     nv = np.sqrt(np.sum(np.abs(st.v) ** 2, axis=2)).reshape(-1)
+    prob = _Problems.from_complex(w.conj()[None], b.conj()[None], 0.0, eps * nv, 1.0, cfg.P)
     rng = np.random.default_rng(8)
+    h = 1e-6
     for _ in range(5):
         x0 = rng.standard_normal(4)
-        _, g = _robust_fun_grad(x0, w, b, nv, eps, cfg.P)
+        f, g, H = (t[0] for t in prob.evaluate(x0[None], derivatives=True))
+        exact = decorrelator_objective(ch, st, 0, 0, 2, x0[:2] + 1j * x0[2:])
+        assert f == pytest.approx(exact, rel=1e-8)
         gfd = np.zeros(4)
-        h = 1e-6
+        Hfd = np.zeros((4, 4))
         for j in range(4):
             e = np.zeros(4)
             e[j] = h
-            fp, _ = _robust_fun_grad(x0 + e, w, b, nv, eps, cfg.P)
-            fm, _ = _robust_fun_grad(x0 - e, w, b, nv, eps, cfg.P)
-            gfd[j] = (fp - fm) / (2 * h)
+            fp, gp, _ = prob.evaluate((x0 + e)[None], derivatives=True)
+            fm, gm, _ = prob.evaluate((x0 - e)[None], derivatives=True)
+            gfd[j] = (fp[0] - fm[0]) / (2 * h)
+            Hfd[:, j] = (gp[0] - gm[0]) / (2 * h)
         scale = max(1.0, float(np.max(np.abs(gfd))))
         assert np.max(np.abs(g - gfd)) / scale < 1e-6
+        scale = max(1.0, float(np.max(np.abs(Hfd))))
+        assert np.max(np.abs(H - Hfd)) / scale < 1e-5
 
 
 def test_decorrelator_matches_closed_form_without_uncertainty():
@@ -353,3 +362,161 @@ def test_solve_trace_records():
     tr.add(1, "quantize", 1.4, 0.5)
     assert tr.r_min_series() == [1.0, 1.5, 1.4]
     assert tr.pre_quantize_series() == [1.0, 1.5]
+
+
+# ---------------------------------------------------------------------------
+# batched receive side
+# ---------------------------------------------------------------------------
+
+# (K, L, M, N): the sweep geometry, L = 2 with K = 4, and M != N both ways
+_SHAPES = [(3, 1, 2, 2), (4, 2, 3, 4), (3, 1, 3, 2), (2, 2, 4, 3)]
+
+
+def _shaped_instance(K, L, M, N, eps, seed, P=10.0):
+    cfg = SystemConfig(K=K, M=M, N=N, L=L, P=P, epsilon=eps, seed=seed)
+    ch = perturb_csi(generate_channels(cfg), eps, seed=seed + 10_000)
+    st = initial_state(ch, cfg, "random_unit", seed=seed + 1, init_a="round")
+    st.utilde = complex_gaussian(np.random.default_rng(seed + 2), st.utilde.shape)
+    return ch, cfg, st
+
+
+def _decoder_grid(st):
+    return np.divmod(np.arange(st.K * st.L), st.L)
+
+
+def _fit_cases(st, kk, ll):
+    """(stage, warm starts, stage-two scalings): zero and warm starts, and
+    scalings other than the state's own."""
+    rng = np.random.default_rng(17)
+    c = rng.integers(-2, 3, len(kk)) + 1j * rng.integers(-2, 3, len(kk))
+    return [
+        (1, None, None), (1, st.u[kk, ll], None),
+        (2, None, None), (2, st.utilde[kk, ll], None), (2, st.utilde[kk, ll], c),
+    ]
+
+
+def _pick(arr, d):
+    return None if arr is None else arr[d]
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.25])
+@pytest.mark.parametrize("shape", _SHAPES)
+def test_batched_receive_fits_equal_per_decoder_fits(shape, eps):
+    ch, cfg, st = _shaped_instance(*shape, eps, seed=900 + sum(shape))
+    kk, ll = _decoder_grid(st)
+    for stage, u0, c in _fit_cases(st, kk, ll):
+        U = decorrelator_robust(ch, st, kk, ll, stage, u0=u0, c=c)
+        f = decorrelator_objective(ch, st, kk, ll, stage, U, c=c)
+        U_cf = decorrelator_closed_form(ch, st, kk, ll, stage, c=c)
+        for d in range(len(kk)):
+            args = (ch, st, int(kk[d]), int(ll[d]), stage)
+            u1 = decorrelator_robust(*args, u0=_pick(u0, d), c=_pick(c, d))
+            assert np.max(np.abs(U[d] - u1)) <= 1e-12 * max(1.0, np.max(np.abs(u1)))
+            f1 = decorrelator_objective(*args, u1, c=_pick(c, d))
+            assert abs(f[d] - f1) <= 1e-12 * abs(f1)
+            assert np.allclose(U_cf[d], decorrelator_closed_form(*args, c=_pick(c, d)),
+                               rtol=1e-12, atol=0)
+
+    bests, cands = scaling_candidates(ch, st, kk, ll)
+    for d in range(len(kk)):
+        best1, cands1 = scaling_candidates(ch, st, int(kk[d]), int(ll[d]))
+        assert (bests[d], cands[d]) == (best1, cands1)
+        values = _scaling_value(ch, st, np.full(len(cands1), kk[d]), np.full(len(cands1), ll[d]),
+                                np.array([complex(g) for g in cands1]))
+        for g, v in zip(cands1, values):
+            assert v == pytest.approx(_scaling_value(ch, st, int(kk[d]), int(ll[d]), complex(g)),
+                                      rel=1e-12)
+
+
+def _lbfgs_reference(ch, st, k, l, stage, u0, c=None):
+    """The smoothed robust objective minimized by scipy L-BFGS-B: an oracle
+    for the Newton kernel, with the settings the solver once used."""
+    from scipy.optimize import minimize
+
+    w = _cross_vectors(ch.Hhat, st.v, k)
+    b = _stage_targets(st, k, l, stage, c)
+    nv = np.sqrt(np.sum(np.abs(st.v) ** 2, axis=2)).reshape(-1)
+    eps, P, d2 = ch.epsilon, st.P, 1e-18
+    N = w.shape[1]
+
+    def fun_grad(x):
+        u = x[:N] + 1j * x[N:]
+        z = w @ u.conj() - b
+        az = np.sqrt(np.abs(z) ** 2 + d2)
+        nu2 = float(np.sum(np.abs(u) ** 2))
+        nus = np.sqrt(nu2 + d2)
+        s = eps * nv * nus
+        f = nu2 + P * float(np.sum((az + s) ** 2 - d2))
+        g = u + P * np.einsum("j,ja->a", (az + s) / az * z.conj(), w)
+        g = g + P * float(np.sum((az + s) * eps * nv)) * u / nus
+        return f, np.concatenate([2 * g.real, 2 * g.imag])
+
+    u0 = np.zeros(N, dtype=complex) if u0 is None else u0
+    res = minimize(fun_grad, np.concatenate([u0.real, u0.imag]), jac=True, method="L-BFGS-B",
+                   options={"maxiter": 1000, "ftol": 1e-15, "gtol": 1e-7})
+    return res.x[:N] + 1j * res.x[N:]
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.25])
+@pytest.mark.parametrize("shape", _SHAPES)
+def test_newton_fit_never_worse_than_lbfgs_reference(shape, eps):
+    ch, cfg, st = _shaped_instance(*shape, eps, seed=950 + sum(shape))
+    kk, ll = _decoder_grid(st)
+    for stage, u0, c in _fit_cases(st, kk, ll):
+        U = decorrelator_robust(ch, st, kk, ll, stage, u0=u0, c=c)
+        for d in range(len(kk)):
+            args = (ch, st, int(kk[d]), int(ll[d]), stage)
+            u_ref = _lbfgs_reference(*args, _pick(u0, d), c=_pick(c, d))
+            f_new = decorrelator_objective(*args, U[d], c=_pick(c, d))
+            f_ref = decorrelator_objective(*args, u_ref, c=_pick(c, d))
+            assert f_new <= f_ref * (1 + 1e-9)
+
+
+def test_receive_block_makes_no_scipy_calls(monkeypatch):
+    from latticealign import solver as solver_mod
+
+    calls = []
+    real = solver_mod.minimize
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "minimize", counted)
+    for shape in _SHAPES[:2]:
+        ch, cfg, st = _shaped_instance(*shape, 0.1, seed=990 + sum(shape))
+        st, _ = optimize_receivers(ch, st)
+        assert calls == []
+    optimize_precoders(ch, st, cfg.gamma)  # the transmit block still uses scipy
+    assert calls
+
+
+def test_capped_filter_fit_keeps_the_refit_state():
+    """Hitting the Newton iteration cap keeps the best filters found and
+    flags the solve, instead of discarding the receive-side refit."""
+    cfg = SystemConfig(K=3, M=2, N=2, L=1, P=14.0, epsilon=0.1, seed=5)
+    ch = perturb_csi(generate_channels(cfg), 0.1, seed=6)
+    capped = SolverConfig(max_inner_iters=1)
+    st0 = initial_state(ch, cfg, "identity_like")
+    with pytest.raises(NonConvergenceError, match=r"\(0, 0\)") as info:
+        decorrelator_robust(ch, st0, 0, 0, 1, capped)
+    assert info.value.best.shape == (2,)
+    with pytest.raises(NonConvergenceError) as info:
+        optimize_receivers(ch, st0, capped)
+    assert isinstance(info.value.best, DesignState)
+    _, rep_default, _ = solve(ch, cfg)
+    _, rep, trace = solve(ch, cfg, capped)
+    assert not trace.converged
+    assert rep.r_min >= 0.9 * rep_default.r_min > 0
+
+
+def test_power_budget_violation_names_user_and_power(monkeypatch):
+    from latticealign import solver as solver_mod
+
+    ch, cfg = _random_instance(seed=46)
+    st0 = state_from_precoders(ch, cfg, np.ones((3, 1, 2), dtype=complex))
+    st0.v = st0.v * 2.0
+    monkeypatch.setattr(solver_mod, "optimize_precoders", lambda ch, st, gamma, cfg=None: (st, 0.0))
+    with pytest.raises(PowerBudgetError, match="user 0") as info:
+        solve(ch, cfg, init_state=st0)
+    assert info.value.power == pytest.approx(4 * cfg.gamma)
