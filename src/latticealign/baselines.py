@@ -145,27 +145,21 @@ def two_stage_ml_rates(ch: ChannelSet, cfg: SystemConfig) -> BaselineResult:
 def interference_covariances(
     H: np.ndarray, V: np.ndarray, rho: float
 ) -> np.ndarray:
-    """Q[k] = sum_{i != k} rho H_ki V_i V_i^H H_ki^H."""
-    K, _, N, _ = H.shape
-    Q = np.zeros((K, N, N), dtype=complex)
-    for k in range(K):
-        for i in range(K):
-            if i == k:
-                continue
-            T = H[k, i] @ V[i]
-            Q[k] += rho * (T @ T.conj().T)
-    return Q
+    """Q[k] = sum_{i != k} rho H_ki V_i V_i^H H_ki^H, summed in order of i."""
+    K = H.shape[0]
+    T = H @ V[None]  # T[k, i] = H_ki V_i
+    R = rho * (T @ T.conj().swapaxes(-1, -2))
+    R[np.arange(K), np.arange(K)] = 0.0
+    return R.sum(axis=1)
 
 
-def _least_eigvecs(Q: np.ndarray, L: int) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(Q)
-    return vecs[:, :L]
+def _leakage(Q: np.ndarray, U: np.ndarray) -> float:
+    return float(sum(np.real(np.trace(U[k].conj().T @ Q[k] @ U[k])) for k in range(len(Q))))
 
 
 def total_leakage(H: np.ndarray, V: np.ndarray, U: np.ndarray, rho: float) -> float:
     """Interference power left in the receive subspaces."""
-    Q = interference_covariances(H, V, rho)
-    return float(sum(np.real(np.trace(U[k].conj().T @ Q[k] @ U[k])) for k in range(len(Q))))
+    return _leakage(interference_covariances(H, V, rho), U)
 
 
 def distributive_ia_design(
@@ -177,27 +171,20 @@ def distributive_ia_design(
     interference covariance; the reciprocal network (conjugate-transposed
     links, roles swapped) recomputes the precoders the same way.  Total
     leakage is non-increasing because both half-steps minimize the same
-    quantity, which is symmetric between the two directions.
+    quantity, which is symmetric between the two directions.  Each half-step
+    treats all K users in one batch.
     """
-    K, _, N, M = Hhat.shape
+    K, _, N, _ = Hhat.shape
     V = tdma_design(Hhat, L)  # deterministic start: direct-channel modes
     U = np.zeros((K, N, L), dtype=complex)
+    # reciprocal direction: channel from i to k becomes Hhat[i, k]^H
+    Hrec = Hhat.conj().transpose(1, 0, 3, 2)
     trace: list[float] = []
     for _ in range(iters):
         Q = interference_covariances(Hhat, V, rho)
-        for k in range(K):
-            U[k] = _least_eigvecs(Q[k], L)
-        trace.append(total_leakage(Hhat, V, U, rho))
-        # reciprocal direction: channel from i to k becomes Hhat[i, k]^H
-        Qr = np.zeros((K, M, M), dtype=complex)
-        for k in range(K):
-            for i in range(K):
-                if i == k:
-                    continue
-                T = Hhat[i, k].conj().T @ U[i]
-                Qr[k] += rho * (T @ T.conj().T)
-        for k in range(K):
-            V[k] = _least_eigvecs(Qr[k], L)
+        U = np.linalg.eigh(Q)[1][..., :L]
+        trace.append(_leakage(Q, U))
+        V = np.linalg.eigh(interference_covariances(Hrec, U, rho))[1][..., :L]
     return V, U, trace
 
 

@@ -12,10 +12,15 @@ or convex:
 * transmit-side block: the epigraph problem in (v, relaxed a, t) is convex
   and is solved with a log-barrier method under the per-user power budget.
 
-The outer loop alternates the two blocks, never accepts a step that lowers
-the worst rate bound, and finally projects the relaxed coefficients back to
-Gaussian integers (dividing out any common divisor, which can only help the
-aggregate-decoding rate) before one last receive-side refit.
+The outer loop alternates the two blocks and never accepts a step that
+lowers the worst rate bound.  It stops at the first rejected transmit step:
+the state is then the receive block's own output, which a second pass of
+that block leaves with the same rates up to rounding, and the transmit
+block is deterministic, so a further sweep would repeat the same rejected
+step.  After an accepted step it stops once the worst rate bound moves by
+at most rate_tol.  Finally it projects the relaxed coefficients back to
+Gaussian integers (dividing out any common divisor, which can only help
+the aggregate-decoding rate) before one last receive-side refit.
 """
 
 from __future__ import annotations
@@ -78,9 +83,19 @@ class TraceRecord:
 
 @dataclass
 class SolveTrace:
+    """What a solve did, kept out of the solve JSON and the simulate CSV.
+
+    stop_reason says why the outer loop ended: "transmit step rejected",
+    "rate_tol reached", "max_outer_iters reached", or the block and message
+    of a NonConvergenceError; a capped final refit appends its own message.
+    first_receivers is the state the first receive-side block returned.
+    """
+
     records: list[TraceRecord] = field(default_factory=list)
     converged: bool = True
     c_candidates: list = field(default_factory=list)
+    stop_reason: str = ""
+    first_receivers: DesignState | None = None
 
     def add(self, it: int, stage: str, r_min: float, objective: float):
         self.records.append(TraceRecord(it, stage, float(r_min), float(objective)))
@@ -844,6 +859,14 @@ def _reduce_common_divisors(st: DesignState) -> DesignState:
     return out
 
 
+def _refit_receivers(ch, st, solver, candidate_log=None):
+    """optimize_receivers, with the finished state of a capped block and its error."""
+    try:
+        return optimize_receivers(ch, st, solver, candidate_log=candidate_log)[0], None
+    except NonConvergenceError as exc:
+        return exc.best, exc
+
+
 def solve(
     ch: ChannelSet,
     cfg: SystemConfig,
@@ -857,12 +880,17 @@ def solve(
     Alternates the receive-side and transmit-side blocks from the configured
     initialization; a transmit-side step is accepted only when it does not
     lower the worst rate bound, so the pre-quantization trace of r_min is
-    non-decreasing.  Afterwards the relaxed coefficients are rounded to
-    Gaussian integers, common divisors are removed, and the receive side is
-    refit once against the final integers.
+    non-decreasing.  The loop stops at the first rejected transmit step,
+    because the state is then the receive block's own output and another
+    sweep would refit nothing and repeat the same rejected barrier solve.
+    After an accepted step it stops once r_min moved by at most rate_tol
+    (relative to max(1, |r_min|)).  Afterwards the relaxed coefficients are
+    rounded to Gaussian integers, common divisors are removed, and the
+    receive side is refit once against the final integers.
 
     Returns (state, report, trace); trace.converged is False when the outer
-    loop or a sub-block hit its iteration budget.
+    loop or a sub-block hit its iteration budget, and trace.stop_reason says
+    why the loop stopped.
     """
     solver = solver or SolverConfig()
     if (ch.K, ch.M, ch.N) != (cfg.K, cfg.M, cfg.N):
@@ -877,40 +905,41 @@ def solve(
         st = initial_state(ch, cfg, solver.init_strategy, seed=seed, init_a=init_a)
     r_prev = -np.inf
     outer = 0
-    try:
-        for outer in range(solver.max_outer_iters):
-            cand_log: list = []
-            st, _ = optimize_receivers(ch, st, solver, candidate_log=cand_log)
-            trace.c_candidates.append(cand_log)
-            r_a = rate_report(ch, st).r_min
-            trace.add(outer, "receivers", r_a, float(np.sum(stage2_denominators(ch, st))))
-
-            st_cand, t_val = optimize_precoders(ch, st, cfg.gamma, solver)
-            r_cand = rate_report(ch, st_cand).r_min
-            if r_cand >= r_a:
-                st = st_cand
-                r_b = r_cand
-            else:
-                r_b = r_a  # reject: barrier endpoint was no better
-            trace.add(outer, "precoders", r_b, t_val)
-
-            if np.isfinite(r_prev) and abs(r_b - r_prev) <= solver.rate_tol * max(1.0, abs(r_b)):
-                r_prev = r_b
-                break
-            r_prev = r_b
-        else:
+    for outer in range(solver.max_outer_iters):
+        cand_log: list = []
+        st, err = _refit_receivers(ch, st, solver, cand_log)
+        if outer == 0:
+            trace.first_receivers = st
+        if err is not None:
             trace.converged = False
-    except NonConvergenceError as exc:
-        st = exc.best
+            trace.stop_reason = f"optimize_receivers: {err}"
+            break
+        trace.c_candidates.append(cand_log)
+        r_a = rate_report(ch, st).r_min
+        trace.add(outer, "receivers", r_a, float(np.sum(stage2_denominators(ch, st))))
+
+        st_cand, t_val = optimize_precoders(ch, st, cfg.gamma, solver)
+        r_cand = rate_report(ch, st_cand).r_min
+        if r_cand < r_a:
+            trace.add(outer, "precoders", r_a, t_val)
+            trace.stop_reason = "transmit step rejected"
+            break
+        st = st_cand
+        trace.add(outer, "precoders", r_cand, t_val)
+        if np.isfinite(r_prev) and abs(r_cand - r_prev) <= solver.rate_tol * max(1.0, abs(r_cand)):
+            trace.stop_reason = "rate_tol reached"
+            break
+        r_prev = r_cand
+    else:
         trace.converged = False
+        trace.stop_reason = "max_outer_iters reached"
 
     st = _quantize_coefficients(st)
     st = _reduce_common_divisors(st)
-    try:
-        st, _ = optimize_receivers(ch, st, cfg=solver)
-    except NonConvergenceError as exc:
-        st = exc.best
+    st, err = _refit_receivers(ch, st, solver)
+    if err is not None:
         trace.converged = False
+        trace.stop_reason += f"; final receive refit: {err}"
     report = rate_report(ch, st)
     den_worst = float(
         max(np.max(stage2_denominators(ch, st)), np.max(stage1_denominators(ch, st)))
@@ -974,10 +1003,10 @@ def multi_start(
 
     Each entry of extra_precoders adds two candidates on top of the n_starts
     budget: a full solve seeded from those precoders, and the plain
-    receive-side fit with zero coefficients.  The latter never trails any
-    fixed-filter single-user rate for the same precoders, which makes a
-    known-good design (for example an alignment solution) a floor for the
-    returned objective.
+    receive-side fit with zero coefficients, which is that solve's first
+    receive block.  The latter never trails any fixed-filter single-user
+    rate for the same precoders, which makes a known-good design (for
+    example an alignment solution) a floor for the returned objective.
     """
     if n_starts < 1:
         raise ConfigurationError("n_starts must be at least 1")
@@ -998,14 +1027,11 @@ def multi_start(
         run_cfg = replace(solver, init_strategy=strategy)
         results.append(solve(ch, cfg, run_cfg, seed=sd, init_a=mode))
     for V in extra_precoders:
-        st0 = state_from_precoders(ch, cfg, V)
-        results.append(solve(ch, cfg, solver, init_state=st0))
-        try:
-            st_rx, _ = optimize_receivers(ch, st0, solver)
-        except NonConvergenceError as exc:
-            st_rx = exc.best
+        seeded = solve(ch, cfg, solver, init_state=state_from_precoders(ch, cfg, V))
+        results.append(seeded)
+        st_rx = seeded[2].first_receivers
         rep_rx = rate_report(ch, st_rx)
-        tr_rx = SolveTrace()
+        tr_rx = SolveTrace(stop_reason="receive-only fit")
         tr_rx.add(0, "receivers", rep_rx.r_min, 0.0)
         results.append((st_rx, rep_rx, tr_rx))
 

@@ -133,6 +133,45 @@ def test_distributive_ia_leakage_non_increasing():
         assert total_leakage(ch.Hhat, V, U, rho) <= trace[-1] + 1e-9
 
 
+def _distributive_ia_reference(Hhat, L, rho, iters):
+    """The per-user loop form of distributive_ia_design: the reference its
+    batched half-steps must match bit for bit."""
+    K, _, N, M = Hhat.shape
+    V = tdma_design(Hhat, L)
+    U = np.zeros((K, N, L), dtype=complex)
+    trace = []
+
+    def covariances(links, X, n):
+        Q = np.zeros((K, n, n), dtype=complex)
+        for k in range(K):
+            for i in range(K):
+                if i != k:
+                    T = links(k, i) @ X[i]
+                    Q[k] += rho * (T @ T.conj().T)
+        return Q
+
+    for _ in range(iters):
+        Q = covariances(lambda k, i: Hhat[k, i], V, N)
+        for k in range(K):
+            U[k] = np.linalg.eigh(Q[k])[1][:, :L]
+        trace.append(float(sum(np.real(np.trace(U[k].conj().T @ Q[k] @ U[k])) for k in range(K))))
+        Qr = covariances(lambda k, i: Hhat[i, k].conj().T, U, M)
+        for k in range(K):
+            V[k] = np.linalg.eigh(Qr[k])[1][:, :L]
+    return V, U, trace
+
+
+@pytest.mark.parametrize("K,L,M,N", [(3, 1, 2, 2), (4, 2, 3, 4), (3, 1, 3, 2)])
+def test_distributive_ia_batched_equals_per_user_loop(K, L, M, N):
+    ch, cfg = _instance(K=K, M=M, N=N, L=L, eps=0.1, seed=60 + K + M + N)
+    rho = cfg.gamma * cfg.P / cfg.L
+    V, U, trace = distributive_ia_design(ch.Hhat, L, rho, iters=40)
+    V_ref, U_ref, trace_ref = _distributive_ia_reference(ch.Hhat, L, rho, 40)
+    assert np.array_equal(V, V_ref)
+    assert np.array_equal(U, U_ref)
+    assert trace == trace_ref
+
+
 def test_distributive_ia_three_user_alignment_nearly_exact():
     """3-user 2x2 with one stream is alignable: leakage collapses."""
     ch, cfg = _instance(seed=9)

@@ -146,7 +146,7 @@ def test_simulate_bad_config(tmp_path, capsys):
 
 
 def test_simulate_strict_flags_nonconvergence(tmp_path, capsys):
-    """One outer iteration can never satisfy the rate-improvement stop."""
+    """A one-step cap on the inner fits stops the receive block short."""
     cfg_path = _sim_config(
         tmp_path,
         methods=["lattice"],
@@ -154,7 +154,7 @@ def test_simulate_strict_flags_nonconvergence(tmp_path, capsys):
         trials=1,
         n_starts=1,
         dist_ia_iters=20,
-        solver={"max_outer_iters": 1},
+        solver={"max_inner_iters": 1},
     )
     out_path = tmp_path / "rows.csv"
     code = main(["simulate", "--config", str(cfg_path),
@@ -173,7 +173,7 @@ def test_simulate_nonstrict_tolerates_nonconvergence(tmp_path, capsys):
         trials=1,
         n_starts=1,
         dist_ia_iters=20,
-        solver={"max_outer_iters": 1},
+        solver={"max_inner_iters": 1},
     )
     code = main(["simulate", "--config", str(cfg_path),
                  "--output", str(tmp_path / "rows.csv")])

@@ -520,3 +520,108 @@ def test_power_budget_violation_names_user_and_power(monkeypatch):
     with pytest.raises(PowerBudgetError, match="user 0") as info:
         solve(ch, cfg, init_state=st0)
     assert info.value.power == pytest.approx(4 * cfg.gamma)
+
+
+# ---------------------------------------------------------------------------
+# outer-loop stopping rule
+# ---------------------------------------------------------------------------
+
+
+def _count_calls(monkeypatch, *names):
+    from latticealign import solver as solver_mod
+
+    calls = {name: [] for name in names}
+    for name in names:
+        real = getattr(solver_mod, name)
+
+        def counted(*args, _real=real, _log=calls[name], **kwargs):
+            out = _real(*args, **kwargs)
+            _log.append(out)
+            return out
+
+        monkeypatch.setattr(solver_mod, name, counted)
+    return calls
+
+
+def test_solve_stops_at_the_first_rejected_transmit_step(monkeypatch):
+    """A rejected transmit step leaves the receive block's own output, so the
+    loop ends there instead of repeating the block and the barrier solve."""
+    calls = _count_calls(monkeypatch, "optimize_receivers", "optimize_precoders")
+    ch, cfg = _random_instance(eps=0.1, seed=30)
+    _, _, trace = solve(ch, cfg)
+    assert len(calls["optimize_precoders"]) == 1
+    assert len(calls["optimize_receivers"]) == 2  # the loop's block and the final refit
+    series = trace.pre_quantize_series()
+    assert rate_report(ch, calls["optimize_precoders"][0][0]).r_min < series[0]
+    assert trace.converged and trace.stop_reason == "transmit step rejected"
+    assert [(rec.iter, rec.stage) for rec in trace.records] == [
+        (0, "receivers"), (0, "precoders"), (1, "quantize")
+    ]
+    assert series[1] >= series[0]
+
+
+def test_solve_stop_reasons():
+    ch, cfg = _random_instance(eps=0.1, seed=31)
+    _, _, trace = solve(ch, cfg)
+    assert trace.converged and trace.stop_reason == "rate_tol reached"
+    assert len(trace.pre_quantize_series()) > 4  # several accepted transmit steps
+    _, _, trace = solve(ch, cfg, SolverConfig(max_outer_iters=2))
+    assert not trace.converged and trace.stop_reason == "max_outer_iters reached"
+    _, _, trace = solve(ch, cfg, SolverConfig(max_inner_iters=1))
+    assert not trace.converged
+    assert trace.stop_reason.startswith("optimize_receivers: receive-side")
+    assert "final receive refit" in trace.stop_reason
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+@pytest.mark.parametrize("shape", _SHAPES)
+def test_receive_block_is_idempotent(shape, eps):
+    """Refitting the receive side on its own output accepts nothing that
+    moves a rate: the property that lets solve stop at a rejected step."""
+    ch, cfg, st = _shaped_instance(*shape, eps, seed=700 + sum(shape))
+    once, _ = optimize_receivers(ch, st)
+    twice, _ = optimize_receivers(ch, once)
+    assert np.array_equal(twice.c, once.c) and np.array_equal(twice.a, once.a)
+    assert abs(rate_report(ch, twice).r_min - rate_report(ch, once).r_min) <= 1e-12
+    if eps == 0:
+        for name in ("v", "u", "utilde"):
+            assert np.array_equal(getattr(twice, name), getattr(once, name))
+
+
+def test_multi_start_reuses_the_seeded_first_receive_block(monkeypatch):
+    """The receive-only candidate of an extra precoder set is the seeded
+    solve's first receive block, not a second fit of the same input."""
+    from latticealign import solver as solver_mod
+    from latticealign.baselines import distributive_ia_design
+
+    ch, cfg = _random_instance(eps=0.1, seed=42, P=20.0)
+    V, _, _ = distributive_ia_design(ch.Hhat, cfg.L, cfg.gamma * cfg.P / cfg.L, 80)
+    expect, _ = optimize_receivers(ch, state_from_precoders(ch, cfg, V))
+
+    depth, outside, candidates = [0], [], []
+    real_solve, real_rx = solver_mod.solve, solver_mod.optimize_receivers
+    real_key = solver_mod._objective_key
+
+    def nested_solve(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return real_solve(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def receivers(*args, **kwargs):
+        outside.append(depth[0] == 0)
+        return real_rx(*args, **kwargs)
+
+    def key(st, report, objective):
+        candidates.append(st)
+        return real_key(st, report, objective)
+
+    monkeypatch.setattr(solver_mod, "solve", nested_solve)
+    monkeypatch.setattr(solver_mod, "optimize_receivers", receivers)
+    monkeypatch.setattr(solver_mod, "_objective_key", key)
+    multi_start(ch, cfg, n_starts=1, extra_precoders=(V,))
+    assert outside and not any(outside)  # every receive fit runs inside a solve
+    assert len(candidates) == 3
+    for name in ("v", "u", "utilde", "a", "c"):
+        assert np.array_equal(getattr(candidates[-1], name), getattr(expect, name))
