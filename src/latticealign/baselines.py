@@ -11,8 +11,7 @@ if the true channels support it.
   (Gaussian codebooks), subtract, then decode the desired stream;
 * distributive_ia: alternating min-leakage interference alignment;
 * conventional_ia_3user: the closed-form eigenvector alignment for three
-  users with even square antennas;
-* generalized_hk: recognized name, not implemented.
+  users with even square antennas.
 """
 
 from __future__ import annotations
@@ -76,13 +75,6 @@ def tdma_per_user_rates(
     return rates
 
 
-def tdma_rates(ch: ChannelSet, cfg: SystemConfig) -> BaselineResult:
-    """TDMA designed on the estimates, scored on the true channels."""
-    V = tdma_design(ch.Hhat, cfg.L)
-    rates = tdma_per_user_rates(ch.H, V, cfg.P, cfg.gamma, cfg.L)
-    return BaselineResult.build("tdma", rates)
-
-
 # ---------------------------------------------------------------------------
 # two-stage maximum likelihood with Gaussian codebooks
 # ---------------------------------------------------------------------------
@@ -128,13 +120,6 @@ def two_stage_ml_common_rate(
 ) -> float:
     stage1, stage2 = two_stage_ml_constraints(H, V, U, P)
     return float(min(stage1.min(), stage2.min()))
-
-
-def two_stage_ml_rates(ch: ChannelSet, cfg: SystemConfig) -> BaselineResult:
-    """Two-stage ML at the common rate every receiver can sustain."""
-    V, U = two_stage_ml_design(ch.Hhat, cfg.gamma)
-    rate = two_stage_ml_common_rate(ch.H, V, U, cfg.P)
-    return BaselineResult.build("two_stage_ml", np.full(ch.K, rate))
 
 
 # ---------------------------------------------------------------------------
@@ -210,16 +195,6 @@ def ia_stream_rates(
     return rates
 
 
-def distributive_ia(
-    ch: ChannelSet, cfg: SystemConfig, iters: int = 300
-) -> tuple[tuple[np.ndarray, np.ndarray, list[float]], BaselineResult]:
-    """Min-leakage alignment designed on estimates, scored on true channels."""
-    rho = cfg.gamma * cfg.P / cfg.L
-    V, U, trace = distributive_ia_design(ch.Hhat, cfg.L, rho, iters)
-    rates = ia_stream_rates(ch.H, V, U, rho).sum(axis=1)
-    return (V, U, trace), BaselineResult.build("distributive_ia", rates)
-
-
 def conventional_ia_design(
     Hhat: np.ndarray, L: int
 ) -> tuple[np.ndarray, np.ndarray] | None:
@@ -274,11 +249,3 @@ def conventional_ia_3user(
     rho = cfg.gamma * cfg.P / cfg.L
     rates = ia_stream_rates(ch.H, V, U, rho).sum(axis=1)
     return V, U, BaselineResult.build("conventional_ia", rates)
-
-
-def generalized_hk(ch: ChannelSet, cfg: SystemConfig):
-    """Placeholder for a generalized Han-Kobayashi baseline."""
-    raise NotImplementedError(
-        "the generalized Han-Kobayashi baseline is a recognized method name "
-        "but has no implementation"
-    )

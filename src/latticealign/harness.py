@@ -36,7 +36,6 @@ KNOWN_METHODS = (
     "two_stage_ml",
     "distributive_ia",
     "conventional_ia",
-    "generalized_hk",
 )
 
 # Lighter tolerances for batch runs; the per-step safeguards in the solver
@@ -208,17 +207,12 @@ def _run_conventional_ia(trial: _Trial):
     return float(g.min()), float(g.sum()), float(nominal.min()), True
 
 
-def _run_generalized_hk(trial: _Trial):
-    return baselines.generalized_hk(trial.ch, trial.cfg)
-
-
 _METHOD_RUNNERS = {
     "lattice": _run_lattice,
     "tdma": _run_tdma,
     "two_stage_ml": _run_two_stage_ml,
     "distributive_ia": _run_distributive_ia,
     "conventional_ia": _run_conventional_ia,
-    "generalized_hk": _run_generalized_hk,
 }
 
 

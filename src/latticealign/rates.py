@@ -28,17 +28,36 @@ _INT_TOL = 1e-9
 
 def own_stream_indicator(K: int, L: int) -> np.ndarray:
     """E[k, l, i, n] = 1 exactly when (i, n) == (k, l)."""
-    E = np.zeros((K, L, K, L))
-    kk = np.arange(K)[:, None]
-    ll = np.arange(L)[None, :]
-    E[kk, ll, kk, ll] = 1.0
-    return E
+    return np.eye(K * L).reshape(K, L, K, L)
 
 
-def cross_gain_tensor(Hmats: np.ndarray, V: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """G[k, l, i, n] = u_kl^H H_ki v_in for stacked filters and precoders."""
+def cross_vectors(Hmats: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """w[k, i*L+n, :] = H_ki v_in: the (K*L, N) stack of streams seen by receiver k."""
     t = np.einsum("kiab,inb->kina", Hmats, V)
-    return np.einsum("kla,kina->klin", U.conj(), t)
+    return t.reshape(t.shape[:-3] + (-1, t.shape[-1]))
+
+
+def vector_norms(X: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis."""
+    return np.sqrt(np.sum(np.abs(X) ** 2, axis=-1))
+
+
+def robust_residuals(w, u, b, nv, eps):
+    """Worst-case residuals |u^H w_j - b_j| + eps ||v_j|| ||u|| over the CSI error ball.
+
+    w: (..., J, N) cross vectors, u: (..., N) filters, b: (..., J) targets,
+    nv: (J,) stream norms ||v_j||.  Returns the (..., J) residuals and ||u||.
+    """
+    nu = vector_norms(u)
+    z = np.einsum("...ja,...a->...j", w, u.conj()) - b
+    return np.abs(z) + eps * nv * nu[..., None], nu
+
+
+def robust_noise(w, u, b, nv, eps, P):
+    """Effective noise ||u||^2 + P sum_j residual_j^2 of each decoder (see
+    robust_residuals): the denominator of its rate bound."""
+    pen, nu = robust_residuals(w, u, b, nv, eps)
+    return nu**2 + P * np.sum(pen**2, axis=-1)
 
 
 @dataclass
@@ -105,34 +124,34 @@ class DesignState:
         return CoeffVector(entries=tuple(ints), own_index=k * self.L + l)
 
 
-def _norms(X: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(np.abs(X) ** 2, axis=-1))
+def stage_targets(st: DesignState, k, l, stage: int, c=None) -> np.ndarray:
+    """Residual targets of decoders (k, l), one (K*L,) row each: a for stage
+    one, c a + e_own for stage two, with the scalings c defaulting to st.c.
+    k and l index like st.c: integers, index arrays or slices."""
+    shape = np.shape(st.c[k, l]) + (-1,)
+    a = st.a[k, l].reshape(shape)
+    if stage == 1:
+        return a
+    c = np.asarray(st.c[k, l] if c is None else c, dtype=complex)
+    return c[..., None] * a + own_stream_indicator(st.K, st.L)[k, l].reshape(shape)
+
+
+def _denominators(ch: ChannelSet, st: DesignState, stage: int) -> np.ndarray:
+    """(K, L) robust noise of every decoder with its filter of the given stage."""
+    U = st.u if stage == 1 else st.utilde
+    w = cross_vectors(ch.Hhat, st.v)[:, None]
+    b = stage_targets(st, slice(None), slice(None), stage)
+    return robust_noise(w, U, b, vector_norms(st.v).reshape(-1), ch.epsilon, st.P)
 
 
 def stage1_denominators(ch: ChannelSet, st: DesignState) -> np.ndarray:
     """Effective noise-plus-residual power seen by stage-one decoding."""
-    G = cross_gain_tensor(ch.Hhat, st.v, st.u)
-    nv = _norms(st.v)
-    nu = _norms(st.u)
-    pen = np.abs(G - st.a) + ch.epsilon * nv[None, None, :, :] * nu[:, :, None, None]
-    return nu ** 2 + st.P * np.sum(pen ** 2, axis=(2, 3))
+    return _denominators(ch, st, 1)
 
 
 def stage2_denominators(ch: ChannelSet, st: DesignState) -> np.ndarray:
     """Effective noise-plus-residual power seen by stage-two decoding."""
-    K, L = st.K, st.L
-    G = cross_gain_tensor(ch.Hhat, st.v, st.utilde)
-    E = own_stream_indicator(K, L)
-    targets = st.c[:, :, None, None] * st.a + E
-    nv = _norms(st.v)
-    nu = _norms(st.utilde)
-    pen = np.abs(G - targets) + ch.epsilon * nv[None, None, :, :] * nu[:, :, None, None]
-    return nu ** 2 + st.P * np.sum(pen ** 2, axis=(2, 3))
-
-
-def _zero_coeff_mask(a: np.ndarray) -> np.ndarray:
-    """(K, L) mask of decoders whose whole coefficient vector is exactly zero."""
-    return np.all(a == 0, axis=(2, 3))
+    return _denominators(ch, st, 2)
 
 
 def stage1_rates(ch: ChannelSet, st: DesignState) -> np.ndarray:
@@ -145,7 +164,7 @@ def stage1_rates(ch: ChannelSet, st: DesignState) -> np.ndarray:
     den = stage1_denominators(ch, st)
     with np.errstate(divide="ignore"):
         mu = np.log2(st.P / den)
-    mu[_zero_coeff_mask(st.a)] = np.inf
+    mu[np.all(st.a == 0, axis=(2, 3))] = np.inf
     return mu
 
 
@@ -153,27 +172,6 @@ def stage2_rates(ch: ChannelSet, st: DesignState) -> np.ndarray:
     """Stage-two rate bounds mu_tilde[k, l] for the desired streams."""
     den = stage2_denominators(ch, st)
     return np.log2(st.P / den)
-
-
-def stage1_rate(ch: ChannelSet, st: DesignState, k: int, l: int) -> float:
-    return float(stage1_rates(ch, st)[k, l])
-
-
-def stage2_rate(ch: ChannelSet, st: DesignState, k: int, l: int) -> float:
-    return float(stage2_rates(ch, st)[k, l])
-
-
-def alignment_error(ch: ChannelSet, st: DesignState, k: int, l: int) -> float:
-    """Residual interference power of decoder (k, l) on the true channels.
-
-    P sum over (i, n) != (k, l) of |u^H H_ki v_in - a_in|^2; zero exactly
-    when the true cross gains hit the chosen integers.
-    """
-    G = cross_gain_tensor(ch.H, st.v, st.u)
-    sq = np.abs(G - st.a) ** 2
-    sq[np.arange(st.K)[:, None], np.arange(st.L)[None, :],
-       np.arange(st.K)[:, None], np.arange(st.L)[None, :]] = 0.0
-    return float(st.P * np.sum(sq[k, l]))
 
 
 @dataclass
@@ -231,12 +229,12 @@ def rate_report(ch: ChannelSet, st: DesignState) -> RateReport:
     finite = mu[np.isfinite(mu)]
     candidates = np.concatenate([finite.reshape(-1), mu_tilde.reshape(-1)])
     r_min = float(candidates.min())
-    G = cross_gain_tensor(ch.H, st.v, st.u)
-    sq = np.abs(G - st.a) ** 2
-    K, L = st.K, st.L
-    sq[np.arange(K)[:, None], np.arange(L)[None, :],
-       np.arange(K)[:, None], np.arange(L)[None, :]] = 0.0
-    align = st.P * np.sum(sq, axis=(2, 3))
+    # residual interference on the true channels: P sum over (i, n) != (k, l)
+    # of |u^H H_ki v_in - a_in|^2, zero exactly when the gains hit the integers
+    w = cross_vectors(ch.H, st.v)[:, None]
+    res, _ = robust_residuals(w, st.u, st.a.reshape(st.K, st.L, -1), nv=0.0, eps=0.0)
+    res[own_stream_indicator(st.K, st.L).reshape(res.shape) > 0] = 0.0
+    align = st.P * np.sum(res**2, axis=-1)
     return RateReport(mu=mu, mu_tilde=mu_tilde, r_min=r_min, alignment=align)
 
 

@@ -36,11 +36,15 @@ from .gaussint import GaussianInt, common_divisor, exact_div
 from .rates import (
     DesignState,
     RateReport,
+    cross_vectors,
     own_stream_indicator,
     per_stream_rates,
     rate_report,
+    robust_noise,
     stage1_denominators,
     stage2_denominators,
+    stage_targets,
+    vector_norms,
 )
 
 _DELTA = 1e-9  # smoothing width for |z| inside iterative solvers
@@ -51,6 +55,27 @@ _INIT_STRATEGIES = ("random_unit", "identity_like", "ia_seed")
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Tolerances, iteration caps and start of the alternating solver.
+
+    barrier_q0: first weight q of the transmit block's barrier objective
+        t - (sum of log slacks) / q.
+    barrier_nu: factor by which q grows from one barrier stage to the next.
+    barrier_tol: the barrier stops once its duality-gap bound, the number of
+        constraints over q, drops below this.
+    newton_tol: Newton-decrement tolerance of the filter and relaxed scaling
+        fits, and the gradient tolerance of each barrier stage.
+    max_outer_iters: cap on the receive/transmit alternations of solve.
+    max_inner_iters: caps three loops: the Newton steps of each filter fit,
+        the L-BFGS-B iterations (times 5) of each barrier stage, and the
+        sweeps of the receive-side fixed point.  That fixed point needs two
+        sweeps before its stop test can pass, so a cap of 1 always raises.
+    rate_tol: solve stops after an accepted transmit step once r_min moved
+        by at most rate_tol * max(1, |r_min|); the receive fixed point stops
+        once no stage-two rate moves by rate_tol or more.
+    init_strategy: starting precoders, "random_unit", "identity_like" or
+        "ia_seed" (see initial_state).
+    """
+
     barrier_q0: float = 1.0
     barrier_nu: float = 10.0
     barrier_tol: float = 1e-6
@@ -119,46 +144,16 @@ class SolveTrace:
 # ---------------------------------------------------------------------------
 
 
-def _cross_vectors(Hhat: np.ndarray, V: np.ndarray, k) -> np.ndarray:
-    """w[..., i*L+n, :] = Hhat_ki v_in: a (K*L, N) stack per receiver k."""
-    t = np.einsum("...iab,inb->...ina", Hhat[k], V)
-    return t.reshape(t.shape[:-3] + (-1, t.shape[-1]))
-
-
-def _stream_norms(V: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(np.abs(V) ** 2, axis=2)).reshape(-1)
-
-
-def _own_stream(st: DesignState, k, l) -> np.ndarray:
-    """Mask of decoder (k, l)'s own entry among the K*L stream indices."""
-    return (np.asarray(k) * st.L + np.asarray(l))[..., None] == np.arange(st.K * st.L)
-
-
-def _stage_targets(st: DesignState, k, l, stage: int, c=None) -> np.ndarray:
-    """Residual targets of decoder (k, l): a for stage one, c a + e_own for
-    stage two, with the scalings c (one per decoder) defaulting to st.c."""
-    a = st.a[k, l].reshape(np.shape(k) + (-1,)).copy()
-    if stage == 1:
-        return a
-    c = np.asarray(st.c[k, l] if c is None else c, dtype=complex)
-    return c[..., None] * a + _own_stream(st, k, l)
-
-
-def _scalar_or_array(x: np.ndarray):
-    return float(x) if x.ndim == 0 else x
-
-
 def decorrelator_objective(
     ch: ChannelSet, st: DesignState, k, l, stage: int, u: np.ndarray, c=None
 ):
-    """Exact robust decorrelator objective ||u||^2 + P sum (|residual| + eps bound)^2."""
-    w = _cross_vectors(ch.Hhat, st.v, k)
-    b = _stage_targets(st, k, l, stage, c)
-    u = np.asarray(u, dtype=complex)
-    z = np.einsum("...ja,...a->...j", w, u.conj()) - b
-    nu = np.sqrt(np.sum(np.abs(u) ** 2, axis=-1))
-    pen = np.abs(z) + ch.epsilon * _stream_norms(st.v) * nu[..., None]
-    return _scalar_or_array(nu**2 + st.P * np.sum(pen**2, axis=-1))
+    """Exact robust decorrelator objective ||u||^2 + P sum (|residual| + eps bound)^2
+    (rates.robust_noise) of filters u for decoders (k, l)."""
+    w = cross_vectors(ch.Hhat, st.v)[k]
+    b = stage_targets(st, k, l, stage, c)
+    nv = vector_norms(st.v).reshape(-1)
+    f = robust_noise(w, np.asarray(u, dtype=complex), b, nv, ch.epsilon, st.P)
+    return float(f) if f.ndim == 0 else f
 
 
 def _least_squares_filters(w: np.ndarray, b: np.ndarray, P: float) -> np.ndarray:
@@ -177,7 +172,7 @@ def decorrelator_closed_form(
     u = (sum_j w_j w_j^H + I/P)^(-1) sum_j w_j conj(b_j).
     """
     return _least_squares_filters(
-        _cross_vectors(ch.Hhat, st.v, k), _stage_targets(st, k, l, stage, c), st.P
+        cross_vectors(ch.Hhat, st.v)[k], stage_targets(st, k, l, stage, c), st.P
     )
 
 
@@ -372,12 +367,12 @@ def decorrelator_robust(
     Newton steps.
     """
     cfg = cfg or SolverConfig()
-    w = _cross_vectors(ch.Hhat, st.v, k)
-    b = _stage_targets(st, k, l, stage, c)
+    w = cross_vectors(ch.Hhat, st.v)[k]
+    b = stage_targets(st, k, l, stage, c)
     shape, N = b.shape[:-1], w.shape[-1]
     w, b = w.reshape(-1, *w.shape[-2:]), b.reshape(-1, b.shape[-1])
     prob = _Problems.from_complex(
-        w.conj(), b.conj(), 0.0, ch.epsilon * _stream_norms(st.v), 1.0, st.P
+        w.conj(), b.conj(), 0.0, ch.epsilon * vector_norms(st.v).reshape(-1), 1.0, st.P
     )
     starts = [
         np.broadcast_to(0.0 if u0 is None else u0, (len(w), N)),
@@ -400,26 +395,10 @@ def decorrelator_robust(
     return u
 
 
-def _scaling_terms(ch: ChannelSet, st: DesignState, k, l):
-    """q_j (post-filter gain minus the own-stream target) and the worst-case
-    offsets s_j = eps ||v_j|| ||utilde|| of decoder (k, l)."""
-    ut = st.utilde[k, l]
-    q = np.einsum("...ja,...a->...j", _cross_vectors(ch.Hhat, st.v, k), ut.conj())
-    q = q - _own_stream(st, k, l)
-    s = ch.epsilon * _stream_norms(st.v) * np.sqrt(np.sum(np.abs(ut) ** 2, axis=-1))[..., None]
-    return q, s
-
-
-def _scaling_objective(q, avals, s, c):
-    pen = np.abs(q - np.asarray(c)[..., None] * avals) + s
-    return np.sum(pen**2, axis=-1)
-
-
 def _scaling_value(ch, st, k, l, c):
-    """f(c) of scaling_candidates for decoder (k, l) and its current utilde."""
-    q, s = _scaling_terms(ch, st, k, l)
-    a = st.a[k, l].reshape(np.shape(k) + (-1,))
-    return _scalar_or_array(_scaling_objective(q, a, s, c))
+    """f(c) of scaling_candidates: the stage-two objective of decoder (k, l)'s
+    current utilde with scaling c."""
+    return decorrelator_objective(ch, st, k, l, 2, st.utilde[k, l], c=c)
 
 
 def _quadrant_rank(g: GaussianInt) -> int:
@@ -429,9 +408,11 @@ def _quadrant_rank(g: GaussianInt) -> int:
 def scaling_candidates(ch: ChannelSet, st: DesignState, k, l, cfg: SolverConfig | None = None):
     """Best Gaussian-integer scaling for decoder (k, l) plus the set examined.
 
-    Minimizes f(c) = sum_j (|q_j - c a_j| + eps ||v_j|| ||utilde||)^2 where
-    q_j is the estimated post-filter gain minus the own-stream target.  The
-    relaxed complex minimizer is found first (weighted least squares, then
+    Minimizes f(c), the stage-two objective of the current utilde as a
+    function of c, which up to the noise term ||utilde||^2 and the factor P
+    is sum_j (|q_j - c a_j| + eps ||v_j|| ||utilde||)^2 with q_j the
+    estimated post-filter gain minus the own-stream target.  The relaxed
+    complex minimizer is found first (weighted least squares, then
     damped Newton steps when the CSI bound couples in), and every Gaussian
     integer in the closed unit box around it is evaluated exactly; ties
     prefer the smaller norm and then the first-quadrant associate.
@@ -443,7 +424,10 @@ def scaling_candidates(ch: ChannelSet, st: DesignState, k, l, cfg: SolverConfig 
     single = np.ndim(k) == 0 and np.ndim(l) == 0
     kk, ll = (np.broadcast_to(i, np.broadcast(k, l).shape).reshape(-1) for i in (k, l))
     a = st.a[kk, ll].reshape(len(kk), -1)
-    q, s = _scaling_terms(ch, st, kk, ll)
+    ut = st.utilde[kk, ll]
+    q = np.einsum("...ja,...a->...j", cross_vectors(ch.Hhat, st.v)[kk], ut.conj())
+    q = q - own_stream_indicator(st.K, st.L)[kk, ll].reshape(q.shape)
+    s = ch.epsilon * vector_norms(st.v).reshape(-1) * vector_norms(ut)[..., None]
     live = np.any(a != 0, axis=1)
 
     c_rel = np.zeros(len(kk), dtype=complex)
@@ -478,7 +462,7 @@ def scaling_candidates(ch: ChannelSet, st: DesignState, k, l, cfg: SolverConfig 
 
     owner = np.repeat(np.arange(len(kk)), [len(cs) for cs in cands])
     cvals = np.array([complex(g) for cs in cands for g in cs])
-    fvals = _scaling_objective(q[owner], a[owner], s[owner], cvals)
+    fvals = _scaling_value(ch, st, kk[owner], ll[owner], cvals)
     bests = []
     for d, cs in enumerate(cands):
         if not live[d]:
@@ -631,9 +615,7 @@ def optimize_precoders(
     P, eps = st.P, ch.epsilon
     Hhat = ch.Hhat
     U, Ut, c = st.u, st.utilde, st.c
-    nu = np.sqrt(np.sum(np.abs(U) ** 2, axis=2))
-    nut = np.sqrt(np.sum(np.abs(Ut) ** 2, axis=2))
-    nu2, nut2 = nu**2, nut**2
+    nu, nut = vector_norms(U), vector_norms(Ut)
     E = own_stream_indicator(K, L)
     free = E.reshape(-1) == 0
     HU = np.einsum("kiab,kla->kilb", Hhat.conj(), U)
@@ -654,23 +636,26 @@ def optimize_precoders(
         Af = A.reshape(-1)[free]
         return np.concatenate([[t], V.real.ravel(), V.imag.ravel(), Af.real, Af.imag])
 
+    def bounds(V, A):
+        """Smoothed stage-one and stage-two bounds at (V, A): residuals Z,
+        smoothed magnitudes Hs, worst-case offsets S and bounds g per stage,
+        plus the smoothed stream norms."""
+        TT = np.einsum("kiab,inb->kina", Hhat, V)
+        nvs = np.sqrt(vector_norms(V) ** 2 + d2)
+        stages = []
+        for Uf, nf, B in ((U, nu, A), (Ut, nut, cc * A + E)):
+            Z = np.einsum("kla,kina->klin", Uf.conj(), TT) - B
+            Hs = np.sqrt(np.abs(Z) ** 2 + d2)
+            S = eps * nf[:, :, None, None] * nvs[None, None, :, :]
+            g = nf**2 + P * np.sum((Hs + S) ** 2 - d2, axis=(2, 3))
+            stages.append((Z, Hs, S, g))
+        return stages, nvs
+
     def fun_grad(x, q):
         t, V, A = unpack(x)
         p = np.sum(np.abs(V) ** 2, axis=(1, 2))
         ps = gamma - p
-        TT = np.einsum("kiab,inb->kina", Hhat, V)
-        G1 = np.einsum("kla,kina->klin", U.conj(), TT)
-        G2 = np.einsum("kla,kina->klin", Ut.conj(), TT)
-        nv = np.sqrt(np.sum(np.abs(V) ** 2, axis=2))
-        nvs = np.sqrt(nv**2 + d2)
-        Z1 = G1 - A
-        Z2 = G2 - cc * A - E
-        H1 = np.sqrt(np.abs(Z1) ** 2 + d2)
-        H2 = np.sqrt(np.abs(Z2) ** 2 + d2)
-        S1 = eps * nu[:, :, None, None] * nvs[None, None, :, :]
-        S2 = eps * nut[:, :, None, None] * nvs[None, None, :, :]
-        g1 = nu2 + P * np.sum((H1 + S1) ** 2 - d2, axis=(2, 3))
-        g2 = nut2 + P * np.sum((H2 + S2) ** 2 - d2, axis=(2, 3))
+        ((Z1, H1, S1, g1), (Z2, H2, S2, g2)), nvs = bounds(V, A)
         s1 = t - g1
         s2 = t - g2
         feasible = s1.min() > 0 and s2.min() > 0 and ps.min() > 0
@@ -715,21 +700,10 @@ def optimize_precoders(
             V0[k] *= np.sqrt(gamma * (1 - 1e-8) / p)
     A0 = st.a.copy()
     # smoothed bounds at the start point decide where to open the epigraph
-    V_, A_ = V0, A0
-    TT = np.einsum("kiab,inb->kina", Hhat, V_)
-    G1 = np.einsum("kla,kina->klin", U.conj(), TT)
-    G2 = np.einsum("kla,kina->klin", Ut.conj(), TT)
-    nv0 = np.sqrt(np.sum(np.abs(V_) ** 2, axis=2))
-    nvs0 = np.sqrt(nv0**2 + d2)
-    H1 = np.sqrt(np.abs(G1 - A_) ** 2 + d2)
-    H2 = np.sqrt(np.abs(G2 - cc * A_ - E) ** 2 + d2)
-    S1 = eps * nu[:, :, None, None] * nvs0[None, None, :, :]
-    S2 = eps * nut[:, :, None, None] * nvs0[None, None, :, :]
-    g1 = nu2 + P * np.sum((H1 + S1) ** 2 - d2, axis=(2, 3))
-    g2 = nut2 + P * np.sum((H2 + S2) ** 2 - d2, axis=(2, 3))
+    (_, _, _, g1), (_, _, _, g2) = bounds(V0, A0)[0]
     m0 = float(max(g1.max(), g2.max()))
     t0 = m0 + max(1e-4, 0.02 * (1 + abs(m0)))
-    x = pack(t0, V_, A_)
+    x = pack(t0, V0, A0)
 
     q = cfg.barrier_q0
     n_constraints = 2 * K * L + K
@@ -758,12 +732,6 @@ def optimize_precoders(
 # ---------------------------------------------------------------------------
 # full alternating solve
 # ---------------------------------------------------------------------------
-
-
-def _pseudo_target_filter(ch: ChannelSet, st: DesignState, k: int, l: int) -> np.ndarray:
-    """Least-squares filter fit to unit gains on every cross stream."""
-    targets = 1.0 - _own_stream(st, k, l)
-    return _least_squares_filters(_cross_vectors(ch.Hhat, st.v, k), targets, st.P)
 
 
 def initial_state(
@@ -816,16 +784,15 @@ def initial_state(
         P=cfg.P,
     )
     if init_a == "round":
-        E = own_stream_indicator(K, L)
-        for k in range(K):
-            for l in range(L):
-                u_fit = _pseudo_target_filter(ch, st, k, l)
-                w = _cross_vectors(ch.Hhat, st.v, k)
-                gains = (w @ u_fit.conj()).reshape(K, L)
-                a0 = np.round(gains.real) + 1j * np.round(gains.imag)
-                a0[k, l] = 0.0
-                st.a[k, l] = a0
-                st.u[k, l] = u_fit
+        # least-squares fit of every decoder to unit gains on its cross streams
+        own = own_stream_indicator(K, L).reshape(K * L, K * L)
+        w = cross_vectors(ch.Hhat, st.v)[np.arange(K * L) // L]
+        U = _least_squares_filters(w, 1.0 - own, st.P)
+        gains = (w @ U.conj()[..., None])[..., 0]
+        a0 = np.round(gains.real) + 1j * np.round(gains.imag)
+        a0[own > 0] = 0.0
+        st.a = a0.reshape(K, L, K, L)
+        st.u = U.reshape(K, L, N)
     elif init_a != "zero":
         raise ConfigurationError(f"unknown init_a mode {init_a!r}")
     return st

@@ -51,6 +51,8 @@ def test_spec_validation():
     with pytest.raises(ConfigurationError):
         _spec(methods=("nope",))
     with pytest.raises(ConfigurationError):
+        _spec(methods=("generalized_hk",))
+    with pytest.raises(ConfigurationError):
         _spec(methods=())
     with pytest.raises(ConfigurationError):
         _spec(K_grid=())
@@ -116,12 +118,6 @@ def test_lattice_sum_objective_smoke():
                  objective="sum", dist_ia_iters=30)
     row = run_experiment(spec)[0]
     assert row.sum_goodput >= row.worst_goodput * row.K - 1e-9
-
-
-def test_generalized_hk_is_recognized_but_unimplemented():
-    spec = _spec(methods=("generalized_hk",), trials=1)
-    with pytest.raises(NotImplementedError):
-        run_experiment(spec)
 
 
 def _toy_rows():

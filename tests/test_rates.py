@@ -11,7 +11,6 @@ from latticealign.gaussint import GaussianInt
 from latticealign.rates import (
     DesignState,
     RateReport,
-    alignment_error,
     goodput,
     own_stream_indicator,
     per_stream_rates,
@@ -102,7 +101,7 @@ def test_alignment_error_uses_true_channels_and_skips_own():
         P=10.0,
     )
     st.a[0, 0, 1, 0] = 1.0
-    err = alignment_error(ch, st, 0, 0)
+    err = rate_report(ch, st).alignment[0, 0]
     manual = 10.0 * abs(ch.H[0, 1, 0, 0] - 1.0) ** 2  # own term excluded
     assert err == pytest.approx(manual, rel=1e-12)
 

@@ -12,14 +12,23 @@ from latticealign.channel import (
 from latticealign.closedform import SymmetricInstance, symmetric_channelset, symmetric_rmin_lattice
 from latticealign.errors import ConfigurationError, NonConvergenceError, PowerBudgetError
 from latticealign.gaussint import GaussianInt
-from latticealign.rates import DesignState, rate_report, stage2_rates
+from latticealign.rates import (
+    DesignState,
+    cross_vectors,
+    own_stream_indicator,
+    rate_report,
+    stage1_denominators,
+    stage2_denominators,
+    stage2_rates,
+    stage_targets,
+)
 from latticealign.solver import (
     SolveTrace,
     SolverConfig,
-    _cross_vectors,
+    _least_squares_filters,
     _Problems,
+    _quadrant_rank,
     _scaling_value,
-    _stage_targets,
     decorrelator_closed_form,
     decorrelator_objective,
     decorrelator_robust,
@@ -60,8 +69,8 @@ def test_robust_objective_gradient_finite_difference(eps):
     objective and with central differences."""
     ch, cfg = _random_instance(eps=eps, seed=5)
     st = initial_state(ch, cfg, "random_unit", seed=7, init_a="round")
-    w = _cross_vectors(ch.Hhat, st.v, 0)
-    b = _stage_targets(st, 0, 0, 2)
+    w = cross_vectors(ch.Hhat, st.v)[0]
+    b = stage_targets(st, 0, 0, 2)
     nv = np.sqrt(np.sum(np.abs(st.v) ** 2, axis=2)).reshape(-1)
     prob = _Problems.from_complex(w.conj()[None], b.conj()[None], 0.0, eps * nv, 1.0, cfg.P)
     rng = np.random.default_rng(8)
@@ -428,13 +437,103 @@ def test_batched_receive_fits_equal_per_decoder_fits(shape, eps):
                                       rel=1e-12)
 
 
+def _tensor_reference(ch, st):
+    """Both denominators and the alignment in the explicit (K, L, K, L)
+    tensor form: G[k, l, i, n] = u_kl^H H_ki v_in."""
+    K, L, eps, P = st.K, st.L, ch.epsilon, st.P
+    E = own_stream_indicator(K, L)
+    nv = np.sqrt(np.sum(np.abs(st.v) ** 2, axis=2))
+    out = []
+    for U, targets in ((st.u, st.a), (st.utilde, st.c[:, :, None, None] * st.a + E)):
+        G = np.einsum("kla,kiab,inb->klin", U.conj(), ch.Hhat, st.v)
+        nu = np.sqrt(np.sum(np.abs(U) ** 2, axis=2))
+        pen = np.abs(G - targets) + eps * nv[None, None] * nu[:, :, None, None]
+        out.append(nu**2 + P * np.sum(pen**2, axis=(2, 3)))
+    G = np.einsum("kla,kiab,inb->klin", st.u.conj(), ch.H, st.v)
+    out.append(P * np.sum(np.abs(G - st.a) ** 2 * (1 - E), axis=(2, 3)))
+    return out
+
+
+def _scaling_reference(ch, st, k, l, c):
+    """sum_j (|q_j - c a_j| + s_j)^2 with q_j the post-filter gain of
+    decoder (k, l) minus its own-stream target and s_j = eps ||v_j|| ||utilde||."""
+    ut = st.utilde[k, l]
+    q = np.einsum("a,iab,inb->in", ut.conj(), ch.Hhat[k], st.v).reshape(-1)
+    q[k * st.L + l] -= 1.0
+    s = ch.epsilon * np.sqrt(np.sum(np.abs(st.v) ** 2, axis=2)).reshape(-1) * np.linalg.norm(ut)
+    return np.sum((np.abs(q - c * st.a[k, l].reshape(-1)) + s) ** 2)
+
+
+def _close(x, ref):
+    return np.max(np.abs(np.asarray(x) - ref) / np.abs(ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.1, 0.25])
+@pytest.mark.parametrize("shape", _SHAPES)
+def test_robust_kernel_matches_explicit_formulas(shape, eps):
+    """Every caller of the robust-noise kernel agrees with the explicit
+    formulas it replaced, and the scaling search picks the same best c."""
+    ch, cfg, st = _shaped_instance(*shape, eps, seed=600 + sum(shape))
+    rng = np.random.default_rng(61)
+    st.c = rng.integers(-2, 3, st.c.shape) + 1j * rng.integers(-2, 3, st.c.shape)
+    den1, den2, align = _tensor_reference(ch, st)
+    assert _close(stage1_denominators(ch, st), den1)
+    assert _close(stage2_denominators(ch, st), den2)
+    assert _close(rate_report(ch, st).alignment, align)
+    kk, ll = _decoder_grid(st)
+    for stage, U, den in ((1, st.u, den1), (2, st.utilde, den2)):
+        f = decorrelator_objective(ch, st, kk, ll, stage, U[kk, ll])
+        assert _close(f, den.reshape(-1))
+
+    bests, cands = scaling_candidates(ch, st, kk, ll)
+    for d, (k, l) in enumerate(zip(kk, ll)):
+        if not np.any(st.a[k, l]):
+            continue
+        cvals = np.array([complex(g) for g in cands[d]])
+        ref = np.array([_scaling_reference(ch, st, k, l, c) for c in cvals])
+        nut2 = np.sum(np.abs(st.utilde[k, l]) ** 2)
+        values = _scaling_value(ch, st, np.full(len(cvals), k), np.full(len(cvals), l), cvals)
+        assert _close(values, nut2 + st.P * ref)
+        tied = [g for g, f in zip(cands[d], ref) if f <= ref.min() + 1e-12 * (1 + ref.min())]
+        assert bests[d] == min(tied, key=lambda g: (g.norm(), _quadrant_rank(g), g.re, g.im))
+
+
+def _round_init_reference(ch, st):
+    """The per-decoder loop of initial_state(init_a="round") before it was
+    batched: one least-squares fit to unit cross gains per decoder."""
+    st = st.copy()
+    K, L, N = st.K, st.L, st.u.shape[2]
+    cross = 1.0 - own_stream_indicator(K, L)
+    for k in range(K):
+        w = np.einsum("iab,inb->ina", ch.Hhat[k], st.v).reshape(-1, N)
+        for l in range(L):
+            u_fit = _least_squares_filters(w, cross[k, l].reshape(-1), st.P)
+            gains = (w @ u_fit.conj()).reshape(K, L)
+            a0 = np.round(gains.real) + 1j * np.round(gains.imag)
+            a0[k, l] = 0.0
+            st.a[k, l] = a0
+            st.u[k, l] = u_fit
+    return st
+
+
+@pytest.mark.parametrize("shape", _SHAPES)
+def test_batched_round_init_equals_per_decoder_loop(shape):
+    cfg = SystemConfig(K=shape[0], L=shape[1], M=shape[2], N=shape[3], P=10.0, seed=77)
+    ch = generate_channels(cfg)
+    for strategy, seed in (("identity_like", None), ("random_unit", 78), ("random_unit", 79)):
+        st = initial_state(ch, cfg, strategy, seed=seed, init_a="round")
+        ref = _round_init_reference(ch, initial_state(ch, cfg, strategy, seed=seed, init_a="zero"))
+        assert np.array_equal(st.a, ref.a) and np.array_equal(st.u, ref.u)
+        assert np.array_equal(st.v, ref.v)
+
+
 def _lbfgs_reference(ch, st, k, l, stage, u0, c=None):
     """The smoothed robust objective minimized by scipy L-BFGS-B: an oracle
     for the Newton kernel, with the settings the solver once used."""
     from scipy.optimize import minimize
 
-    w = _cross_vectors(ch.Hhat, st.v, k)
-    b = _stage_targets(st, k, l, stage, c)
+    w = cross_vectors(ch.Hhat, st.v)[k]
+    b = stage_targets(st, k, l, stage, c)
     nv = np.sqrt(np.sum(np.abs(st.v) ** 2, axis=2)).reshape(-1)
     eps, P, d2 = ch.epsilon, st.P, 1e-18
     N = w.shape[1]
