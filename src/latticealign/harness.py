@@ -151,7 +151,7 @@ def _run_lattice(trial: _Trial):
     V_ia, _, _ = trial.ia_design
     st, report, trace = multi_start(
         ch, cfg, n_starts=spec.n_starts, solver=solver, objective=spec.objective,
-        extra_precoders=(V_ia,),
+        extra_precoders=(V_ia.transpose(0, 2, 1),),  # alignment columns -> stream rows
     )
     if spec.objective == "sum":
         designed = np.maximum(per_stream_rates(report, st.a), 0.0)
@@ -184,27 +184,26 @@ def _run_two_stage_ml(trial: _Trial):
     return float(g.min()), float(g.sum()), designed, True
 
 
-def _run_distributive_ia(trial: _Trial):
+def _score_alignment(trial: _Trial, V: np.ndarray, U: np.ndarray):
+    """Goodput of an alignment design (V, U), with per-user rates as in ia_stream_rates."""
     ch, cfg = trial.ch, trial.cfg
     rho = cfg.gamma * cfg.P / cfg.L
-    V, U, _ = trial.ia_design
     nominal = baselines.ia_stream_rates(ch.Hhat, V, U, rho).sum(axis=1)
     achieved = baselines.ia_stream_rates(ch.H, V, U, rho).sum(axis=1)
     g = _per_user_goodput(nominal, achieved)
     return float(g.min()), float(g.sum()), float(nominal.min()), True
+
+
+def _run_distributive_ia(trial: _Trial):
+    V, U, _ = trial.ia_design
+    return _score_alignment(trial, V, U)
 
 
 def _run_conventional_ia(trial: _Trial):
-    ch, cfg = trial.ch, trial.cfg
-    design = baselines.conventional_ia_design(ch.Hhat, cfg.L)
+    design = baselines.conventional_ia_design(trial.ch.Hhat, trial.cfg.L)
     if design is None:
         return 0.0, 0.0, 0.0, True
-    V, U = design
-    rho = cfg.gamma * cfg.P / cfg.L
-    nominal = baselines.ia_stream_rates(ch.Hhat, V, U, rho).sum(axis=1)
-    achieved = baselines.ia_stream_rates(ch.H, V, U, rho).sum(axis=1)
-    g = _per_user_goodput(nominal, achieved)
-    return float(g.min()), float(g.sum()), float(nominal.min()), True
+    return _score_alignment(trial, *design)
 
 
 _METHOD_RUNNERS = {

@@ -25,7 +25,7 @@ the aggregate-decoding rate) before one last receive-side refit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize
@@ -50,16 +50,14 @@ from .rates import (
 _DELTA = 1e-9  # smoothing width for |z| inside iterative solvers
 _BIG = 1e30  # penalty level for infeasible barrier trial points
 
-_INIT_STRATEGIES = ("random_unit", "identity_like", "ia_seed")
-
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances, iteration caps and start of the alternating solver.
+    """Tolerances and iteration caps of the alternating solver.
 
-    barrier_q0: first weight q of the transmit block's barrier objective
-        t - (sum of log slacks) / q.
-    barrier_nu: factor by which q grows from one barrier stage to the next.
+    barrier_nu: factor by which the weight q of the transmit block's barrier
+        objective t - (sum of log slacks) / q grows from one barrier stage to
+        the next; the first stage uses q = 1.
     barrier_tol: the barrier stops once its duality-gap bound, the number of
         constraints over q, drops below this.
     newton_tol: Newton-decrement tolerance of the filter and relaxed scaling
@@ -72,30 +70,22 @@ class SolverConfig:
     rate_tol: solve stops after an accepted transmit step once r_min moved
         by at most rate_tol * max(1, |r_min|); the receive fixed point stops
         once no stage-two rate moves by rate_tol or more.
-    init_strategy: starting precoders, "random_unit", "identity_like" or
-        "ia_seed" (see initial_state).
     """
 
-    barrier_q0: float = 1.0
     barrier_nu: float = 10.0
     barrier_tol: float = 1e-6
     newton_tol: float = 1e-7
     max_outer_iters: int = 40
     max_inner_iters: int = 200
     rate_tol: float = 1e-5
-    init_strategy: str = "identity_like"
 
     def __post_init__(self):
-        if self.barrier_q0 <= 0 or self.barrier_nu <= 1:
-            raise ConfigurationError("need barrier_q0 > 0 and barrier_nu > 1")
+        if self.barrier_nu <= 1:
+            raise ConfigurationError("need barrier_nu > 1")
         if min(self.barrier_tol, self.newton_tol, self.rate_tol) <= 0:
             raise ConfigurationError("tolerances must be positive")
         if min(self.max_outer_iters, self.max_inner_iters) < 1:
             raise ConfigurationError("iteration caps must be at least 1")
-        if self.init_strategy not in _INIT_STRATEGIES:
-            raise ConfigurationError(
-                f"init_strategy must be one of {_INIT_STRATEGIES}, got {self.init_strategy!r}"
-            )
 
 
 @dataclass
@@ -118,7 +108,6 @@ class SolveTrace:
 
     records: list[TraceRecord] = field(default_factory=list)
     converged: bool = True
-    c_candidates: list = field(default_factory=list)
     stop_reason: str = ""
     first_receivers: DesignState | None = None
 
@@ -498,7 +487,7 @@ def _fit_filters(ch, st, k, l, stage, cfg, u0, c=None):
 
 
 def _stage2_joint_update(
-    ch: ChannelSet, st: DesignState, cfg: SolverConfig, candidate_log: list | None
+    ch: ChannelSet, st: DesignState, cfg: SolverConfig
 ) -> tuple[bool, NonConvergenceError | None]:
     """Best (scaling, stage-two filter) pair of every decoder, written into st.
 
@@ -513,8 +502,6 @@ def _stage2_joint_update(
     """
     kk, ll = np.divmod(np.arange(st.K * st.L), st.L)
     _, cands = scaling_candidates(ch, st, kk, ll, cfg)
-    if candidate_log is not None:
-        candidate_log.extend(cands)
     owner = np.repeat(np.arange(len(kk)), [len(cs) for cs in cands])
     cvals = np.array([complex(g) for cs in cands for g in cs])
     # cheap proxy ordering with the current filter caps the refit work when
@@ -541,8 +528,7 @@ def _stage2_joint_update(
 
 
 def optimize_receivers(
-    ch: ChannelSet, st: DesignState, cfg: SolverConfig | None = None,
-    candidate_log: list | None = None,
+    ch: ChannelSet, st: DesignState, cfg: SolverConfig | None = None
 ) -> tuple[DesignState, list[np.ndarray]]:
     """Receive-side block: refit every u once, then alternate utilde and c.
 
@@ -573,7 +559,7 @@ def optimize_receivers(
     trace: list[np.ndarray] = []
     prev_mu = None
     for _ in range(cfg.max_inner_iters):
-        c_changed, err2 = _stage2_joint_update(ch, st, cfg, candidate_log)
+        c_changed, err2 = _stage2_joint_update(ch, st, cfg)
         err = err if err is not None else err2
         mu_t = np.log2(st.P / stage2_denominators(ch, st))
         trace.append(mu_t)
@@ -705,7 +691,7 @@ def optimize_precoders(
     t0 = m0 + max(1e-4, 0.02 * (1 + abs(m0)))
     x = pack(t0, V0, A0)
 
-    q = cfg.barrier_q0
+    q = 1.0
     n_constraints = 2 * K * L + K
     t_final = t0
     while True:
@@ -734,6 +720,27 @@ def optimize_precoders(
 # ---------------------------------------------------------------------------
 
 
+def _blank_state(cfg: SystemConfig, V: np.ndarray) -> DesignState:
+    """Design state around precoders V: zero filters and coefficients, c = 1."""
+    K, L, N = cfg.K, cfg.L, cfg.N
+    return DesignState(
+        v=V,
+        u=np.zeros((K, L, N), dtype=complex),
+        utilde=np.zeros((K, L, N), dtype=complex),
+        a=np.zeros((K, L, K, L), dtype=complex),
+        c=np.ones((K, L), dtype=complex),
+        P=cfg.P,
+    )
+
+
+def _onto_budget(V: np.ndarray, gamma: float) -> np.ndarray:
+    """A copy of the (K, L, M) precoders V with each user's power rescaled to gamma."""
+    V = np.array(V, dtype=complex)
+    for k in range(len(V)):
+        V[k] *= np.sqrt(gamma / np.sum(np.abs(V[k]) ** 2))
+    return V
+
+
 def initial_state(
     ch: ChannelSet,
     cfg: SystemConfig,
@@ -752,15 +759,11 @@ def initial_state(
     K, L, M, N = cfg.K, cfg.L, cfg.M, cfg.N
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
     if strategy == "random_unit":
-        V = complex_gaussian(rng, (K, L, M))
-        for k in range(K):
-            V[k] *= np.sqrt(cfg.gamma / np.sum(np.abs(V[k]) ** 2))
+        V = _onto_budget(complex_gaussian(rng, (K, L, M)), cfg.gamma)
     elif strategy == "identity_like":
         V = np.zeros((K, L, M), dtype=complex)
-        for k in range(K):
-            for l in range(L):
-                V[k, l, l % M] = 1.0
-            V[k] *= np.sqrt(cfg.gamma / np.sum(np.abs(V[k]) ** 2))
+        V[:, np.arange(L), np.arange(L) % M] = 1.0
+        V = _onto_budget(V, cfg.gamma)
     elif strategy == "ia_seed":
         from .baselines import conventional_ia_design
 
@@ -769,20 +772,13 @@ def initial_state(
             raise ConfigurationError(
                 "ia_seed needs the 3-user geometry with M == N even and L == M/2"
             )
-        # baseline designs store streams as matrix columns (K, M, L)
+        # baseline designs store streams as unit-norm matrix columns (K, M, L)
         V = design[0].transpose(0, 2, 1) * np.sqrt(cfg.gamma / L)
         init_a = "zero"
     else:
         raise ConfigurationError(f"unknown init strategy {strategy!r}")
 
-    st = DesignState(
-        v=V,
-        u=np.zeros((K, L, N), dtype=complex),
-        utilde=np.zeros((K, L, N), dtype=complex),
-        a=np.zeros((K, L, K, L), dtype=complex),
-        c=np.ones((K, L), dtype=complex),
-        P=cfg.P,
-    )
+    st = _blank_state(cfg, V)
     if init_a == "round":
         # least-squares fit of every decoder to unit gains on its cross streams
         own = own_stream_indicator(K, L).reshape(K * L, K * L)
@@ -826,10 +822,10 @@ def _reduce_common_divisors(st: DesignState) -> DesignState:
     return out
 
 
-def _refit_receivers(ch, st, solver, candidate_log=None):
+def _refit_receivers(ch, st, solver):
     """optimize_receivers, with the finished state of a capped block and its error."""
     try:
-        return optimize_receivers(ch, st, solver, candidate_log=candidate_log)[0], None
+        return optimize_receivers(ch, st, solver)[0], None
     except NonConvergenceError as exc:
         return exc.best, exc
 
@@ -838,22 +834,20 @@ def solve(
     ch: ChannelSet,
     cfg: SystemConfig,
     solver: SolverConfig | None = None,
-    seed: int | None = None,
-    init_a: str = "round",
     init_state: DesignState | None = None,
 ) -> tuple[DesignState, RateReport, SolveTrace]:
     """Full alternating solve of the robust max-min design.
 
-    Alternates the receive-side and transmit-side blocks from the configured
-    initialization; a transmit-side step is accepted only when it does not
-    lower the worst rate bound, so the pre-quantization trace of r_min is
-    non-decreasing.  The loop stops at the first rejected transmit step,
-    because the state is then the receive block's own output and another
-    sweep would refit nothing and repeat the same rejected barrier solve.
-    After an accepted step it stops once r_min moved by at most rate_tol
-    (relative to max(1, |r_min|)).  Afterwards the relaxed coefficients are
-    rounded to Gaussian integers, common divisors are removed, and the
-    receive side is refit once against the final integers.
+    Alternates the receive-side and transmit-side blocks from init_state, or
+    from initial_state(ch, cfg) when none is given; a transmit-side step is
+    accepted only when it does not lower the worst rate bound, so the
+    pre-quantization trace of r_min is non-decreasing.  The loop stops at the
+    first rejected transmit step, because the state is then the receive
+    block's own output and another sweep would refit nothing and repeat the
+    same rejected barrier solve.  After an accepted step it stops once r_min
+    moved by at most rate_tol (relative to max(1, |r_min|)).  Afterwards the
+    relaxed coefficients are rounded to Gaussian integers, common divisors are
+    removed, and the receive side is refit once against the final integers.
 
     Returns (state, report, trace); trace.converged is False when the outer
     loop or a sub-block hit its iteration budget, and trace.stop_reason says
@@ -866,22 +860,17 @@ def solve(
             f"{(cfg.K, cfg.M, cfg.N)}"
         )
     trace = SolveTrace()
-    if init_state is not None:
-        st = init_state.copy()
-    else:
-        st = initial_state(ch, cfg, solver.init_strategy, seed=seed, init_a=init_a)
+    st = initial_state(ch, cfg) if init_state is None else init_state.copy()
     r_prev = -np.inf
     outer = 0
     for outer in range(solver.max_outer_iters):
-        cand_log: list = []
-        st, err = _refit_receivers(ch, st, solver, cand_log)
+        st, err = _refit_receivers(ch, st, solver)
         if outer == 0:
             trace.first_receivers = st
         if err is not None:
             trace.converged = False
             trace.stop_reason = f"optimize_receivers: {err}"
             break
-        trace.c_candidates.append(cand_log)
         r_a = rate_report(ch, st).r_min
         trace.add(outer, "receivers", r_a, float(np.sum(stage2_denominators(ch, st))))
 
@@ -927,30 +916,16 @@ def _objective_key(st: DesignState, report: RateReport, objective: str) -> float
     raise ConfigurationError(f"unknown objective {objective!r}")
 
 
-def state_from_precoders(
-    ch: ChannelSet, cfg: SystemConfig, V: np.ndarray
-) -> DesignState:
-    """Design state around given precoders: no aggregate decoding, c = 1.
+def state_from_precoders(cfg: SystemConfig, V: np.ndarray) -> DesignState:
+    """Design state around precoders V: no aggregate decoding, c = 1.
 
-    V may come as (K, L, M) rows-per-stream or (K, M, L) columns-per-stream;
-    the per-user power is rescaled onto the budget.
+    V has the layout of DesignState.v, one row per stream (K, L, M); each
+    user's power is rescaled onto the budget.
     """
-    V = np.asarray(V, dtype=complex)
-    if V.shape == (cfg.K, cfg.M, cfg.L) and cfg.M != cfg.L:
-        V = V.transpose(0, 2, 1)
+    V = np.asarray(V)
     if V.shape != (cfg.K, cfg.L, cfg.M):
         raise ConfigurationError(f"precoders must have shape {(cfg.K, cfg.L, cfg.M)}")
-    V = V.copy()
-    for k in range(cfg.K):
-        V[k] *= np.sqrt(cfg.gamma / np.sum(np.abs(V[k]) ** 2))
-    return DesignState(
-        v=V,
-        u=np.zeros((cfg.K, cfg.L, cfg.N), dtype=complex),
-        utilde=np.zeros((cfg.K, cfg.L, cfg.N), dtype=complex),
-        a=np.zeros((cfg.K, cfg.L, cfg.K, cfg.L), dtype=complex),
-        c=np.ones((cfg.K, cfg.L), dtype=complex),
-        P=cfg.P,
-    )
+    return _blank_state(cfg, _onto_budget(V, cfg.gamma))
 
 
 def multi_start(
@@ -963,38 +938,39 @@ def multi_start(
 ) -> tuple[DesignState, RateReport, SolveTrace]:
     """Run the alternating solve from several initializations, keep the best.
 
-    The start list is prefix-stable in n_starts: the deterministic canonical
-    start comes first, then the alignment seed when the geometry admits one,
-    then seeded random draws, so enlarging n_starts can only improve the
-    selected objective.
+    Each start solves from an initial_state strategy.  The start list is
+    prefix-stable in n_starts: the deterministic canonical start comes first,
+    then the alignment seed when the geometry admits one, then seeded random
+    draws, so enlarging n_starts can only improve the selected objective.
 
-    Each entry of extra_precoders adds two candidates on top of the n_starts
-    budget: a full solve seeded from those precoders, and the plain
-    receive-side fit with zero coefficients, which is that solve's first
-    receive block.  The latter never trails any fixed-filter single-user
-    rate for the same precoders, which makes a known-good design (for
-    example an alignment solution) a floor for the returned objective.
+    Each entry of extra_precoders, (K, L, M) like DesignState.v, adds two
+    candidates on top of the n_starts budget: a full solve seeded from those
+    precoders, and the plain receive-side fit with zero coefficients, which is
+    that solve's first receive block.  The latter never trails any
+    fixed-filter single-user rate for the same precoders, which makes a
+    known-good design (for example an alignment solution) a floor for the
+    returned objective.
     """
     if n_starts < 1:
         raise ConfigurationError("n_starts must be at least 1")
     solver = solver or SolverConfig()
-    starts: list[tuple[str, int | None, str]] = [("identity_like", None, "round")]
+    starts: list[tuple[str, int | None]] = [("identity_like", None)]
     from .baselines import conventional_ia_design
 
     if conventional_ia_design(ch.Hhat, cfg.L) is not None:
-        starts.append(("ia_seed", None, "zero"))
+        starts.append(("ia_seed", None))
     n_random = max(0, n_starts - len(starts))
     children = np.random.SeedSequence(cfg.seed).spawn(n_random)
     for child in children:
-        starts.append(("random_unit", int(child.generate_state(1)[0]), "round"))
+        starts.append(("random_unit", int(child.generate_state(1)[0])))
     starts = starts[:n_starts]
 
     results = []
-    for strategy, sd, mode in starts:
-        run_cfg = replace(solver, init_strategy=strategy)
-        results.append(solve(ch, cfg, run_cfg, seed=sd, init_a=mode))
+    for strategy, sd in starts:
+        st0 = initial_state(ch, cfg, strategy, seed=sd)
+        results.append(solve(ch, cfg, solver, init_state=st0))
     for V in extra_precoders:
-        seeded = solve(ch, cfg, solver, init_state=state_from_precoders(ch, cfg, V))
+        seeded = solve(ch, cfg, solver, init_state=state_from_precoders(cfg, V))
         results.append(seeded)
         st_rx = seeded[2].first_receivers
         rep_rx = rate_report(ch, st_rx)

@@ -220,6 +220,13 @@ def test_experiment_from_json_solver_section():
         ('{"methods": ["tdma"], "K_grid": [3], "snr_db_grid": [10.0],'
          ' "epsilon_grid": [0.0], "M": 2, "N": 2, "solver": {"zzz": 1}}',
          "unknown solver keys"),
+        ('{"methods": ["tdma"], "K_grid": [3], "snr_db_grid": [10.0],'
+         ' "epsilon_grid": [0.0], "M": 2, "N": 2,'
+         ' "solver": {"init_strategy": "random_unit"}}',
+         "unknown solver keys"),
+        ('{"methods": ["tdma"], "K_grid": [3], "snr_db_grid": [10.0],'
+         ' "epsilon_grid": [0.0], "M": 2, "N": 2, "solver": {"barrier_q0": 2.0}}',
+         "unknown solver keys"),
     ],
 )
 def test_experiment_from_json_rejects(text, fragment):
@@ -244,3 +251,36 @@ def test_trial_computes_the_alignment_design_once(monkeypatch):
     rows = run_experiment(spec)
     assert len(rows) == 4
     assert len(calls) == 2
+
+
+def test_lattice_seeds_alignment_streams_as_columns(monkeypatch):
+    """At M == L the alignment precoders reach the solver with stream l taken
+    from column l of each user's (M, L) matrix, not from row l."""
+    from latticealign import baselines, harness
+    from latticealign.solver import state_from_precoders
+
+    designs, seeded = [], []
+    real = baselines.distributive_ia_design
+
+    def recorded(*args, **kwargs):
+        designs.append(real(*args, **kwargs))
+        return designs[-1]
+
+    class Captured(Exception):
+        pass
+
+    def capture(ch, cfg, **kwargs):
+        seeded.append((cfg, kwargs["extra_precoders"]))
+        raise Captured
+
+    monkeypatch.setattr(baselines, "distributive_ia_design", recorded)
+    monkeypatch.setattr(harness, "multi_start", capture)
+    with pytest.raises(Captured):
+        run_experiment(_spec(methods=("lattice",), M=2, N=2, L=2, trials=1))
+    [(cfg, (V,))] = seeded
+    V_ia = designs[0][0]
+    v = state_from_precoders(cfg, V).v
+    for k in range(cfg.K):
+        for l in range(cfg.L):
+            a, b = v[k, l], V_ia[k][:, l]
+            assert abs(np.vdot(a, b)) == pytest.approx(np.linalg.norm(a) * np.linalg.norm(b))

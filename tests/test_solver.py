@@ -59,8 +59,6 @@ def test_solver_config_validation():
         SolverConfig(rate_tol=0.0)
     with pytest.raises(ConfigurationError):
         SolverConfig(max_outer_iters=0)
-    with pytest.raises(ConfigurationError):
-        SolverConfig(init_strategy="nope")
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.15])
@@ -275,21 +273,23 @@ def test_solve_rejects_mismatched_dimensions():
 
 def test_solve_with_explicit_initial_state():
     ch, cfg = _random_instance(seed=38)
-    st0 = state_from_precoders(ch, cfg, np.ones((3, 1, 2), dtype=complex))
+    st0 = state_from_precoders(cfg, np.ones((3, 1, 2), dtype=complex))
     st, rep, trace = solve(ch, cfg, init_state=st0)
     assert np.isfinite(rep.r_min)
 
 
 def test_state_from_precoders_normalizes_and_validates():
-    ch, cfg = _random_instance(seed=39)
+    _, cfg = _random_instance(seed=39)
     rng = np.random.default_rng(40)
     V = complex_gaussian(rng, (3, 1, 2))
-    st = state_from_precoders(ch, cfg, V)
+    st = state_from_precoders(cfg, V)
     for k in range(3):
         assert st.power(k) == pytest.approx(cfg.gamma)
     assert np.all(st.a == 0) and np.all(st.c == 1.0)
     with pytest.raises(ConfigurationError):
-        state_from_precoders(ch, cfg, np.ones((2, 1, 2), dtype=complex))
+        state_from_precoders(cfg, np.ones((2, 1, 2), dtype=complex))
+    with pytest.raises(ConfigurationError):  # (K, M, L) columns, M != L
+        state_from_precoders(cfg, V.transpose(0, 2, 1))
 
 
 def test_multi_start_prefix_stable_objective():
@@ -307,7 +307,7 @@ def test_multi_start_extra_precoders_floor():
     rho = cfg.gamma * cfg.P / cfg.L
     V, U, _ = distributive_ia_design(ch.Hhat, cfg.L, rho, 80)
     ia_worst = ia_stream_rates(ch.Hhat, V, U, rho).sum(axis=1).min()
-    _, rep, _ = multi_start(ch, cfg, n_starts=1, extra_precoders=(V,))
+    _, rep, _ = multi_start(ch, cfg, n_starts=1, extra_precoders=(V.transpose(0, 2, 1),))
     assert rep.r_min >= ia_worst - 1e-9
 
 
@@ -613,7 +613,7 @@ def test_power_budget_violation_names_user_and_power(monkeypatch):
     from latticealign import solver as solver_mod
 
     ch, cfg = _random_instance(seed=46)
-    st0 = state_from_precoders(ch, cfg, np.ones((3, 1, 2), dtype=complex))
+    st0 = state_from_precoders(cfg, np.ones((3, 1, 2), dtype=complex))
     st0.v = st0.v * 2.0
     monkeypatch.setattr(solver_mod, "optimize_precoders", lambda ch, st, gamma, cfg=None: (st, 0.0))
     with pytest.raises(PowerBudgetError, match="user 0") as info:
@@ -695,7 +695,8 @@ def test_multi_start_reuses_the_seeded_first_receive_block(monkeypatch):
 
     ch, cfg = _random_instance(eps=0.1, seed=42, P=20.0)
     V, _, _ = distributive_ia_design(ch.Hhat, cfg.L, cfg.gamma * cfg.P / cfg.L, 80)
-    expect, _ = optimize_receivers(ch, state_from_precoders(ch, cfg, V))
+    V = V.transpose(0, 2, 1)  # alignment columns -> stream rows
+    expect, _ = optimize_receivers(ch, state_from_precoders(cfg, V))
 
     depth, outside, candidates = [0], [], []
     real_solve, real_rx = solver_mod.solve, solver_mod.optimize_receivers
