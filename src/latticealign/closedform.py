@@ -156,15 +156,22 @@ def ia_equivalent_state(
 ) -> DesignState:
     """DesignState realizing an alignment solution inside the lattice scheme.
 
-    All coefficient vectors are zero (stage one is skipped), c = 1, the
-    stage-one filters are zero, and each stage-two filter is the scaled
-    alignment filter from ia_equivalence_params.
+    V (K, M, L) and U (K, N, L) hold the streams as matrix columns, the
+    layout of baselines.conventional_ia_design.  All coefficient vectors are
+    zero (stage one is skipped), c = 1, the stage-one filters are zero, and
+    each stage-two filter is the scaled alignment filter from
+    ia_equivalence_params.
     """
     K = ch.K
     V = np.asarray(V, dtype=complex)
     U = np.asarray(U, dtype=complex)
-    L = V.shape[2] if V.ndim == 3 else 1
-    v = np.transpose(V, (0, 2, 1)) if V.ndim == 3 else V.reshape(K, 1, -1)
+    L = V.shape[-1]
+    if V.shape != (K, ch.M, L) or U.shape != (K, ch.N, L):
+        raise ConfigurationError(
+            f"alignment precoders V must be (K, M, L) = {(K, ch.M, L)} and filters U "
+            f"(K, N, L) = {(K, ch.N, L)}; got V {V.shape} and U {U.shape}"
+        )
+    v = np.transpose(V, (0, 2, 1))
     u = np.zeros((K, L, ch.N), dtype=complex)
     ut = np.zeros((K, L, ch.N), dtype=complex)
     for k in range(K):

@@ -86,6 +86,8 @@ class ExperimentSpec:
             raise ConfigurationError("trials must be >= 1")
         if self.n_starts < 1:
             raise ConfigurationError("n_starts must be >= 1")
+        if self.dist_ia_iters < 1:
+            raise ConfigurationError("dist_ia_iters must be >= 1")
         if self.objective not in ("worst", "sum"):
             raise ConfigurationError("objective must be 'worst' or 'sum'")
         object.__setattr__(self, "methods", tuple(self.methods))

@@ -8,7 +8,7 @@ or convex:
 * receive-side block: per-decoder regularized least squares for u and utilde
   (closed form when the CSI bound is zero, otherwise damped Newton steps on
   a smoothed copy, all decoders of the block in one batch) plus a finite
-  integer search for each c;
+  integer search for each c, scored as one decoder x candidate array;
 * transmit-side block: the epigraph problem in (v, relaxed a, t) is convex
   and is solved with a log-barrier method under the per-user power budget.
 
@@ -390,28 +390,26 @@ def _scaling_value(ch, st, k, l, c):
     return decorrelator_objective(ch, st, k, l, 2, st.utilde[k, l], c=c)
 
 
-def _quadrant_rank(g: GaussianInt) -> int:
-    return 0 if (g.re > 0 and g.im >= 0) else 1
-
-
 def scaling_candidates(ch: ChannelSet, st: DesignState, k, l, cfg: SolverConfig | None = None):
-    """Best Gaussian-integer scaling for decoder (k, l) plus the set examined.
+    """Gaussian-integer scalings worth scoring for decoders (k, l).
 
-    Minimizes f(c), the stage-two objective of the current utilde as a
-    function of c, which up to the noise term ||utilde||^2 and the factor P
-    is sum_j (|q_j - c a_j| + eps ||v_j|| ||utilde||)^2 with q_j the
-    estimated post-filter gain minus the own-stream target.  The relaxed
-    complex minimizer is found first (weighted least squares, then
-    damped Newton steps when the CSI bound couples in), and every Gaussian
-    integer in the closed unit box around it is evaluated exactly; ties
-    prefer the smaller norm and then the first-quadrant associate.
+    The scaling c of a decoder should minimize f(c), the stage-two objective
+    of its current utilde as a function of c, which up to the noise term
+    ||utilde||^2 and the factor P is sum_j (|q_j - c a_j| + eps ||v_j||
+    ||utilde||)^2 with q_j the estimated post-filter gain minus the
+    own-stream target.  The relaxed complex minimizer is found first
+    (weighted least squares, then damped Newton steps when the CSI bound
+    couples in, every decoder in one batch).  The candidates are the Gaussian
+    integers in the closed unit box around it, real part major, then the
+    integer incumbent when it lies outside the box; a decoder that decodes
+    no aggregate gets the single candidate 1.
 
-    For index arrays k, l every decoder's relaxed fit runs in one batch and
-    the result is a list of bests and a list of candidate sets.
+    Returns a complex array of shape broadcast(k, l) + (10,), NaN past each
+    decoder's last candidate.
     """
     cfg = cfg or SolverConfig()
-    single = np.ndim(k) == 0 and np.ndim(l) == 0
-    kk, ll = (np.broadcast_to(i, np.broadcast(k, l).shape).reshape(-1) for i in (k, l))
+    shape = np.broadcast(k, l).shape
+    kk, ll = (np.broadcast_to(i, shape).reshape(-1) for i in (k, l))
     a = st.a[kk, ll].reshape(len(kk), -1)
     ut = st.utilde[kk, ll]
     q = np.einsum("...ja,...a->...j", cross_vectors(ch.Hhat, st.v)[kk], ut.conj())
@@ -430,45 +428,42 @@ def scaling_candidates(ch: ChannelSet, st: DesignState, k, l, cfg: SolverConfig 
         x, _ = _newton_batch(prob, x0, cfg.newton_tol, cfg.max_inner_iters)
         c_rel[live] = x[:, 0] + 1j * x[:, 1]
 
-    cands: list[list[GaussianInt]] = []
-    for d in range(len(kk)):
-        if not live[d]:
-            cands.append([GaussianInt(1, 0)])
-            continue
-        cr = c_rel[d]
-        box = [
-            GaussianInt(re, im)
-            for re in range(int(np.ceil(cr.real - 1 - 1e-12)), int(np.floor(cr.real + 1 + 1e-12)) + 1)
-            for im in range(int(np.ceil(cr.imag - 1 - 1e-12)), int(np.floor(cr.imag + 1 + 1e-12)) + 1)
-        ]
-        # keep the incumbent in the running so a scaling update can never regress
-        cur = st.c[kk[d], ll[d]]
-        if abs(cur.real - round(cur.real)) < 1e-9 and abs(cur.imag - round(cur.imag)) < 1e-9:
-            inc = GaussianInt(int(round(cur.real)), int(round(cur.imag)))
-            if inc not in box:
-                box.append(inc)
-        cands.append(box)
-
-    owner = np.repeat(np.arange(len(kk)), [len(cs) for cs in cands])
-    cvals = np.array([complex(g) for cs in cands for g in cs])
-    fvals = _scaling_value(ch, st, kk[owner], ll[owner], cvals)
-    bests = []
-    for d, cs in enumerate(cands):
-        if not live[d]:
-            bests.append(cs[0])
-            continue
-        fv = fvals[owner == d]
-        fmin = fv.min()
-        tied = [g for g, f in zip(cs, fv) if f <= fmin + 1e-12 * (1 + abs(fmin))]
-        bests.append(min(tied, key=lambda g: (g.norm(), _quadrant_rank(g), g.re, g.im)))
-    return (bests[0], cands[0]) if single else (bests, cands)
+    # the closed unit box around c_rel holds 2 or 3 integers per axis; the
+    # integer parts keep every candidate free of negative zeros
+    xy = np.stack([c_rel.real, c_rel.imag])
+    lo = np.ceil(xy - 1 - 1e-12).astype(int)
+    n = np.floor(xy + 1 + 1e-12).astype(int) - lo + 1
+    size = n[0] * n[1]
+    j = np.arange(10)[:, None]  # slot, real part major
+    box = (lo[0] + j // n[1]) + 1j * (lo[1] + j % n[1])
+    cands = np.where(j < size, box, np.nan).T
+    # keep the incumbent in the running so a scaling update can never regress
+    cur = np.stack([st.c[kk, ll].real, st.c[kk, ll].imag])
+    inc = np.round(cur).astype(int)
+    integral = np.all(np.abs(cur - inc) < 1e-9, axis=0)
+    extra = integral & np.any((inc < lo) | (inc >= lo + n), axis=0)
+    cands[extra, size[extra]] = inc[0, extra] + 1j * inc[1, extra]
+    cands[~live] = np.nan
+    cands[~live, 0] = 1.0
+    return cands.reshape(shape + (10,))
 
 
 def optimize_scaling(ch: ChannelSet, st: DesignState, k: int, l: int) -> GaussianInt:
-    """Optimal Gaussian-integer scaling of the decoded aggregate (see
-    scaling_candidates); returns 1 when no aggregate is decoded at all."""
-    best, _ = scaling_candidates(ch, st, k, l)
-    return best
+    """Optimal Gaussian-integer scaling of decoder (k, l)'s aggregate.
+
+    Scores the scaling_candidates by f(c); ties (within 1e-12 relative)
+    prefer the smaller norm, then the first-quadrant associate, then the
+    smaller real and imaginary parts.  Returns 1 when no aggregate is
+    decoded at all.
+    """
+    cands = scaling_candidates(ch, st, k, l)
+    cands = cands[~np.isnan(cands)]
+    f = _scaling_value(ch, st, k, l, cands)
+    tied = cands[f <= f.min() + 1e-12 * (1 + abs(f.min()))]
+    re, im = tied.real.astype(int), tied.imag.astype(int)
+    first_quadrant = (re > 0) & (im >= 0)
+    best = np.lexsort((im, re, ~first_quadrant, re * re + im * im))[0]
+    return GaussianInt(int(re[best]), int(im[best]))
 
 
 # ---------------------------------------------------------------------------
@@ -494,36 +489,36 @@ def _stage2_joint_update(
     Scoring a candidate scaling with the current filter understates it, and
     pure coordinate descent over (utilde, c) can lock onto whichever scaling
     the filter was first fitted to.  Each candidate is therefore scored by
-    the objective of its own refit filter.  The incumbent pair is always in
-    the running, so no decoder's objective can increase.  Decoders do not
-    interact here, so all refits of all decoders run as one batch.
+    the objective of its own refit filter.  The current filter's f(c) over
+    the decoder x candidate array of scaling_candidates, computed once, only
+    ranks the candidates: with a nonzero CSI bound every refit is an
+    iterative robust fit, so only each decoder's four best-ranked candidates
+    are refit.  The incumbent pair is always in the running, so no decoder's
+    objective can increase.  Decoders do not interact here, so all refits of
+    all decoders run as one batch.
 
     Returns whether any scaling changed and the error of a capped fit.
     """
     kk, ll = np.divmod(np.arange(st.K * st.L), st.L)
-    _, cands = scaling_candidates(ch, st, kk, ll, cfg)
-    owner = np.repeat(np.arange(len(kk)), [len(cs) for cs in cands])
-    cvals = np.array([complex(g) for cs in cands for g in cs])
-    # cheap proxy ordering with the current filter caps the refit work when
-    # every refit is an iterative robust fit
-    proxy = _scaling_value(ch, st, kk[owner], ll[owner], cvals)
-    n_refit = None if ch.epsilon == 0 else 4
-    pick = np.concatenate([
-        idx[np.argsort(proxy[idx], kind="stable")][:n_refit]
-        for idx in (np.flatnonzero(owner == d) for d in range(len(kk)))
-    ])
-    kr, lr, cr = kk[owner[pick]], ll[owner[pick]], cvals[pick]
+    cands = scaling_candidates(ch, st, kk, ll, cfg)
+    # the NaN padding scores NaN, which a sort puts last
+    proxy = _scaling_value(ch, st, kk[:, None], ll[:, None], cands)
+    order = np.argsort(proxy, axis=1, kind="stable")[:, : None if ch.epsilon == 0 else 4]
+    cands = np.take_along_axis(cands, order, axis=1)
+    ok = ~np.isnan(cands)
+    owner = np.nonzero(ok)[0]
+    kr, lr, cr = kk[owner], ll[owner], cands[ok]
     u_g, err = _fit_filters(ch, st, kr, lr, 2, cfg, st.utilde[kr, lr], c=cr)
-    f_g = decorrelator_objective(ch, st, kr, lr, 2, u_g, c=cr)
-    f_cur = decorrelator_objective(ch, st, kk, ll, 2, st.utilde[kk, ll])
-    changed = False
-    for d in range(len(kk)):
-        mine = np.flatnonzero(owner[pick] == d)
-        j = mine[np.argmin(f_g[mine])]  # first of the best in proxy order
-        if f_g[j] < f_cur[d]:
-            changed = changed or cr[j] != st.c[kk[d], ll[d]]
-            st.c[kk[d], ll[d]] = cr[j]
-            st.utilde[kk[d], ll[d]] = u_g[j]
+    f_g = np.full(cands.shape, np.inf)
+    f_g[ok] = decorrelator_objective(ch, st, kr, lr, 2, u_g, c=cr)
+    u_all = np.zeros(cands.shape + u_g.shape[-1:], dtype=complex)
+    u_all[ok] = u_g
+    best = np.arange(len(kk)), np.argmin(f_g, axis=1)  # first of the best in rank order
+    take = f_g[best] < decorrelator_objective(ch, st, kk, ll, 2, st.utilde[kk, ll])
+    c_new = cands[best][take]
+    changed = bool(np.any(c_new != st.c[kk[take], ll[take]]))
+    st.c[kk[take], ll[take]] = c_new
+    st.utilde[kk[take], ll[take]] = u_all[best][take]
     return changed, err
 
 
@@ -954,21 +949,16 @@ def multi_start(
     if n_starts < 1:
         raise ConfigurationError("n_starts must be at least 1")
     solver = solver or SolverConfig()
-    starts: list[tuple[str, int | None]] = [("identity_like", None)]
-    from .baselines import conventional_ia_design
+    starts = [initial_state(ch, cfg, "identity_like")]
+    if n_starts > 1:
+        try:
+            starts.append(initial_state(ch, cfg, "ia_seed"))
+        except ConfigurationError:
+            pass  # no alignment seed for this geometry
+    for child in np.random.SeedSequence(cfg.seed).spawn(n_starts - len(starts)):
+        starts.append(initial_state(ch, cfg, "random_unit", seed=int(child.generate_state(1)[0])))
 
-    if conventional_ia_design(ch.Hhat, cfg.L) is not None:
-        starts.append(("ia_seed", None))
-    n_random = max(0, n_starts - len(starts))
-    children = np.random.SeedSequence(cfg.seed).spawn(n_random)
-    for child in children:
-        starts.append(("random_unit", int(child.generate_state(1)[0])))
-    starts = starts[:n_starts]
-
-    results = []
-    for strategy, sd in starts:
-        st0 = initial_state(ch, cfg, strategy, seed=sd)
-        results.append(solve(ch, cfg, solver, init_state=st0))
+    results = [solve(ch, cfg, solver, init_state=st0) for st0 in starts]
     for V in extra_precoders:
         seeded = solve(ch, cfg, solver, init_state=state_from_precoders(cfg, V))
         results.append(seeded)

@@ -177,3 +177,6 @@ def test_ia_equivalence_rate_identity():
         assert np.all(st.a == 0)
         assert np.all(st.c == 1.0)
         assert np.all(np.isinf(rep.mu))
+    for bad_v, bad_u in ((V[:, :, 0], U), (V, U[:, :, 0]), (V.transpose(0, 2, 1), U)):
+        with pytest.raises(ConfigurationError, match=r"got V \(3, .*\) and U \(3, "):
+            ia_equivalent_state(bad_v, bad_u, ch, cfg.P)

@@ -64,6 +64,9 @@ def test_spec_validation():
         _spec(trials=0)
     with pytest.raises(ConfigurationError):
         _spec(n_starts=0)
+    for iters in (0, -3):
+        with pytest.raises(ConfigurationError, match="dist_ia_iters"):
+            _spec(dist_ia_iters=iters)
     with pytest.raises(ConfigurationError):
         _spec(objective="best")
 

@@ -11,7 +11,7 @@ from latticealign.channel import (
 )
 from latticealign.closedform import SymmetricInstance, symmetric_channelset, symmetric_rmin_lattice
 from latticealign.errors import ConfigurationError, NonConvergenceError, PowerBudgetError
-from latticealign.gaussint import GaussianInt
+from latticealign.gaussint import GaussianInt, common_divisor
 from latticealign.rates import (
     DesignState,
     cross_vectors,
@@ -26,9 +26,10 @@ from latticealign.solver import (
     SolveTrace,
     SolverConfig,
     _least_squares_filters,
+    _newton_batch,
     _Problems,
-    _quadrant_rank,
     _scaling_value,
+    _stage2_joint_update,
     decorrelator_closed_form,
     decorrelator_objective,
     decorrelator_robust,
@@ -145,11 +146,12 @@ def test_scaling_candidates_box_size_and_incumbent():
     st = initial_state(ch, cfg, "random_unit", seed=22, init_a="round")
     rng = np.random.default_rng(23)
     st.utilde[0, 0] = complex_gaussian(rng, (2,))
-    best, cands = scaling_candidates(ch, st, 0, 0)
-    assert len(cands) <= 10  # 3x3 closed unit box plus the incumbent
-    assert isinstance(best, GaussianInt)
-    incumbent = st.c[0, 0]
-    assert any(complex(g) == incumbent for g in cands)
+    cands = scaling_candidates(ch, st, 0, 0)
+    assert cands.shape == (10,)  # 3x3 closed unit box plus the incumbent
+    n = np.count_nonzero(~np.isnan(cands))
+    assert n >= 4 and np.all(np.isnan(cands[n:]))
+    assert st.c[0, 0] in cands[:n]
+    assert isinstance(optimize_scaling(ch, st, 0, 0), GaussianInt)
 
 
 def test_scaling_beats_gaussian_integer_sweep():
@@ -173,9 +175,9 @@ def test_scaling_beats_gaussian_integer_sweep():
 def test_scaling_all_zero_coefficients_returns_one():
     ch, cfg = _random_instance(seed=25)
     st = initial_state(ch, cfg, "identity_like", init_a="zero")
-    best, cands = scaling_candidates(ch, st, 0, 0)
-    assert best == GaussianInt(1, 0)
-    assert cands == [GaussianInt(1, 0)]
+    cands = scaling_candidates(ch, st, 0, 0)
+    assert cands[0] == 1 and np.all(np.isnan(cands[1:]))
+    assert optimize_scaling(ch, st, 0, 0) == GaussianInt(1, 0)
 
 
 def test_optimize_receivers_monotone_stage2_trace():
@@ -426,15 +428,15 @@ def test_batched_receive_fits_equal_per_decoder_fits(shape, eps):
             assert np.allclose(U_cf[d], decorrelator_closed_form(*args, c=_pick(c, d)),
                                rtol=1e-12, atol=0)
 
-    bests, cands = scaling_candidates(ch, st, kk, ll)
+    cands = scaling_candidates(ch, st, kk, ll)
     for d in range(len(kk)):
-        best1, cands1 = scaling_candidates(ch, st, int(kk[d]), int(ll[d]))
-        assert (bests[d], cands[d]) == (best1, cands1)
+        cands1 = scaling_candidates(ch, st, int(kk[d]), int(ll[d]))
+        assert np.array_equal(cands[d], cands1, equal_nan=True)
+        cands1 = cands1[~np.isnan(cands1)]
         values = _scaling_value(ch, st, np.full(len(cands1), kk[d]), np.full(len(cands1), ll[d]),
-                                np.array([complex(g) for g in cands1]))
+                                cands1)
         for g, v in zip(cands1, values):
-            assert v == pytest.approx(_scaling_value(ch, st, int(kk[d]), int(ll[d]), complex(g)),
-                                      rel=1e-12)
+            assert v == pytest.approx(_scaling_value(ch, st, int(kk[d]), int(ll[d]), g), rel=1e-12)
 
 
 def _tensor_reference(ch, st):
@@ -485,17 +487,19 @@ def test_robust_kernel_matches_explicit_formulas(shape, eps):
         f = decorrelator_objective(ch, st, kk, ll, stage, U[kk, ll])
         assert _close(f, den.reshape(-1))
 
-    bests, cands = scaling_candidates(ch, st, kk, ll)
+    cands = scaling_candidates(ch, st, kk, ll)
     for d, (k, l) in enumerate(zip(kk, ll)):
         if not np.any(st.a[k, l]):
             continue
-        cvals = np.array([complex(g) for g in cands[d]])
+        cvals = cands[d][~np.isnan(cands[d])]
         ref = np.array([_scaling_reference(ch, st, k, l, c) for c in cvals])
         nut2 = np.sum(np.abs(st.utilde[k, l]) ** 2)
         values = _scaling_value(ch, st, np.full(len(cvals), k), np.full(len(cvals), l), cvals)
         assert _close(values, nut2 + st.P * ref)
-        tied = [g for g, f in zip(cands[d], ref) if f <= ref.min() + 1e-12 * (1 + ref.min())]
-        assert bests[d] == min(tied, key=lambda g: (g.norm(), _quadrant_rank(g), g.re, g.im))
+        tied = [GaussianInt(int(c.real), int(c.imag))
+                for c, f in zip(cvals, ref) if f <= ref.min() + 1e-12 * (1 + ref.min())]
+        assert optimize_scaling(ch, st, int(k), int(l)) == min(
+            tied, key=lambda g: (g.norm(), not (g.re > 0 and g.im >= 0), g.re, g.im))
 
 
 def _round_init_reference(ch, st):
@@ -725,3 +729,181 @@ def test_multi_start_reuses_the_seeded_first_receive_block(monkeypatch):
     assert len(candidates) == 3
     for name in ("v", "u", "utilde", "a", "c"):
         assert np.array_equal(getattr(candidates[-1], name), getattr(expect, name))
+
+
+# ---------------------------------------------------------------------------
+# decoder x candidate scaling array against the per-decoder list code
+# ---------------------------------------------------------------------------
+
+
+def _box_reference(ch, st, kk, ll):
+    """The list-based candidate builder: relaxed minimizer, closed unit box
+    around it as GaussianInt lists, then the incumbent when outside."""
+    a = st.a[kk, ll].reshape(len(kk), -1)
+    ut = st.utilde[kk, ll]
+    q = np.einsum("...ja,...a->...j", cross_vectors(ch.Hhat, st.v)[kk], ut.conj())
+    q = q - own_stream_indicator(st.K, st.L)[kk, ll].reshape(q.shape)
+    s = ch.epsilon * np.sqrt(np.sum(np.abs(st.v) ** 2, axis=2)).reshape(-1)
+    s = s * np.sqrt(np.sum(np.abs(ut) ** 2, axis=-1))[..., None]
+    live = np.any(a != 0, axis=1)
+    c_rel = np.zeros(len(kk), dtype=complex)
+    al, ql = a[live], q[live]
+    c_rel[live] = np.sum(al.conj() * ql, axis=1) / np.sum(np.abs(al) ** 2, axis=1)
+    if ch.epsilon > 0 and live.any():
+        cfg = SolverConfig()
+        prob = _Problems.from_complex(al[..., None], ql, s[live], 0.0, 0.0, 1.0)
+        x0 = np.stack([c_rel[live].real, c_rel[live].imag], axis=1)
+        x, _ = _newton_batch(prob, x0, cfg.newton_tol, cfg.max_inner_iters)
+        c_rel[live] = x[:, 0] + 1j * x[:, 1]
+    cands = []
+    for d in range(len(kk)):
+        if not live[d]:
+            cands.append([GaussianInt(1, 0)])
+            continue
+        cr = c_rel[d]
+        box = [
+            GaussianInt(re, im)
+            for re in range(int(np.ceil(cr.real - 1 - 1e-12)), int(np.floor(cr.real + 1 + 1e-12)) + 1)
+            for im in range(int(np.ceil(cr.imag - 1 - 1e-12)), int(np.floor(cr.imag + 1 + 1e-12)) + 1)
+        ]
+        cur = st.c[kk[d], ll[d]]
+        if abs(cur.real - round(cur.real)) < 1e-9 and abs(cur.imag - round(cur.imag)) < 1e-9:
+            inc = GaussianInt(int(round(cur.real)), int(round(cur.imag)))
+            if inc not in box:
+                box.append(inc)
+        cands.append(box)
+    return cands
+
+
+def _joint_update_reference(ch, st, cfg):
+    """The per-decoder (scaling, filter) update: score, rank, refit and accept
+    decoder by decoder over flat candidate lists."""
+    kk, ll = _decoder_grid(st)
+    cands = _box_reference(ch, st, kk, ll)
+    owner = np.repeat(np.arange(len(kk)), [len(cs) for cs in cands])
+    cvals = np.array([complex(g) for cs in cands for g in cs])
+    proxy = _scaling_value(ch, st, kk[owner], ll[owner], cvals)
+    n_refit = None if ch.epsilon == 0 else 4
+    pick = np.concatenate([
+        idx[np.argsort(proxy[idx], kind="stable")][:n_refit]
+        for idx in (np.flatnonzero(owner == d) for d in range(len(kk)))
+    ])
+    kr, lr, cr = kk[owner[pick]], ll[owner[pick]], cvals[pick]
+    if ch.epsilon == 0:
+        u_g = decorrelator_closed_form(ch, st, kr, lr, 2, cr)
+    else:
+        try:
+            u_g = decorrelator_robust(ch, st, kr, lr, 2, cfg, u0=st.utilde[kr, lr], c=cr)
+        except NonConvergenceError as exc:
+            u_g = exc.best
+    f_g = decorrelator_objective(ch, st, kr, lr, 2, u_g, c=cr)
+    f_cur = decorrelator_objective(ch, st, kk, ll, 2, st.utilde[kk, ll])
+    changed = False
+    for d in range(len(kk)):
+        mine = np.flatnonzero(owner[pick] == d)
+        j = mine[np.argmin(f_g[mine])]
+        if f_g[j] < f_cur[d]:
+            changed = changed or cr[j] != st.c[kk[d], ll[d]]
+            st.c[kk[d], ll[d]] = cr[j]
+            st.utilde[kk[d], ll[d]] = u_g[j]
+    return changed
+
+
+def _same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.1, 0.25])
+@pytest.mark.parametrize("shape", _SHAPES)
+def test_scaling_array_matches_per_decoder_lists(shape, eps):
+    """Candidate order, chosen scalings, stage-two filters and the changed
+    flag are bitwise those of the list-based update, sweep after sweep."""
+    ch, cfg, st = _shaped_instance(*shape, eps, seed=1100 + sum(shape))
+    rng = np.random.default_rng(1101)
+    st.c = rng.integers(-3, 4, st.c.shape) + 1j * rng.integers(-3, 4, st.c.shape)
+    st.a[0, 0] = 0.0  # one decoder without an aggregate
+    ref = st.copy()
+    kk, ll = _decoder_grid(st)
+    changes = []
+    for _ in range(3):
+        cands = scaling_candidates(ch, st, kk, ll)
+        for d, box in enumerate(_box_reference(ch, st, kk, ll)):
+            assert _same_bits(cands[d, : len(box)], np.array([complex(g) for g in box]))
+            assert np.all(np.isnan(cands[d, len(box):]))
+        changed, _ = _stage2_joint_update(ch, st, SolverConfig())
+        assert changed == _joint_update_reference(ch, ref, SolverConfig())
+        assert _same_bits(st.c, ref.c) and _same_bits(st.utilde, ref.utilde)
+        changes.append(changed)
+    assert changes[0]  # the random start scalings are not all kept
+
+
+def test_scaling_box_around_an_integer_centre():
+    """An integer relaxed minimizer spans three integers per axis, and an
+    incumbent outside that box fills the tenth slot."""
+    ch, cfg = _random_instance(seed=26)
+    st = initial_state(ch, cfg, "random_unit", seed=27, init_a="zero")
+    st.a[0, 0, 1, 0] = 1.0
+    w = cross_vectors(ch.Hhat, st.v)[0, 1]
+    st.utilde[0, 0] = 2 * w / np.vdot(w, w).real  # relaxed minimizer 2
+    st.c[0, 0] = -2.0
+    cands = scaling_candidates(ch, st, 0, 0)
+    expect = [re + 1j * im for re in (1, 2, 3) for im in (-1, 0, 1)] + [-2]
+    assert _same_bits(cands, np.array(expect, dtype=complex))
+    box = _box_reference(ch, st, np.array([0]), np.array([0]))[0]
+    assert _same_bits(cands, np.array([complex(g) for g in box]))
+
+
+def test_joint_update_scores_the_candidates_once(monkeypatch):
+    from latticealign import solver as solver_mod
+
+    calls = _count_calls(monkeypatch, "_scaling_value", "_stage2_joint_update")
+    for eps in (0.0, 0.1):
+        ch, cfg, st = _shaped_instance(*_SHAPES[1], eps, seed=1200)
+        optimize_receivers(ch, st)
+    assert len(calls["_scaling_value"]) == len(calls["_stage2_joint_update"]) > 2
+
+    def no_gaussian_ints(*args, **kwargs):
+        raise AssertionError("GaussianInt built on the receive side")
+
+    monkeypatch.setattr(solver_mod, "GaussianInt", no_gaussian_ints)
+    ch, cfg, st = _shaped_instance(*_SHAPES[0], 0.1, seed=1201)
+    optimize_receivers(ch, st)
+
+
+def test_multi_start_builds_the_alignment_start_once(monkeypatch):
+    from latticealign import baselines
+
+    calls = []
+    real = baselines.conventional_ia_design
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(baselines, "conventional_ia_design", counted)
+    ch, cfg = _random_instance(seed=47)
+    multi_start(ch, cfg, n_starts=1)
+    assert calls == []
+    multi_start(ch, cfg, n_starts=2)
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+@pytest.mark.parametrize("shape", _SHAPES)
+def test_multi_start_invariants_on_every_shape(shape, eps):
+    """A full multi-start design keeps the solver's promises on L >= 2,
+    K = 4 and M != N: monotone trace, power budget, divisor-free integer
+    coefficients and Gaussian-integer scalings."""
+    K, L, M, N = shape
+    cfg = SystemConfig(K=K, M=M, N=N, L=L, P=10.0, epsilon=eps, seed=1300 + sum(shape))
+    ch = perturb_csi(generate_channels(cfg), eps, seed=cfg.seed + 10_000)
+    st, _, trace = multi_start(ch, cfg, n_starts=2)
+    series = trace.pre_quantize_series()
+    assert all(cur >= prev - 1e-9 for prev, cur in zip(series, series[1:]))
+    assert all(st.power(k) <= cfg.gamma + 1e-9 for k in range(K))
+    for k in range(K):
+        for l in range(L):
+            assert common_divisor(st.coeff_vector(k, l)) is None
+    assert np.array_equal(st.c, np.round(st.c.real) + 1j * np.round(st.c.imag))
+    assert trace.converged
