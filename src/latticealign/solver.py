@@ -21,6 +21,14 @@ step.  After an accepted step it stops once the worst rate bound moves by
 at most rate_tol.  Finally it projects the relaxed coefficients back to
 Gaussian integers (dividing out any common divisor, which can only help
 the aggregate-decoding rate) before one last receive-side refit.
+
+solve and optimize_receivers also take a list of designs on one channel,
+which is how multi_start runs all its starts.  The designs then move in
+lock-step: each round makes one receive-side call over every design that
+needs a receive block, where the decoders of all of them are rows of the
+same batched fits, and then runs each design's own transmit step.  Each
+design keeps its own stop tests, caps and errors, so it ends with the bits
+a solve of that design alone gives.
 """
 
 from __future__ import annotations
@@ -65,8 +73,10 @@ class SolverConfig:
     max_outer_iters: cap on the receive/transmit alternations of solve.
     max_inner_iters: caps three loops: the Newton steps of each filter fit,
         the L-BFGS-B iterations (times 5) of each barrier stage, and the
-        sweeps of the receive-side fixed point.  That fixed point needs two
-        sweeps before its stop test can pass, so a cap of 1 always raises.
+        sweeps of the receive-side fixed point.  That fixed point stops
+        after a sweep that writes nothing only when the cap would have
+        allowed another sweep, and otherwise needs two sweeps, so a cap of
+        1 always raises.
     rate_tol: solve stops after an accepted transmit step once r_min moved
         by at most rate_tol * max(1, |r_min|); the receive fixed point stops
         once no stage-two rate moves by rate_tol or more.
@@ -103,13 +113,16 @@ class SolveTrace:
     stop_reason says why the outer loop ended: "transmit step rejected",
     "rate_tol reached", "max_outer_iters reached", or the block and message
     of a NonConvergenceError; a capped final refit appends its own message.
-    first_receivers is the state the first receive-side block returned.
+    first_receivers is the state the first receive-side block returned, and
+    first_receivers_error the message of that block's NonConvergenceError
+    ("" when it converged).
     """
 
     records: list[TraceRecord] = field(default_factory=list)
     converged: bool = True
     stop_reason: str = ""
     first_receivers: DesignState | None = None
+    first_receivers_error: str = ""
 
     def add(self, it: int, stage: str, r_min: float, objective: float):
         self.records.append(TraceRecord(it, stage, float(r_min), float(objective)))
@@ -129,8 +142,66 @@ class SolveTrace:
 
 # ---------------------------------------------------------------------------
 # per-decoder pieces: each takes one decoder (k, l) or equal-length index
-# arrays of decoders, and then returns one result row per decoder
+# arrays of decoders, and then returns one result row per decoder.  Besides a
+# DesignState, st may be a _Stack of several designs on the same channel;
+# k then numbers the users of all its designs one after another.
 # ---------------------------------------------------------------------------
+
+
+_FIELDS = ("v", "u", "utilde", "a", "c")  # the per-user arrays of a design
+
+
+@dataclass
+class _Stack:
+    """Designs on one channel, stacked for one batch of per-decoder work.
+
+    Their users come one after another: user k of design d is row d * K + k
+    of v, u, utilde, a and c, and a keeps its per-design (K, L) tail, so the
+    per-decoder pieces index a stack like one design with more users.
+    """
+
+    v: np.ndarray
+    u: np.ndarray
+    utilde: np.ndarray
+    a: np.ndarray
+    c: np.ndarray
+    P: float
+    K: int
+
+    @property
+    def L(self) -> int:
+        return self.v.shape[1]
+
+    @staticmethod
+    def of(designs: list[DesignState]) -> "_Stack":
+        if len({st.P for st in designs}) > 1:
+            raise ConfigurationError("stacked designs must share the per-stream power P")
+        fields = [np.concatenate([getattr(st, f) for st in designs]) for f in _FIELDS]
+        return _Stack(*fields, P=designs[0].P, K=designs[0].K)
+
+    def designs(self) -> list[DesignState]:
+        """The stacked designs, as states that view the stack's arrays."""
+        K = self.K
+        return [
+            DesignState(**{f: getattr(self, f)[i : i + K] for f in _FIELDS}, P=self.P)
+            for i in range(0, len(self.v), K)
+        ]
+
+
+def _cross(ch: ChannelSet, st) -> np.ndarray:
+    """(users, K*L, N) cross vectors: each user row's view of its design's streams."""
+    K = st.K
+    return np.concatenate([cross_vectors(ch.Hhat, st.v[i : i + K]) for i in range(0, len(st.v), K)])
+
+
+def _stream_norms(st) -> np.ndarray:
+    """(users, K*L) stream norms ||v_j|| of each user row's design."""
+    return np.repeat(vector_norms(st.v).reshape(-1, st.K * st.L), st.K, axis=0)
+
+
+def _decoders(ch: ChannelSet, st, k, l, stage: int, c=None):
+    """Cross vectors, residual targets and stream norms of decoders (k, l)."""
+    return _cross(ch, st)[k], stage_targets(st, k, l, stage, c), _stream_norms(st)[k]
 
 
 def decorrelator_objective(
@@ -138,9 +209,7 @@ def decorrelator_objective(
 ):
     """Exact robust decorrelator objective ||u||^2 + P sum (|residual| + eps bound)^2
     (rates.robust_noise) of filters u for decoders (k, l)."""
-    w = cross_vectors(ch.Hhat, st.v)[k]
-    b = stage_targets(st, k, l, stage, c)
-    nv = vector_norms(st.v).reshape(-1)
+    w, b, nv = _decoders(ch, st, k, l, stage, c)
     f = robust_noise(w, np.asarray(u, dtype=complex), b, nv, ch.epsilon, st.P)
     return float(f) if f.ndim == 0 else f
 
@@ -160,9 +229,8 @@ def decorrelator_closed_form(
     Solves min ||u||^2 + P sum_j |u^H w_j - b_j|^2 exactly:
     u = (sum_j w_j w_j^H + I/P)^(-1) sum_j w_j conj(b_j).
     """
-    return _least_squares_filters(
-        cross_vectors(ch.Hhat, st.v)[k], stage_targets(st, k, l, stage, c), st.P
-    )
+    w, b, _ = _decoders(ch, st, k, l, stage, c)
+    return _least_squares_filters(w, b, st.P)
 
 
 # Smoothed robust residual problems, stacked along a leading batch axis.  In
@@ -182,12 +250,14 @@ class _Problems:
     sigma: np.ndarray  # (B, J) weights of ||x||_d
     rho: float
     P: float
+    AtA: np.ndarray | None = None  # (B, J, 2n, 2n) A_j^T A_j, computed when not given
 
     def __post_init__(self):
         shape = self.A.shape[:2]
         self.s0 = np.broadcast_to(self.s0, shape)
         self.sigma = np.broadcast_to(self.sigma, shape)
-        self.AtA = np.einsum("bjrk,bjrl->bjkl", self.A, self.A)
+        if self.AtA is None:
+            self.AtA = np.einsum("bjrk,bjrl->bjkl", self.A, self.A)
 
     @staticmethod
     def from_complex(C, t, s0, sigma, rho, P) -> "_Problems":
@@ -199,7 +269,8 @@ class _Problems:
 
     def take(self, idx) -> "_Problems":
         return _Problems(
-            self.A[idx], self.beta[idx], self.s0[idx], self.sigma[idx], self.rho, self.P
+            self.A[idx], self.beta[idx], self.s0[idx], self.sigma[idx], self.rho, self.P,
+            self.AtA[idx],
         )
 
     def _terms(self, x: np.ndarray):
@@ -211,10 +282,11 @@ class _Problems:
         nxs = np.sqrt(nx2 + d2)
         return e, az, nx2, nxs, self.s0 + self.sigma * nxs[:, None]
 
-    def evaluate(self, x: np.ndarray, derivatives: bool = False):
-        """f per problem; with derivatives also the gradient and the Hessian."""
+    def evaluate(self, x: np.ndarray, derivatives: bool = False, terms=None):
+        """f per problem; with derivatives also the gradient and the Hessian.
+        terms, when given, are the _terms of x."""
         d2 = _DELTA**2
-        e, az, nx2, nxs, offset = self._terms(x)
+        e, az, nx2, nxs, offset = self._terms(x) if terms is None else terms
         r = az + offset
         f = self.rho * nx2 + self.P * np.sum(r * r - d2, axis=1)
         if not derivatives:
@@ -234,7 +306,7 @@ class _Problems:
         )
         return f, grad, 2 * self.P * hess + 2 * self.rho * eye
 
-    def kinks(self, x, dx, grad, hess, tol):
+    def kinks(self, dx, grad, hess, tol, terms):
         """How the Newton steps dx meet the kinks of |A_j x - beta_j| and ||x||.
 
         Out beyond the smoothing width the Hessian of |.|_d hardly sees a
@@ -252,9 +324,10 @@ class _Problems:
         row is settled when its step crosses no kink and these gains sum to
         at most tol (likewise for ||x||_d, against the curvature of rho ||x||^2).
 
-        Returns (settled per row, rows with a kink step, their steps).
+        terms are the _terms of the current iterates.  Returns (settled per
+        row, rows with a kink step, their steps).
         """
-        e, az, _, nxs, offset = self._terms(x)
+        e, az, _, nxs, offset = terms
         r = az + offset
         moves = np.einsum("bjrk,bk->bjr", self.A, dx)
         crossed = (az > 10 * _DELTA) & (np.einsum("bjr,bjr->bj", e, e + moves) < 0)
@@ -297,7 +370,8 @@ def _newton_batch(
     sub = prob
     for _ in range(max_iter):
         xa = x[active]
-        f, grad, hess = sub.evaluate(xa, derivatives=True)
+        terms = sub._terms(xa)
+        f, grad, hess = sub.evaluate(xa, derivatives=True, terms=terms)
         dx = -np.linalg.solve(hess, grad[..., None])[..., 0]
         slope = np.einsum("bk,bk->b", grad, dx)  # -lambda^2
         step = np.ones(len(active))
@@ -310,7 +384,7 @@ def _newton_batch(
             step[pending] *= 0.5
         x_new = xa + step[:, None] * dx
         f_new = np.where(pending, f, f_new)
-        settled, rows, dk = sub.kinks(xa, dx, grad, hess, tol)
+        settled, rows, dk = sub.kinks(dx, grad, hess, tol, terms)
         if len(rows):
             f_kink = sub.take(rows).evaluate(xa[rows] + dk)
             lower = f_kink < f_new[rows]
@@ -351,17 +425,16 @@ def decorrelator_robust(
     and the zero-bound closed form.  Index arrays k, l (and optional stage-two
     scalings c) fit a whole stack of decoders at once.
 
-    Raises NonConvergenceError, carrying every fitted filter in ``best``,
-    when some fit does not reach cfg.newton_tol within cfg.max_inner_iters
-    Newton steps.
+    Raises NonConvergenceError, carrying every fitted filter in ``best`` and
+    the fits that hit the cap in ``failed``, when some fit does not reach
+    cfg.newton_tol within cfg.max_inner_iters Newton steps.
     """
     cfg = cfg or SolverConfig()
-    w = cross_vectors(ch.Hhat, st.v)[k]
-    b = stage_targets(st, k, l, stage, c)
-    shape, N = b.shape[:-1], w.shape[-1]
-    w, b = w.reshape(-1, *w.shape[-2:]), b.reshape(-1, b.shape[-1])
+    w, b, nv = _decoders(ch, st, k, l, stage, c)
+    shape, (J, N) = b.shape[:-1], w.shape[-2:]
+    w, b = w.reshape(-1, J, N), b.reshape(-1, J)
     prob = _Problems.from_complex(
-        w.conj(), b.conj(), 0.0, ch.epsilon * vector_norms(st.v).reshape(-1), 1.0, st.P
+        w.conj(), b.conj(), 0.0, ch.epsilon * nv.reshape(-1, J), 1.0, st.P
     )
     starts = [
         np.broadcast_to(0.0 if u0 is None else u0, (len(w), N)),
@@ -375,13 +448,18 @@ def decorrelator_robust(
     u = (x[:, :N] + 1j * x[:, N:]).reshape(shape + (N,))
     if not ok.all():
         kk, ll = (np.broadcast_to(i, shape).reshape(-1) for i in (k, l))
-        bad = [(int(kk[i]), int(ll[i])) for i in np.flatnonzero(~ok)]
         raise NonConvergenceError(
-            f"receive-filter Newton solve did not reach newton_tol within "
-            f"{cfg.max_inner_iters} steps for decoders {bad}",
-            best=u,
+            _fit_message(cfg, kk[~ok], ll[~ok]), best=u, failed=~ok.reshape(shape)
         )
     return u
+
+
+def _fit_message(cfg: SolverConfig, k, l) -> str:
+    bad = [(int(i), int(j)) for i, j in zip(k, l)]
+    return (
+        f"receive-filter Newton solve did not reach newton_tol within "
+        f"{cfg.max_inner_iters} steps for decoders {bad}"
+    )
 
 
 def _scaling_value(ch, st, k, l, c):
@@ -412,9 +490,9 @@ def scaling_candidates(ch: ChannelSet, st: DesignState, k, l, cfg: SolverConfig 
     kk, ll = (np.broadcast_to(i, shape).reshape(-1) for i in (k, l))
     a = st.a[kk, ll].reshape(len(kk), -1)
     ut = st.utilde[kk, ll]
-    q = np.einsum("...ja,...a->...j", cross_vectors(ch.Hhat, st.v)[kk], ut.conj())
-    q = q - own_stream_indicator(st.K, st.L)[kk, ll].reshape(q.shape)
-    s = ch.epsilon * vector_norms(st.v).reshape(-1) * vector_norms(ut)[..., None]
+    q = np.einsum("...ja,...a->...j", _cross(ch, st)[kk], ut.conj())
+    q = q - own_stream_indicator(st.K, st.L)[kk % st.K, ll].reshape(q.shape)
+    s = ch.epsilon * _stream_norms(st)[kk] * vector_norms(ut)[..., None]
     live = np.any(a != 0, axis=1)
 
     c_rel = np.zeros(len(kk), dtype=complex)
@@ -472,19 +550,18 @@ def optimize_scaling(ch: ChannelSet, st: DesignState, k: int, l: int) -> Gaussia
 
 
 def _fit_filters(ch, st, k, l, stage, cfg, u0, c=None):
-    """Candidate filters for a stack of decoders, plus the error of a capped fit."""
+    """Candidate filters for a stack of decoders, and which fits hit the cap."""
+    none = np.zeros(len(k), dtype=bool)
     if ch.epsilon == 0:
-        return decorrelator_closed_form(ch, st, k, l, stage, c), None
+        return decorrelator_closed_form(ch, st, k, l, stage, c), none
     try:
-        return decorrelator_robust(ch, st, k, l, stage, cfg, u0=u0, c=c), None
+        return decorrelator_robust(ch, st, k, l, stage, cfg, u0=u0, c=c), none
     except NonConvergenceError as exc:
-        return exc.best, exc
+        return exc.best, exc.failed
 
 
-def _stage2_joint_update(
-    ch: ChannelSet, st: DesignState, cfg: SolverConfig
-) -> tuple[bool, NonConvergenceError | None]:
-    """Best (scaling, stage-two filter) pair of every decoder, written into st.
+def _stage2_joint_update(ch: ChannelSet, st, cfg: SolverConfig, kk, ll):
+    """Best (scaling, stage-two filter) pair of decoders (kk, ll), written into st.
 
     Scoring a candidate scaling with the current filter understates it, and
     pure coordinate descent over (utilde, c) can lock onto whichever scaling
@@ -497,9 +574,10 @@ def _stage2_joint_update(
     objective can increase.  Decoders do not interact here, so all refits of
     all decoders run as one batch.
 
-    Returns whether any scaling changed and the error of a capped fit.
+    Returns, per decoder, its stage-two objective after the update, whether
+    a new pair was written and whether its scaling changed; then the
+    decoders (k, l) of the refits that hit the iteration cap.
     """
-    kk, ll = np.divmod(np.arange(st.K * st.L), st.L)
     cands = scaling_candidates(ch, st, kk, ll, cfg)
     # the NaN padding scores NaN, which a sort puts last
     proxy = _scaling_value(ch, st, kk[:, None], ll[:, None], cands)
@@ -508,23 +586,23 @@ def _stage2_joint_update(
     ok = ~np.isnan(cands)
     owner = np.nonzero(ok)[0]
     kr, lr, cr = kk[owner], ll[owner], cands[ok]
-    u_g, err = _fit_filters(ch, st, kr, lr, 2, cfg, st.utilde[kr, lr], c=cr)
+    u_g, failed = _fit_filters(ch, st, kr, lr, 2, cfg, st.utilde[kr, lr], c=cr)
     f_g = np.full(cands.shape, np.inf)
     f_g[ok] = decorrelator_objective(ch, st, kr, lr, 2, u_g, c=cr)
     u_all = np.zeros(cands.shape + u_g.shape[-1:], dtype=complex)
     u_all[ok] = u_g
     best = np.arange(len(kk)), np.argmin(f_g, axis=1)  # first of the best in rank order
-    take = f_g[best] < decorrelator_objective(ch, st, kk, ll, 2, st.utilde[kk, ll])
-    c_new = cands[best][take]
-    changed = bool(np.any(c_new != st.c[kk[take], ll[take]]))
-    st.c[kk[take], ll[take]] = c_new
+    f_cur = decorrelator_objective(ch, st, kk, ll, 2, st.utilde[kk, ll])
+    take = f_g[best] < f_cur
+    changed = take & (cands[best] != st.c[kk, ll])
+    st.c[kk[take], ll[take]] = cands[best][take]
     st.utilde[kk[take], ll[take]] = u_all[best][take]
-    return changed, err
+    return np.where(take, f_g[best], f_cur), take, changed, (kr[failed], lr[failed])
 
 
 def optimize_receivers(
-    ch: ChannelSet, st: DesignState, cfg: SolverConfig | None = None
-) -> tuple[DesignState, list[np.ndarray]]:
+    ch: ChannelSet, st: DesignState | list[DesignState], cfg: SolverConfig | None = None
+) -> tuple:
     """Receive-side block: refit every u once, then alternate utilde and c.
 
     Precoders and combination coefficients stay fixed.  Each u is the exact
@@ -532,43 +610,82 @@ def optimize_receivers(
     c) pair is improved jointly until a fixed point, and every update is
     accepted only if it lowers its objective, so the per-decoder rate bounds
     are non-decreasing along the returned trace of stage-two rate arrays.
+    The fixed point is reached after a sweep that writes nothing (a further
+    sweep would repeat it), or once no scaling changed and no stage-two rate
+    moved by rate_tol since the sweep before.
+
+    st may also be a list of designs on this channel.  Their decoders are
+    rows of the same batches, while each design keeps its own stop test,
+    cap and error, so every design gets the result of a block of its own.
+    Returns (states, traces) for a list.
 
     Raises NonConvergenceError with the finished state in ``best`` when the
-    fixed point or one of the filter fits hit its iteration cap.
+    fixed point or one of the filter fits hit its iteration cap.  For a list
+    the error is the first failing design's, with every design's state and
+    trace in ``best`` and ``trace`` and each design's own error, or None, in
+    ``failed``.
     """
     cfg = cfg or SolverConfig()
-    st = st.copy()
-    kk, ll = np.divmod(np.arange(st.K * st.L), st.L)
-    live = np.any(st.a != 0, axis=(2, 3)).reshape(-1)
-    st.u[kk[~live], ll[~live]] = 0.0  # no aggregate to decode
-    err = None
+    designs = [st] if isinstance(st, DesignState) else list(st)
+    S = _Stack.of(designs)
+    K, L, n = S.K, S.L, len(designs)
+    kk, ll = np.divmod(np.arange(len(S.c) * L), L)
+    errs: list[str | None] = [None] * n  # each design's first capped fit
+
+    def note(k, l):
+        for d in np.unique(k // K):
+            mine = k // K == d
+            errs[d] = errs[d] or _fit_message(cfg, k[mine] % K, l[mine])
+
+    live = np.any(S.a != 0, axis=(2, 3)).reshape(-1)
+    S.u[kk[~live], ll[~live]] = 0.0  # no aggregate to decode
     if live.any():
         k1, l1 = kk[live], ll[live]
-        cur = st.u[k1, l1]
-        cand, err = _fit_filters(ch, st, k1, l1, 1, cfg, cur)
-        better = decorrelator_objective(ch, st, k1, l1, 1, cand) < decorrelator_objective(
-            ch, st, k1, l1, 1, cur
+        cur = S.u[k1, l1]
+        cand, failed = _fit_filters(ch, S, k1, l1, 1, cfg, cur)
+        note(k1[failed], l1[failed])
+        better = decorrelator_objective(ch, S, k1, l1, 1, cand) < decorrelator_objective(
+            ch, S, k1, l1, 1, cur
         )
-        st.u[k1[better], l1[better]] = cand[better]
+        S.u[k1[better], l1[better]] = cand[better]
 
-    trace: list[np.ndarray] = []
-    prev_mu = None
-    for _ in range(cfg.max_inner_iters):
-        c_changed, err2 = _stage2_joint_update(ch, st, cfg)
-        err = err if err is not None else err2
-        mu_t = np.log2(st.P / stage2_denominators(ch, st))
-        trace.append(mu_t)
-        if prev_mu is not None and not c_changed:
-            if float(np.max(np.abs(mu_t - prev_mu))) < cfg.rate_tol:
-                if err is not None:
-                    raise NonConvergenceError(
-                        f"receive-side block: {err}", best=st, trace=trace
-                    ) from err
-                return st, trace
-        prev_mu = mu_t
-    raise NonConvergenceError(
-        "receive-side fixed-point iteration hit the iteration cap", best=st, trace=trace
-    )
+    traces: list[list[np.ndarray]] = [[] for _ in range(n)]
+    prev: list[np.ndarray | None] = [None] * n
+    running = np.ones(n, dtype=bool)
+    for sweep in range(cfg.max_inner_iters):
+        rows = running[kk // K]
+        noise, wrote, changed, capped = _stage2_joint_update(ch, S, cfg, kk[rows], ll[rows])
+        note(*capped)
+        mu = np.log2(S.P / noise).reshape(-1, K, L)
+        wrote, changed = wrote.reshape(-1, K * L).any(1), changed.reshape(-1, K * L).any(1)
+        for i, d in enumerate(np.flatnonzero(running)):
+            traces[d].append(mu[i])
+            settled = prev[d] is not None and not changed[i]
+            settled = settled and float(np.max(np.abs(mu[i] - prev[d]))) < cfg.rate_tol
+            if settled or not wrote[i] and sweep + 1 < cfg.max_inner_iters:
+                running[d] = False
+            prev[d] = mu[i]
+        if not running.any():
+            break
+
+    states = S.designs()
+    errors: list[NonConvergenceError | None] = [None] * n
+    for d in range(n):
+        if running[d]:
+            msg = "receive-side fixed-point iteration hit the iteration cap"
+        elif errs[d]:
+            msg = f"receive-side block: {errs[d]}"
+        else:
+            continue
+        errors[d] = NonConvergenceError(msg, best=states[d], trace=traces[d])
+    if isinstance(st, DesignState):
+        if errors[0] is not None:
+            raise errors[0]
+        return states[0], traces[0]
+    first = next((e for e in errors if e is not None), None)
+    if first is not None:
+        raise NonConvergenceError(str(first), best=states, trace=traces, failed=errors)
+    return states, traces
 
 
 # ---------------------------------------------------------------------------
@@ -817,51 +934,27 @@ def _reduce_common_divisors(st: DesignState) -> DesignState:
     return out
 
 
-def _refit_receivers(ch, st, solver):
-    """optimize_receivers, with the finished state of a capped block and its error."""
+def _refit_receivers(ch, states, solver):
+    """optimize_receivers over a list of designs: each design's finished
+    state, the capped block's own one included, and its error."""
     try:
-        return optimize_receivers(ch, st, solver)[0], None
+        return [(st, None) for st in optimize_receivers(ch, states, solver)[0]]
     except NonConvergenceError as exc:
-        return exc.best, exc
+        return [(st, err) for st, err in zip(exc.best, exc.failed)]
 
 
-def solve(
-    ch: ChannelSet,
-    cfg: SystemConfig,
-    solver: SolverConfig | None = None,
-    init_state: DesignState | None = None,
-) -> tuple[DesignState, RateReport, SolveTrace]:
-    """Full alternating solve of the robust max-min design.
-
-    Alternates the receive-side and transmit-side blocks from init_state, or
-    from initial_state(ch, cfg) when none is given; a transmit-side step is
-    accepted only when it does not lower the worst rate bound, so the
-    pre-quantization trace of r_min is non-decreasing.  The loop stops at the
-    first rejected transmit step, because the state is then the receive
-    block's own output and another sweep would refit nothing and repeat the
-    same rejected barrier solve.  After an accepted step it stops once r_min
-    moved by at most rate_tol (relative to max(1, |r_min|)).  Afterwards the
-    relaxed coefficients are rounded to Gaussian integers, common divisors are
-    removed, and the receive side is refit once against the final integers.
-
-    Returns (state, report, trace); trace.converged is False when the outer
-    loop or a sub-block hit its iteration budget, and trace.stop_reason says
-    why the loop stopped.
-    """
-    solver = solver or SolverConfig()
-    if (ch.K, ch.M, ch.N) != (cfg.K, cfg.M, cfg.N):
-        raise ConfigurationError(
-            f"channel dimensions {(ch.K, ch.M, ch.N)} do not match config "
-            f"{(cfg.K, cfg.M, cfg.N)}"
-        )
+def _alternate(ch: ChannelSet, cfg: SystemConfig, solver: SolverConfig, st: DesignState):
+    """The alternating solve of one design, as a generator: it yields each
+    state that needs a receive-side block, is sent back that block's
+    (state, error) and returns (state, report, trace)."""
     trace = SolveTrace()
-    st = initial_state(ch, cfg) if init_state is None else init_state.copy()
     r_prev = -np.inf
     outer = 0
     for outer in range(solver.max_outer_iters):
-        st, err = _refit_receivers(ch, st, solver)
+        st, err = yield st
         if outer == 0:
             trace.first_receivers = st
+            trace.first_receivers_error = "" if err is None else str(err)
         if err is not None:
             trace.converged = False
             trace.stop_reason = f"optimize_receivers: {err}"
@@ -887,7 +980,7 @@ def solve(
 
     st = _quantize_coefficients(st)
     st = _reduce_common_divisors(st)
-    st, err = _refit_receivers(ch, st, solver)
+    st, err = yield st
     if err is not None:
         trace.converged = False
         trace.stop_reason += f"; final receive refit: {err}"
@@ -901,6 +994,79 @@ def solve(
         if st.power(k) > cfg.gamma + 1e-9:
             raise PowerBudgetError(k, st.power(k), cfg.gamma)
     return st, report, trace
+
+
+class SolveTraces(list):
+    """The traces of a solve over a list of designs, one per design."""
+
+    @property
+    def converged(self) -> bool:
+        """Whether every design converged."""
+        return all(tr.converged for tr in self)
+
+
+def solve(
+    ch: ChannelSet,
+    cfg: SystemConfig,
+    solver: SolverConfig | None = None,
+    init_state: DesignState | list[DesignState] | None = None,
+):
+    """Full alternating solve of the robust max-min design.
+
+    Alternates the receive-side and transmit-side blocks from init_state, or
+    from initial_state(ch, cfg) when none is given; a transmit-side step is
+    accepted only when it does not lower the worst rate bound, so the
+    pre-quantization trace of r_min is non-decreasing.  The loop stops at the
+    first rejected transmit step, because the state is then the receive
+    block's own output and another sweep would refit nothing and repeat the
+    same rejected barrier solve.  After an accepted step it stops once r_min
+    moved by at most rate_tol (relative to max(1, |r_min|)).  Afterwards the
+    relaxed coefficients are rounded to Gaussian integers, common divisors are
+    removed, and the receive side is refit once against the final integers.
+
+    Returns (state, report, trace); trace.converged is False when the outer
+    loop or a sub-block hit its iteration budget, and trace.stop_reason says
+    why the loop stopped.
+
+    init_state may also be a list of start designs.  They are solved in
+    lock-step: each round makes one optimize_receivers call over every design
+    that needs a receive block (a loop block or its final refit), then runs
+    each design's own transmit step, acceptance test and rounding.  Every
+    design gets the bits a solve of it alone gives.  Returns three lists
+    (states, reports, traces), with traces a SolveTraces.  An error is
+    raised for the first design in list order that raises one.
+    """
+    solver = solver or SolverConfig()
+    if (ch.K, ch.M, ch.N) != (cfg.K, cfg.M, cfg.N):
+        raise ConfigurationError(
+            f"channel dimensions {(ch.K, ch.M, ch.N)} do not match config "
+            f"{(cfg.K, cfg.M, cfg.N)}"
+        )
+    single = not isinstance(init_state, (list, tuple))
+    starts = [init_state] if single else list(init_state)
+    runs = [
+        _alternate(ch, cfg, solver, initial_state(ch, cfg) if st0 is None else st0.copy())
+        for st0 in starts
+    ]
+    results: list = [None] * len(runs)
+    waiting = {d: next(run) for d, run in enumerate(runs)}
+    while waiting:
+        blocks = _refit_receivers(ch, list(waiting.values()), solver)
+        for d, block in zip(list(waiting), blocks):
+            try:
+                waiting[d] = runs[d].send(block)
+            except StopIteration as done:
+                results[d] = done.value
+                del waiting[d]
+            except Exception as exc:  # raised below, in start order
+                results[d] = exc
+                del waiting[d]
+    for res in results:
+        if isinstance(res, Exception):
+            raise res
+    if single:
+        return results[0]
+    return [r[0] for r in results], [r[1] for r in results], SolveTraces(r[2] for r in results)
 
 
 def _objective_key(st: DesignState, report: RateReport, objective: str) -> float:
@@ -944,27 +1110,27 @@ def multi_start(
     that solve's first receive block.  The latter never trails any
     fixed-filter single-user rate for the same precoders, which makes a
     known-good design (for example an alignment solution) a floor for the
-    returned objective.
-    """
-    if n_starts < 1:
-        raise ConfigurationError("n_starts must be at least 1")
-    solver = solver or SolverConfig()
-    starts = [initial_state(ch, cfg, "identity_like")]
-    if n_starts > 1:
-        try:
-            starts.append(initial_state(ch, cfg, "ia_seed"))
-        except ConfigurationError:
-            pass  # no alignment seed for this geometry
-    for child in np.random.SeedSequence(cfg.seed).spawn(n_starts - len(starts)):
-        starts.append(initial_state(ch, cfg, "random_unit", seed=int(child.generate_state(1)[0])))
+    returned objective.  Its trace carries over that block's convergence and
+    error.
 
-    results = [solve(ch, cfg, solver, init_state=st0) for st0 in starts]
-    for V in extra_precoders:
-        seeded = solve(ch, cfg, solver, init_state=state_from_precoders(cfg, V))
-        results.append(seeded)
-        st_rx = seeded[2].first_receivers
+    All starts and seeded solves go to one solve call, which runs them in
+    lock-step with one receive-side batch per round; each result is the one
+    a solve of that start alone gives.
+    """
+    solver = solver or SolverConfig()
+    starts = _starts(ch, cfg, n_starts)
+    seeded = [state_from_precoders(cfg, V) for V in extra_precoders]
+    solved = list(zip(*solve(ch, cfg, solver, init_state=starts + seeded)))
+    results = solved[: len(starts)]
+    for result in solved[len(starts) :]:
+        # the seeded solve, then its first receive block on its own
+        results.append(result)
+        st_rx, err = result[2].first_receivers, result[2].first_receivers_error
         rep_rx = rate_report(ch, st_rx)
-        tr_rx = SolveTrace(stop_reason="receive-only fit")
+        tr_rx = SolveTrace(
+            converged=not err,
+            stop_reason="receive-only fit" + (f"; optimize_receivers: {err}" if err else ""),
+        )
         tr_rx.add(0, "receivers", rep_rx.r_min, 0.0)
         results.append((st_rx, rep_rx, tr_rx))
 
@@ -976,3 +1142,18 @@ def multi_start(
             best = result
             best_key = key
     return best
+
+
+def _starts(ch: ChannelSet, cfg: SystemConfig, n_starts: int) -> list[DesignState]:
+    """The start designs of multi_start (see there), in order."""
+    if n_starts < 1:
+        raise ConfigurationError("n_starts must be at least 1")
+    starts = [initial_state(ch, cfg, "identity_like")]
+    if n_starts > 1:
+        try:
+            starts.append(initial_state(ch, cfg, "ia_seed"))
+        except ConfigurationError:
+            pass  # no alignment seed for this geometry
+    for child in np.random.SeedSequence(cfg.seed).spawn(n_starts - len(starts)):
+        starts.append(initial_state(ch, cfg, "random_unit", seed=int(child.generate_state(1)[0])))
+    return starts

@@ -1,9 +1,12 @@
 """Alternating solver: gradients, blocks, safeguards, full pipeline."""
 
+import re
+
 import numpy as np
 import pytest
 
 from latticealign.channel import (
+    ChannelSet,
     SystemConfig,
     complex_gaussian,
     generate_channels,
@@ -30,6 +33,7 @@ from latticealign.solver import (
     _Problems,
     _scaling_value,
     _stage2_joint_update,
+    _starts,
     decorrelator_closed_form,
     decorrelator_objective,
     decorrelator_robust,
@@ -678,12 +682,16 @@ def test_solve_stop_reasons():
 
 @pytest.mark.parametrize("eps", [0.0, 0.1])
 @pytest.mark.parametrize("shape", _SHAPES)
-def test_receive_block_is_idempotent(shape, eps):
+def test_receive_block_is_idempotent(shape, eps, monkeypatch):
     """Refitting the receive side on its own output accepts nothing that
-    moves a rate: the property that lets solve stop at a rejected step."""
+    moves a rate: the property that lets solve stop at a rejected step.  Its
+    first sweep writes nothing, so the refit stops after that one sweep."""
     ch, cfg, st = _shaped_instance(*shape, eps, seed=700 + sum(shape))
     once, _ = optimize_receivers(ch, st)
-    twice, _ = optimize_receivers(ch, once)
+    calls = _count_calls(monkeypatch, "_stage2_joint_update")
+    twice, trace = optimize_receivers(ch, once)
+    assert len(calls["_stage2_joint_update"]) == len(trace) == 1
+    assert not calls["_stage2_joint_update"][0][1].any()  # nothing written
     assert np.array_equal(twice.c, once.c) and np.array_equal(twice.a, once.a)
     assert abs(rate_report(ch, twice).r_min - rate_report(ch, once).r_min) <= 1e-12
     if eps == 0:
@@ -831,7 +839,8 @@ def test_scaling_array_matches_per_decoder_lists(shape, eps):
         for d, box in enumerate(_box_reference(ch, st, kk, ll)):
             assert _same_bits(cands[d, : len(box)], np.array([complex(g) for g in box]))
             assert np.all(np.isnan(cands[d, len(box):]))
-        changed, _ = _stage2_joint_update(ch, st, SolverConfig())
+        _, _, changed, _ = _stage2_joint_update(ch, st, SolverConfig(), kk, ll)
+        changed = bool(changed.any())
         assert changed == _joint_update_reference(ch, ref, SolverConfig())
         assert _same_bits(st.c, ref.c) and _same_bits(st.utilde, ref.utilde)
         changes.append(changed)
@@ -889,15 +898,49 @@ def test_multi_start_builds_the_alignment_start_once(monkeypatch):
     assert calls == [1]
 
 
-@pytest.mark.parametrize("eps", [0.0, 0.1])
-@pytest.mark.parametrize("shape", _SHAPES)
-def test_multi_start_invariants_on_every_shape(shape, eps):
-    """A full multi-start design keeps the solver's promises on L >= 2,
-    K = 4 and M != N: monotone trace, power budget, divisor-free integer
-    coefficients and Gaussian-integer scalings."""
+def _rank_one_links(ch, links=((0, 0), (2, 0))):
+    """ch with the estimates of the given links (here a direct and a cross
+    link) cut to rank one, and the true channels moved with them, so that
+    every link keeps its estimation error and stays inside the ball."""
+    delta = ch.Hhat - ch.H
+    Hhat = ch.Hhat.copy()
+    for k, i in links:
+        U, s, Vh = np.linalg.svd(Hhat[k, i])
+        Hhat[k, i] = s[0] * np.outer(U[:, 0], Vh[0])
+    return ChannelSet(H=Hhat - delta, Hhat=Hhat, epsilon=ch.epsilon)
+
+
+# every _SHAPES entry at eps 0 and 0.1, then K = 3, M = N = 2 at 10 dB with
+# rank-one links, with an error ball of radius 2, and with both
+_CASES = [
+    pytest.param(shape, eps, id=f"shape{i}-{eps}")
+    for i, shape in enumerate(_SHAPES)
+    for eps in (0.0, 0.1)
+] + [
+    pytest.param("rank_one", 0.1, id="rank_one-0.1"),
+    pytest.param("full_rank", 2.0, id="full_rank-2.0"),
+    pytest.param("rank_one", 2.0, id="rank_one-2.0"),
+]
+
+
+def _case_instance(shape, eps):
+    if isinstance(shape, str):
+        cfg = SystemConfig(K=3, M=2, N=2, L=1, P=10.0, epsilon=eps, seed=11)
+        ch = perturb_csi(generate_channels(cfg), eps, seed=12)
+        return (_rank_one_links(ch) if shape == "rank_one" else ch), cfg
     K, L, M, N = shape
     cfg = SystemConfig(K=K, M=M, N=N, L=L, P=10.0, epsilon=eps, seed=1300 + sum(shape))
-    ch = perturb_csi(generate_channels(cfg), eps, seed=cfg.seed + 10_000)
+    return perturb_csi(generate_channels(cfg), eps, seed=cfg.seed + 10_000), cfg
+
+
+@pytest.mark.parametrize("shape, eps", _CASES)
+def test_multi_start_invariants_on_every_shape(shape, eps):
+    """A full multi-start design keeps the solver's promises on L >= 2,
+    K = 4, M != N, rank-one links and an error ball of radius 2: monotone
+    trace, power budget, divisor-free integer coefficients and
+    Gaussian-integer scalings."""
+    ch, cfg = _case_instance(shape, eps)
+    K, L = cfg.K, cfg.L
     st, _, trace = multi_start(ch, cfg, n_starts=2)
     series = trace.pre_quantize_series()
     assert all(cur >= prev - 1e-9 for prev, cur in zip(series, series[1:]))
@@ -907,3 +950,131 @@ def test_multi_start_invariants_on_every_shape(shape, eps):
             assert common_divisor(st.coeff_vector(k, l)) is None
     assert np.array_equal(st.c, np.round(st.c.real) + 1j * np.round(st.c.imag))
     assert trace.converged
+
+
+# ---------------------------------------------------------------------------
+# lock-step solve of several designs against one-design solves
+# ---------------------------------------------------------------------------
+
+
+def _same_design(x, y):
+    return all(_same_bits(getattr(x, f), getattr(y, f)) for f in ("v", "u", "utilde", "a", "c"))
+
+
+def _assert_same_solve(got, want):
+    (st, rep, tr), (st1, rep1, tr1) = got, want
+    assert _same_design(st, st1)
+    for name in ("mu", "mu_tilde", "alignment"):
+        assert _same_bits(getattr(rep, name), getattr(rep1, name))
+    assert rep.r_min == rep1.r_min
+    assert tr.records == tr1.records
+    assert (tr.stop_reason, tr.converged) == (tr1.stop_reason, tr1.converged)
+    assert tr.first_receivers_error == tr1.first_receivers_error
+    assert _same_design(tr.first_receivers, tr1.first_receivers)
+
+
+def _lockstep_starts(ch, cfg):
+    """multi_start's start list at n_starts=3 plus one seeded precoder set."""
+    extra = complex_gaussian(np.random.default_rng(cfg.seed + 1), (cfg.K, cfg.L, cfg.M))
+    return _starts(ch, cfg, 3) + [state_from_precoders(cfg, extra)]
+
+
+@pytest.mark.parametrize("shape, eps", _CASES)
+def test_lockstep_solve_equals_one_design_solves(shape, eps):
+    """Solving a list of designs in lock-step gives every design the bits of
+    a solve of that design alone: state, report, trace and first block."""
+    ch, cfg = _case_instance(shape, eps)
+    starts = _lockstep_starts(ch, cfg)
+    states, reports, traces = solve(ch, cfg, init_state=starts)
+    assert len(states) == len(reports) == len(traces) == len(starts)
+    for d, st0 in enumerate(starts):
+        _assert_same_solve((states[d], reports[d], traces[d]), solve(ch, cfg, init_state=st0))
+
+
+def test_lockstep_capped_designs_keep_their_own_errors():
+    """With a receive cap that some designs hit and others do not, each
+    design's error names only its own decoders, as a solve of it alone."""
+    cfg = SystemConfig(K=3, M=2, N=2, L=1, P=10.0, epsilon=0.1, seed=42)
+    ch = perturb_csi(generate_channels(cfg), 0.1, seed=52)
+    extra = complex_gaussian(np.random.default_rng(2), (3, 1, 2))
+    starts = _starts(ch, cfg, 3) + [state_from_precoders(cfg, extra)]
+    capped = SolverConfig(max_inner_iters=4)
+    states, reports, traces = solve(ch, cfg, capped, init_state=starts)
+    assert {tr.converged for tr in traces} == {True, False}
+    assert not traces.converged
+    for d, st0 in enumerate(starts):
+        _assert_same_solve((states[d], reports[d], traces[d]), solve(ch, cfg, capped, init_state=st0))
+        named = re.findall(r"\((\d+), (\d+)\)", traces[d].stop_reason)
+        assert all(int(k) < cfg.K for k, _ in named)
+
+    with pytest.raises(NonConvergenceError) as info:
+        optimize_receivers(ch, starts, capped)
+    assert len(info.value.failed) == len(info.value.best) == len(starts)
+    for st0, st_d, err in zip(starts, info.value.best, info.value.failed):
+        try:
+            alone, msg = optimize_receivers(ch, st0, capped)[0], None
+        except NonConvergenceError as exc:
+            alone, msg = exc.best, str(exc)
+        assert (None if err is None else str(err)) == msg
+        assert _same_design(st_d, alone)
+
+
+def test_lockstep_raises_the_first_failing_design_in_start_order(monkeypatch):
+    """A design that raises is dropped from the lock-step; the error raised
+    is the first one in start order, not the first one in time."""
+    from latticealign import solver as solver_mod
+
+    ch, cfg = _random_instance(seed=46)
+    fine = state_from_precoders(cfg, np.ones((3, 1, 2), dtype=complex))
+    over = {}
+    for user in (0, 2):
+        over[user] = fine.copy()
+        over[user].v[user] *= 2.0
+
+    def transmit(ch, st, gamma, cfg=None):
+        # keep the precoders; the design over budget on user 2 gets a worse
+        # step, so it stops and raises a round before the other one
+        st = st.copy()
+        if st.power(2) > 2 * gamma:
+            st.utilde[:] = 0.0
+        return st, 0.0
+
+    monkeypatch.setattr(solver_mod, "optimize_precoders", transmit)
+    calls = _count_calls(monkeypatch, "optimize_receivers")
+    with pytest.raises(PowerBudgetError, match="user 2"):
+        solve(ch, cfg, init_state=[fine, over[2], over[0]])
+    with pytest.raises(PowerBudgetError, match="user 0"):
+        solve(ch, cfg, init_state=[fine, over[0], over[2]])
+    assert len(calls["optimize_receivers"]) == 6  # over[2] raised in round 2 of 3
+    states, _, traces = solve(ch, cfg, init_state=[fine, fine])
+    assert traces.converged and _same_design(states[0], states[1])
+
+
+def test_receive_only_candidate_carries_a_capped_first_block(monkeypatch):
+    """The receive-only candidate of an extra precoder set reads
+    non-converged, with the block's error, when that block hit its cap."""
+    from latticealign import solver as solver_mod
+
+    ch, cfg = _random_instance(eps=0.1, seed=42, P=20.0)
+    V = complex_gaussian(np.random.default_rng(43), (cfg.K, cfg.L, cfg.M))
+    seen = []
+
+    def last_wins(st, report, objective):  # the receive-only candidate comes last
+        seen.append(st)
+        return float(len(seen))
+
+    monkeypatch.setattr(solver_mod, "_objective_key", last_wins)
+    for solver, converged in ((SolverConfig(), True), (SolverConfig(max_inner_iters=1), False)):
+        seen.clear()
+        _, _, seeded = solve(ch, cfg, solver, init_state=state_from_precoders(cfg, V))
+        st, _, trace = multi_start(ch, cfg, 1, solver, extra_precoders=(V,))
+        assert len(seen) == 3 and _same_design(st, seeded.first_receivers)
+        assert trace.converged is converged is not bool(seeded.first_receivers_error)
+        if converged:
+            assert trace.stop_reason == "receive-only fit"
+        else:
+            assert trace.stop_reason == (
+                f"receive-only fit; optimize_receivers: {seeded.first_receivers_error}"
+            )
+            assert "receive-side" in trace.stop_reason
+        assert [(rec.iter, rec.stage) for rec in trace.records] == [(0, "receivers")]
