@@ -9,9 +9,9 @@ class NonConvergenceError(RuntimeError):
     """Raised when an iterative solve exhausts its iteration budget.
 
     Carries the best iterate seen so far in ``best`` and, when available,
-    the trace collected up to the failure in ``trace``.  A batched call sets
-    ``failed``, one entry per item of ``best``: a boolean per fitted row, or
-    for a list of designs each design's own error (None where it converged).
+    the trace collected up to the failure in ``trace``.  A batched filter
+    fit sets ``failed``, a boolean per fitted row of ``best`` that is True
+    where that fit hit the cap.
     """
 
     def __init__(self, message, best=None, trace=None, failed=None):

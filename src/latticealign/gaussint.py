@@ -163,14 +163,8 @@ class CoeffVector:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def is_all_zero(self) -> bool:
-        return all(e.is_zero() for e in self.entries)
-
     def nonzero_entries(self) -> list[GaussianInt]:
         return [e for e in self.entries if not e.is_zero()]
-
-    def to_complex(self) -> list[complex]:
-        return [complex(e) for e in self.entries]
 
 
 def common_divisor(vec: CoeffVector) -> GaussianInt | None:

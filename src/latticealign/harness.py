@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import numbers
 import time
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
@@ -78,6 +79,11 @@ class ExperimentSpec:
         for name in ("K_grid", "snr_db_grid", "epsilon_grid"):
             if not getattr(self, name):
                 raise ConfigurationError(f"{name} must be non-empty")
+        for name in ("trials", "n_starts", "dist_ia_iters", "seed", "K_grid"):
+            value = getattr(self, name)
+            for x in value if name == "K_grid" else (value,):
+                if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+                    raise ConfigurationError(f"{name} takes integers only, got {x!r}")
         if any(k < 1 for k in self.K_grid):
             raise ConfigurationError("K_grid entries must be >= 1")
         if any(e < 0 for e in self.epsilon_grid):

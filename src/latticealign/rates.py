@@ -127,18 +127,13 @@ class DesignState:
 def stage_targets(st: DesignState, k, l, stage: int, c=None) -> np.ndarray:
     """Residual targets of decoders (k, l), one (K*L,) row each: a for stage
     one, c a + e_own for stage two, with the scalings c defaulting to st.c.
-    k and l index like st.c: integers, index arrays or slices.  st may also
-    hold the users of several designs one after another (st.c has a
-    multiple of st.K rows); the own stream then repeats with each design."""
+    k and l index like st.c: integers, index arrays or slices."""
     shape = np.shape(st.c[k, l]) + (-1,)
     a = st.a[k, l].reshape(shape)
     if stage == 1:
         return a
     c = np.asarray(st.c[k, l] if c is None else c, dtype=complex)
-    own = own_stream_indicator(st.K, st.L)
-    if len(st.c) > st.K:
-        own = np.tile(own, (len(st.c) // st.K, 1, 1, 1))
-    return c[..., None] * a + own[k, l].reshape(shape)
+    return c[..., None] * a + own_stream_indicator(st.K, st.L)[k, l].reshape(shape)
 
 
 def _denominators(ch: ChannelSet, st: DesignState, stage: int) -> np.ndarray:

@@ -28,7 +28,7 @@ lock-step: each round makes one receive-side call over every design that
 needs a receive block, where the decoders of all of them are rows of the
 same batched fits, and then runs each design's own transmit step.  Each
 design keeps its own stop tests, caps and errors, so it ends with the bits
-a solve of that design alone gives.
+a solve of that design alone gives; optimize_receivers returns those errors.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from .rates import (
     robust_noise,
     stage1_denominators,
     stage2_denominators,
-    stage_targets,
     vector_norms,
 )
 
@@ -155,9 +154,13 @@ _FIELDS = ("v", "u", "utilde", "a", "c")  # the per-user arrays of a design
 class _Stack:
     """Designs on one channel, stacked for one batch of per-decoder work.
 
-    Their users come one after another: user k of design d is row d * K + k
-    of v, u, utilde, a and c, and a keeps its per-design (K, L) tail, so the
-    per-decoder pieces index a stack like one design with more users.
+    This is the only code that knows the stacked layout.  The users of the
+    designs come one after another: user k of design d is row d * K + k of
+    v, u, utilde, a and c, and a keeps its per-design (K, L) tail, so the
+    per-decoder pieces index a stack like one design with more users.  Each
+    user row's cross vectors w (K*L, N) and stream norms nv (K*L,) are built
+    once, with the stack: they depend only on the precoders, which a receive
+    block never changes.
     """
 
     v: np.ndarray
@@ -167,17 +170,26 @@ class _Stack:
     c: np.ndarray
     P: float
     K: int
+    w: np.ndarray  # (users, K*L, N): each user row's view of its design's streams
+    nv: np.ndarray  # (users, K*L): the stream norms ||v_j|| of each user row's design
 
     @property
     def L(self) -> int:
         return self.v.shape[1]
 
     @staticmethod
-    def of(designs: list[DesignState]) -> "_Stack":
+    def of(ch: ChannelSet, designs) -> "_Stack":
+        """The stack of designs on ch: a list, one DesignState, or a _Stack as it is."""
+        if isinstance(designs, _Stack):
+            return designs
+        if isinstance(designs, DesignState):
+            designs = [designs]
         if len({st.P for st in designs}) > 1:
             raise ConfigurationError("stacked designs must share the per-stream power P")
         fields = [np.concatenate([getattr(st, f) for st in designs]) for f in _FIELDS]
-        return _Stack(*fields, P=designs[0].P, K=designs[0].K)
+        w = np.concatenate([cross_vectors(ch.Hhat, st.v) for st in designs])
+        nv = np.concatenate([np.tile(vector_norms(st.v).reshape(-1), (st.K, 1)) for st in designs])
+        return _Stack(*fields, P=designs[0].P, K=designs[0].K, w=w, nv=nv)
 
     def designs(self) -> list[DesignState]:
         """The stacked designs, as states that view the stack's arrays."""
@@ -187,21 +199,24 @@ class _Stack:
             for i in range(0, len(self.v), K)
         ]
 
+    def split(self, k):
+        """(design, user within that design) of user rows k."""
+        return np.divmod(k, self.K)
 
-def _cross(ch: ChannelSet, st) -> np.ndarray:
-    """(users, K*L, N) cross vectors: each user row's view of its design's streams."""
-    K = st.K
-    return np.concatenate([cross_vectors(ch.Hhat, st.v[i : i + K]) for i in range(0, len(st.v), K)])
-
-
-def _stream_norms(st) -> np.ndarray:
-    """(users, K*L) stream norms ||v_j|| of each user row's design."""
-    return np.repeat(vector_norms(st.v).reshape(-1, st.K * st.L), st.K, axis=0)
+    def targets(self, k, l, stage: int, c=None) -> np.ndarray:
+        """rates.stage_targets of decoders (k, l); user row k owns stream k mod K."""
+        a = self.a[k, l].reshape(np.shape(self.c[k, l]) + (-1,))
+        if stage == 1:
+            return a
+        c = np.asarray(self.c[k, l] if c is None else c, dtype=complex)
+        own = own_stream_indicator(self.K, self.L)[k % self.K, l]
+        return c[..., None] * a + own.reshape(a.shape)
 
 
 def _decoders(ch: ChannelSet, st, k, l, stage: int, c=None):
     """Cross vectors, residual targets and stream norms of decoders (k, l)."""
-    return _cross(ch, st)[k], stage_targets(st, k, l, stage, c), _stream_norms(st)[k]
+    S = _Stack.of(ch, st)
+    return S.w[k], S.targets(k, l, stage, c), S.nv[k]
 
 
 def decorrelator_objective(
@@ -486,13 +501,13 @@ def scaling_candidates(ch: ChannelSet, st: DesignState, k, l, cfg: SolverConfig 
     decoder's last candidate.
     """
     cfg = cfg or SolverConfig()
+    S = _Stack.of(ch, st)
     shape = np.broadcast(k, l).shape
     kk, ll = (np.broadcast_to(i, shape).reshape(-1) for i in (k, l))
-    a = st.a[kk, ll].reshape(len(kk), -1)
-    ut = st.utilde[kk, ll]
-    q = np.einsum("...ja,...a->...j", _cross(ch, st)[kk], ut.conj())
-    q = q - own_stream_indicator(st.K, st.L)[kk % st.K, ll].reshape(q.shape)
-    s = ch.epsilon * _stream_norms(st)[kk] * vector_norms(ut)[..., None]
+    a = S.a[kk, ll].reshape(len(kk), -1)
+    ut = S.utilde[kk, ll]
+    q = np.einsum("...ja,...a->...j", S.w[kk], ut.conj()) - S.targets(kk, ll, 2, c=0)
+    s = ch.epsilon * S.nv[kk] * vector_norms(ut)[..., None]
     live = np.any(a != 0, axis=1)
 
     c_rel = np.zeros(len(kk), dtype=complex)
@@ -516,7 +531,7 @@ def scaling_candidates(ch: ChannelSet, st: DesignState, k, l, cfg: SolverConfig 
     box = (lo[0] + j // n[1]) + 1j * (lo[1] + j % n[1])
     cands = np.where(j < size, box, np.nan).T
     # keep the incumbent in the running so a scaling update can never regress
-    cur = np.stack([st.c[kk, ll].real, st.c[kk, ll].imag])
+    cur = np.stack([S.c[kk, ll].real, S.c[kk, ll].imag])
     inc = np.round(cur).astype(int)
     integral = np.all(np.abs(cur - inc) < 1e-9, axis=0)
     extra = integral & np.any((inc < lo) | (inc >= lo + n), axis=0)
@@ -614,28 +629,26 @@ def optimize_receivers(
     sweep would repeat it), or once no scaling changed and no stage-two rate
     moved by rate_tol since the sweep before.
 
-    st may also be a list of designs on this channel.  Their decoders are
-    rows of the same batches, while each design keeps its own stop test,
-    cap and error, so every design gets the result of a block of its own.
-    Returns (states, traces) for a list.
+    Raises NonConvergenceError, with the finished state in ``best`` and the
+    trace in ``trace``, when the fixed point or a filter fit hit its cap.
 
-    Raises NonConvergenceError with the finished state in ``best`` when the
-    fixed point or one of the filter fits hit its iteration cap.  For a list
-    the error is the first failing design's, with every design's state and
-    trace in ``best`` and ``trace`` and each design's own error, or None, in
-    ``failed``.
+    st may also be a list of designs on this channel, whose decoders are then
+    rows of the same batches; each design keeps its own stop test and cap.
+    A list returns (states, traces, errors) and raises no cap: errors holds
+    the message each design's own block would raise, or None.
     """
     cfg = cfg or SolverConfig()
     designs = [st] if isinstance(st, DesignState) else list(st)
-    S = _Stack.of(designs)
+    S = _Stack.of(ch, designs)
     K, L, n = S.K, S.L, len(designs)
     kk, ll = np.divmod(np.arange(len(S.c) * L), L)
     errs: list[str | None] = [None] * n  # each design's first capped fit
 
     def note(k, l):
-        for d in np.unique(k // K):
-            mine = k // K == d
-            errs[d] = errs[d] or _fit_message(cfg, k[mine] % K, l[mine])
+        design, user = S.split(k)
+        for d in np.unique(design):
+            mine = design == d
+            errs[d] = errs[d] or "receive-side block: " + _fit_message(cfg, user[mine], l[mine])
 
     live = np.any(S.a != 0, axis=(2, 3)).reshape(-1)
     S.u[kk[~live], ll[~live]] = 0.0  # no aggregate to decode
@@ -653,9 +666,10 @@ def optimize_receivers(
     prev: list[np.ndarray | None] = [None] * n
     running = np.ones(n, dtype=bool)
     for sweep in range(cfg.max_inner_iters):
-        rows = running[kk // K]
+        rows = running[S.split(kk)[0]]
         noise, wrote, changed, capped = _stage2_joint_update(ch, S, cfg, kk[rows], ll[rows])
         note(*capped)
+        # the rows of each running design, in design order
         mu = np.log2(S.P / noise).reshape(-1, K, L)
         wrote, changed = wrote.reshape(-1, K * L).any(1), changed.reshape(-1, K * L).any(1)
         for i, d in enumerate(np.flatnonzero(running)):
@@ -669,23 +683,13 @@ def optimize_receivers(
             break
 
     states = S.designs()
-    errors: list[NonConvergenceError | None] = [None] * n
-    for d in range(n):
-        if running[d]:
-            msg = "receive-side fixed-point iteration hit the iteration cap"
-        elif errs[d]:
-            msg = f"receive-side block: {errs[d]}"
-        else:
-            continue
-        errors[d] = NonConvergenceError(msg, best=states[d], trace=traces[d])
-    if isinstance(st, DesignState):
-        if errors[0] is not None:
-            raise errors[0]
-        return states[0], traces[0]
-    first = next((e for e in errors if e is not None), None)
-    if first is not None:
-        raise NonConvergenceError(str(first), best=states, trace=traces, failed=errors)
-    return states, traces
+    cap = "receive-side fixed-point iteration hit the iteration cap"
+    errors = [cap if running[d] else errs[d] for d in range(n)]
+    if not isinstance(st, DesignState):
+        return states, traces, errors
+    if errors[0] is not None:
+        raise NonConvergenceError(errors[0], best=states[0], trace=traces[0])
+    return states[0], traces[0]
 
 
 # ---------------------------------------------------------------------------
@@ -934,19 +938,11 @@ def _reduce_common_divisors(st: DesignState) -> DesignState:
     return out
 
 
-def _refit_receivers(ch, states, solver):
-    """optimize_receivers over a list of designs: each design's finished
-    state, the capped block's own one included, and its error."""
-    try:
-        return [(st, None) for st in optimize_receivers(ch, states, solver)[0]]
-    except NonConvergenceError as exc:
-        return [(st, err) for st, err in zip(exc.best, exc.failed)]
-
-
 def _alternate(ch: ChannelSet, cfg: SystemConfig, solver: SolverConfig, st: DesignState):
     """The alternating solve of one design, as a generator: it yields each
-    state that needs a receive-side block, is sent back that block's
-    (state, error) and returns (state, report, trace)."""
+    state that needs a receive-side block, is sent back that block's state
+    and error message (None when it converged) and returns (state, report,
+    trace)."""
     trace = SolveTrace()
     r_prev = -np.inf
     outer = 0
@@ -954,7 +950,7 @@ def _alternate(ch: ChannelSet, cfg: SystemConfig, solver: SolverConfig, st: Desi
         st, err = yield st
         if outer == 0:
             trace.first_receivers = st
-            trace.first_receivers_error = "" if err is None else str(err)
+            trace.first_receivers_error = err or ""
         if err is not None:
             trace.converged = False
             trace.stop_reason = f"optimize_receivers: {err}"
@@ -1026,7 +1022,8 @@ def solve(
 
     Returns (state, report, trace); trace.converged is False when the outer
     loop or a sub-block hit its iteration budget, and trace.stop_reason says
-    why the loop stopped.
+    why the loop stopped.  Raises ConfigurationError when cfg's dimensions or
+    epsilon differ from the channel's.
 
     init_state may also be a list of start designs.  They are solved in
     lock-step: each round makes one optimize_receivers call over every design
@@ -1042,6 +1039,10 @@ def solve(
             f"channel dimensions {(ch.K, ch.M, ch.N)} do not match config "
             f"{(cfg.K, cfg.M, cfg.N)}"
         )
+    if cfg.epsilon != ch.epsilon:
+        raise ConfigurationError(
+            f"config epsilon {cfg.epsilon!r} does not match the channel's {ch.epsilon!r}"
+        )
     single = not isinstance(init_state, (list, tuple))
     starts = [init_state] if single else list(init_state)
     runs = [
@@ -1051,8 +1052,8 @@ def solve(
     results: list = [None] * len(runs)
     waiting = {d: next(run) for d, run in enumerate(runs)}
     while waiting:
-        blocks = _refit_receivers(ch, list(waiting.values()), solver)
-        for d, block in zip(list(waiting), blocks):
+        states, _, errors = optimize_receivers(ch, list(waiting.values()), solver)
+        for d, block in zip(list(waiting), zip(states, errors)):
             try:
                 waiting[d] = runs[d].send(block)
             except StopIteration as done:

@@ -145,6 +145,17 @@ def test_simulate_bad_config(tmp_path, capsys):
     assert "unknown method" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value", [("trials", 1.5), ("trials", True), ("K_grid", [2.7]), ("seed", 0.5)]
+)
+def test_simulate_rejects_non_integer_counts(tmp_path, capsys, key, value):
+    path = _sim_config(tmp_path, **{key: value})
+    code = main(["simulate", "--config", str(path), "--output", str(tmp_path / "rows.csv")])
+    assert code == EXIT_CONFIG == 2
+    assert f"{key} takes integers only" in capsys.readouterr().err
+    assert not (tmp_path / "rows.csv").exists()
+
+
 def test_simulate_strict_flags_nonconvergence(tmp_path, capsys):
     """A one-step cap on the inner fits stops the receive block short."""
     cfg_path = _sim_config(

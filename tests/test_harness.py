@@ -69,6 +69,13 @@ def test_spec_validation():
             _spec(dist_ia_iters=iters)
     with pytest.raises(ConfigurationError):
         _spec(objective="best")
+    for name, bad in (
+        ("trials", 1.5), ("trials", True), ("n_starts", 2.0), ("dist_ia_iters", 10.5),
+        ("seed", 0.5), ("seed", False), ("K_grid", (2.7,)), ("K_grid", (3, True)),
+    ):
+        with pytest.raises(ConfigurationError, match=name):
+            _spec(**{name: bad})
+    assert _spec(trials=np.int64(2), K_grid=(np.int64(3),)).K_grid == (3,)
 
 
 def test_run_experiment_row_grid():

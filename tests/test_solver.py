@@ -1,6 +1,7 @@
 """Alternating solver: gradients, blocks, safeguards, full pipeline."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -1007,16 +1008,38 @@ def test_lockstep_capped_designs_keep_their_own_errors():
         named = re.findall(r"\((\d+), (\d+)\)", traces[d].stop_reason)
         assert all(int(k) < cfg.K for k, _ in named)
 
-    with pytest.raises(NonConvergenceError) as info:
-        optimize_receivers(ch, starts, capped)
-    assert len(info.value.failed) == len(info.value.best) == len(starts)
-    for st0, st_d, err in zip(starts, info.value.best, info.value.failed):
+    states, blocks, errors = optimize_receivers(ch, starts, capped)
+    assert len(states) == len(blocks) == len(errors) == len(starts)
+    assert any(err is None for err in errors) and any(err is not None for err in errors)
+    for st0, st_d, block, err in zip(starts, states, blocks, errors):
         try:
-            alone, msg = optimize_receivers(ch, st0, capped)[0], None
+            alone, trace, msg = *optimize_receivers(ch, st0, capped), None
         except NonConvergenceError as exc:
-            alone, msg = exc.best, str(exc)
-        assert (None if err is None else str(err)) == msg
+            alone, trace, msg = exc.best, exc.trace, str(exc)
+        assert err == msg
         assert _same_design(st_d, alone)
+        assert all(_same_bits(x, y) for x, y in zip(block, trace, strict=True))
+
+
+def test_receive_block_builds_each_designs_cross_vectors_once(monkeypatch):
+    """A receive block builds the cross vectors of each of its designs once,
+    not once per per-decoder call."""
+    ch, cfg = _random_instance(eps=0.1, seed=42)
+    starts = _lockstep_starts(ch, cfg)
+    calls = _count_calls(monkeypatch, "cross_vectors")
+    optimize_receivers(ch, starts[0])
+    assert len(calls["cross_vectors"]) == 1
+    optimize_receivers(ch, starts)
+    assert len(calls["cross_vectors"]) == 1 + len(starts)
+
+
+def test_solve_rejects_a_config_epsilon_other_than_the_channels():
+    ch, cfg = _random_instance(eps=0.1, seed=42)
+    for eps in (0.0, 0.2):
+        with pytest.raises(ConfigurationError, match=rf"{eps!r}.*0\.1"):
+            solve(ch, replace(cfg, epsilon=eps))
+        with pytest.raises(ConfigurationError, match="epsilon"):
+            multi_start(ch, replace(cfg, epsilon=eps), n_starts=1)
 
 
 def test_lockstep_raises_the_first_failing_design_in_start_order(monkeypatch):
