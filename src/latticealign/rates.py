@@ -136,41 +136,42 @@ def stage_targets(st: DesignState, k, l, stage: int, c=None) -> np.ndarray:
     return c[..., None] * a + own_stream_indicator(st.K, st.L)[k, l].reshape(shape)
 
 
-def _denominators(ch: ChannelSet, st: DesignState, stage: int) -> np.ndarray:
-    """(K, L) robust noise of every decoder with its filter of the given stage."""
+def _denominators(ch: ChannelSet, st: DesignState, stage: int, w=None) -> np.ndarray:
+    """(K, L) robust noise of every decoder with its filter of the given stage;
+    w, when given, is cross_vectors(ch.Hhat, st.v)."""
     U = st.u if stage == 1 else st.utilde
-    w = cross_vectors(ch.Hhat, st.v)[:, None]
+    w = cross_vectors(ch.Hhat, st.v) if w is None else w
     b = stage_targets(st, slice(None), slice(None), stage)
-    return robust_noise(w, U, b, vector_norms(st.v).reshape(-1), ch.epsilon, st.P)
+    return robust_noise(w[:, None], U, b, vector_norms(st.v).reshape(-1), ch.epsilon, st.P)
 
 
-def stage1_denominators(ch: ChannelSet, st: DesignState) -> np.ndarray:
+def stage1_denominators(ch: ChannelSet, st: DesignState, w=None) -> np.ndarray:
     """Effective noise-plus-residual power seen by stage-one decoding."""
-    return _denominators(ch, st, 1)
+    return _denominators(ch, st, 1, w)
 
 
-def stage2_denominators(ch: ChannelSet, st: DesignState) -> np.ndarray:
+def stage2_denominators(ch: ChannelSet, st: DesignState, w=None) -> np.ndarray:
     """Effective noise-plus-residual power seen by stage-two decoding."""
-    return _denominators(ch, st, 2)
+    return _denominators(ch, st, 2, w)
 
 
-def stage1_rates(ch: ChannelSet, st: DesignState) -> np.ndarray:
+def stage1_rates(ch: ChannelSet, st: DesignState, w=None) -> np.ndarray:
     """Stage-one rate bounds mu[k, l]; +inf where no aggregate is decoded.
 
     A decoder with an all-zero coefficient vector skips stage one entirely,
     so it imposes no constraint (+inf).  The residual sum always includes the
     own stream with target zero: its signal leaks into the aggregate estimate.
     """
-    den = stage1_denominators(ch, st)
+    den = stage1_denominators(ch, st, w)
     with np.errstate(divide="ignore"):
         mu = np.log2(st.P / den)
     mu[np.all(st.a == 0, axis=(2, 3))] = np.inf
     return mu
 
 
-def stage2_rates(ch: ChannelSet, st: DesignState) -> np.ndarray:
+def stage2_rates(ch: ChannelSet, st: DesignState, w=None) -> np.ndarray:
     """Stage-two rate bounds mu_tilde[k, l] for the desired streams."""
-    den = stage2_denominators(ch, st)
+    den = stage2_denominators(ch, st, w)
     return np.log2(st.P / den)
 
 
@@ -224,8 +225,9 @@ def rate_report(ch: ChannelSet, st: DesignState) -> RateReport:
     Negative values are reported as-is (clamping happens at the goodput
     layer, not here).
     """
-    mu = stage1_rates(ch, st)
-    mu_tilde = stage2_rates(ch, st)
+    w = cross_vectors(ch.Hhat, st.v)  # both stages see the same streams
+    mu = stage1_rates(ch, st, w)
+    mu_tilde = stage2_rates(ch, st, w)
     finite = mu[np.isfinite(mu)]
     candidates = np.concatenate([finite.reshape(-1), mu_tilde.reshape(-1)])
     r_min = float(candidates.min())

@@ -20,7 +20,8 @@ block is deterministic, so a further sweep would repeat the same rejected
 step.  After an accepted step it stops once the worst rate bound moves by
 at most rate_tol.  Finally it projects the relaxed coefficients back to
 Gaussian integers (dividing out any common divisor, which can only help
-the aggregate-decoding rate) before one last receive-side refit.
+the aggregate-decoding rate) and refits the receive side to them, unless
+they are the integers its last block already used.
 
 solve and optimize_receivers also take a list of designs on one channel,
 which is how multi_start runs all its starts.  The designs then move in
@@ -697,101 +698,69 @@ def optimize_receivers(
 # ---------------------------------------------------------------------------
 
 
-def optimize_precoders(
-    ch: ChannelSet, st: DesignState, gamma: float, cfg: SolverConfig | None = None
-) -> tuple[DesignState, float]:
-    """Transmit-side block: minimize the epigraph bound t over (v, a, t).
+def _transmit_objective(ch: ChannelSet, st: DesignState, gamma: float):
+    """(fun_grad, x0): the transmit block's barrier objective and strictly feasible start.
 
-    With the receive filters and integer scalings fixed, every residual term
-    is affine in (v, a), so bounding each decoder's effective noise power by
-    t and keeping each user inside its power budget is a convex feasibility
-    region.  A standard log-barrier sweep (multiplier nu per stage, stopped
-    when the barrier duality gap drops below barrier_tol) minimizes t; the
-    combination coefficients are relaxed to arbitrary complex values here
-    and only re-integerized at the end of the full solve.
-
-    Returns the updated state and the final epigraph value.
+    In real coordinates x = [t, Re v, Im v, Re a_free, Im a_free] (a_free: a
+    off the own streams) both stages' residuals U^H H v - a and
+    Utilde^H H v - (c a + e_own) are one affine map z = G x[1:] + z0 (real
+    parts first), built here once.  fun_grad(x, q) is the value and gradient
+    of t - (sum log(t - g) + sum log(gamma - ||v_k||^2)) / q, with g the
+    smoothed bounds, or _BIG (1 + total violation) outside its domain.
     """
-    cfg = cfg or SolverConfig()
     K, L, M = st.v.shape
-    P, eps = st.P, ch.epsilon
-    Hhat = ch.Hhat
-    U, Ut, c = st.u, st.utilde, st.c
-    nu, nut = vector_norms(U), vector_norms(Ut)
-    E = own_stream_indicator(K, L)
-    free = E.reshape(-1) == 0
-    HU = np.einsum("kiab,kla->kilb", Hhat.conj(), U)
-    HUt = np.einsum("kiab,kla->kilb", Hhat.conj(), Ut)
-    cc = c[:, :, None, None]
-    ccb = np.conj(c)[:, :, None, None]
-    n_v = K * L * M
+    KL, P, eps = K * L, st.P, ch.epsilon
+    E = own_stream_indicator(K, L).reshape(KL, KL)
+    free = np.flatnonzero(E.reshape(-1) == 0)
+    n_v = KL * M
     d2 = _DELTA**2
+    UU = np.stack([st.u, st.utilde])  # (stage, K, L, N)
+    nf = vector_norms(UU)
+    nf2, enf = nf**2, eps * nf
+    # row (stage, k, l, j) of the complex map sees stream j = (i, n) through u_kl^H Hhat_ki
+    Cv = np.zeros((2, K, L, KL, KL, M), dtype=complex)
+    j, f = np.arange(KL), np.arange(len(free))
+    Cv[..., j, j, :] = np.repeat(np.einsum("kiab,skla->sklib", ch.Hhat, UU.conj()), L, axis=3)
+    Cv = Cv.reshape(-1, n_v)
+    Ca = np.zeros((2 * KL * KL, len(free)), dtype=complex)
+    Ca[free, f] = -1.0
+    Ca[KL * KL + free, f] = -np.repeat(st.c.reshape(-1), KL)[free]
+    W = np.concatenate([Cv, 1j * Cv, Ca, 1j * Ca], axis=1)  # complex z of the real x[1:]
+    G = np.concatenate([W.real, W.imag])
+    z0 = np.concatenate([np.zeros(KL * KL), -E.reshape(-1), np.zeros(2 * KL * KL)])
 
-    def unpack(x):
-        t = x[0]
-        V = (x[1 : 1 + n_v] + 1j * x[1 + n_v : 1 + 2 * n_v]).reshape(K, L, M)
-        Af = np.zeros(K * L * K * L, dtype=complex)
-        Af[free] = x[1 + 2 * n_v : 1 + 2 * n_v + free.sum()] + 1j * x[1 + 2 * n_v + free.sum() :]
-        return t, V, Af.reshape(K, L, K, L)
-
-    def pack(t, V, A):
-        Af = A.reshape(-1)[free]
-        return np.concatenate([[t], V.real.ravel(), V.imag.ravel(), Af.real, Af.imag])
-
-    def bounds(V, A):
-        """Smoothed stage-one and stage-two bounds at (V, A): residuals Z,
-        smoothed magnitudes Hs, worst-case offsets S and bounds g per stage,
-        plus the smoothed stream norms."""
-        TT = np.einsum("kiab,inb->kina", Hhat, V)
-        nvs = np.sqrt(vector_norms(V) ** 2 + d2)
-        stages = []
-        for Uf, nf, B in ((U, nu, A), (Ut, nut, cc * A + E)):
-            Z = np.einsum("kla,kina->klin", Uf.conj(), TT) - B
-            Hs = np.sqrt(np.abs(Z) ** 2 + d2)
-            S = eps * nf[:, :, None, None] * nvs[None, None, :, :]
-            g = nf**2 + P * np.sum((Hs + S) ** 2 - d2, axis=(2, 3))
-            stages.append((Z, Hs, S, g))
-        return stages, nvs
+    def bounds_of(x):
+        """Residuals z (re/im, stage, K, L, K*L), precoders v (re/im, K*L, M), smoothed
+        |z| and |z| + worst-case offset, stream norms, |v|^2 and bounds g (stage, K, L)."""
+        z = (G @ x[1:] + z0).reshape(2, 2, K, L, KL)
+        v = x[1 : 1 + 2 * n_v].reshape(2, KL, M)
+        # |v|^2 as |complex|^2, since the power slack at the start is ~1e-8 gamma
+        n2 = np.abs(v[0] + 1j * v[1]) ** 2
+        nvs = np.sqrt(n2.sum(axis=-1) + d2)
+        Hs = np.sqrt(z[0] ** 2 + z[1] ** 2 + d2)
+        HS = Hs + enf[..., None] * nvs
+        g = nf2 + P * np.sum(HS**2 - d2, axis=-1)
+        return z, v, Hs, HS, nvs, n2, g
 
     def fun_grad(x, q):
-        t, V, A = unpack(x)
-        p = np.sum(np.abs(V) ** 2, axis=(1, 2))
-        ps = gamma - p
-        ((Z1, H1, S1, g1), (Z2, H2, S2, g2)), nvs = bounds(V, A)
-        s1 = t - g1
-        s2 = t - g2
-        feasible = s1.min() > 0 and s2.min() > 0 and ps.min() > 0
-        if feasible:
-            lam1 = 1.0 / (q * s1)
-            lam2 = 1.0 / (q * s2)
-            lamp = 1.0 / (q * ps)
-            F = t - (np.sum(np.log(s1)) + np.sum(np.log(s2)) + np.sum(np.log(ps))) / q
-            gt = 1.0 - lam1.sum() - lam2.sum()
+        t = x[0]
+        z, v, Hs, HS, nvs, n2, g = bounds_of(x)
+        s = t - g
+        ps = gamma - n2.reshape(K, L * M).sum(axis=1)
+        if s.min() > 0 and ps.min() > 0:
+            lam, lamp = 1.0 / (q * s), 1.0 / (q * ps)
+            F = t - (np.sum(np.log(s)) + np.sum(np.log(ps))) / q
+            gt = 1.0 - lam.sum()
         else:
-            lam1 = _BIG * (s1 <= 0)
-            lam2 = _BIG * (s2 <= 0)
-            lamp = _BIG * (ps <= 0)
-            viol = (
-                np.sum(np.maximum(-s1, 0))
-                + np.sum(np.maximum(-s2, 0))
-                + np.sum(np.maximum(-ps, 0))
-            )
+            lam, lamp = _BIG * (s <= 0), _BIG * (ps <= 0)
+            viol = sum(np.sum(np.maximum(-y, 0)) for y in (s[0], s[1], ps))
             F = _BIG * (1.0 + viol)
-            gt = -(lam1.sum() + lam2.sum())
-        C1 = lam1[:, :, None, None] * P * ((H1 + S1) / H1) * Z1
-        C2 = lam2[:, :, None, None] * P * ((H2 + S2) / H2) * Z2
-        gA = -C1 - C2 * ccb
-        gV = np.einsum("klin,kilb->inb", C1, HU) + np.einsum("klin,kilb->inb", C2, HUt)
-        if eps > 0:
-            e1 = P * eps * np.einsum("klin,kl->in", lam1[:, :, None, None] * (H1 + S1), nu)
-            e2 = P * eps * np.einsum("klin,kl->in", lam2[:, :, None, None] * (H2 + S2), nut)
-            gV = gV + ((e1 + e2) / nvs)[:, :, None] * V
-        gV = gV + lamp[:, None, None] * V
-        gAf = gA.reshape(-1)[free]
-        grad = np.concatenate(
-            [[gt], 2 * gV.real.ravel(), 2 * gV.imag.ravel(), 2 * gAf.real, 2 * gAf.imag]
-        )
-        return F, grad
+            gt = -lam.sum()
+        grad = G.T @ ((2 * P) * lam[..., None] * (HS / Hs) * z).reshape(-1)
+        # the worst-case offsets and the power budget act on the stream norms
+        e = P * (lam * enf).reshape(-1) @ HS.reshape(-1, KL)
+        grad[: 2 * n_v] += (2 * (e / nvs + np.repeat(lamp, L))[:, None] * v).reshape(-1)
+        return F, np.concatenate([[gt], grad])
 
     # strictly feasible start: nudge any user off the power boundary,
     # then open the epigraph slightly above the current worst bound
@@ -800,16 +769,36 @@ def optimize_precoders(
         p = float(np.sum(np.abs(V0[k]) ** 2))
         if p >= gamma * (1 - 1e-9):
             V0[k] *= np.sqrt(gamma * (1 - 1e-8) / p)
-    A0 = st.a.copy()
-    # smoothed bounds at the start point decide where to open the epigraph
-    (_, _, _, g1), (_, _, _, g2) = bounds(V0, A0)[0]
-    m0 = float(max(g1.max(), g2.max()))
-    t0 = m0 + max(1e-4, 0.02 * (1 + abs(m0)))
-    x = pack(t0, V0, A0)
+    af = st.a.reshape(-1)[free]
+    x0 = np.concatenate([[0.0], V0.real.ravel(), V0.imag.ravel(), af.real, af.imag])
+    m0 = float(bounds_of(x0)[-1].max())
+    x0[0] = m0 + max(1e-4, 0.02 * (1 + abs(m0)))
+    return fun_grad, x0
 
+
+def optimize_precoders(
+    ch: ChannelSet, st: DesignState, gamma: float, cfg: SolverConfig | None = None
+) -> tuple[DesignState, float]:
+    """Transmit-side block: minimize the epigraph bound t over (v, a, t).
+
+    With the receive filters and integer scalings fixed, every residual term
+    is affine in (v, a), so bounding each decoder's effective noise power by
+    t and keeping each user inside its power budget is a convex feasibility
+    region.  Both stages' residuals are one real affine map of the real
+    coordinates of (v, a), built once per call (_transmit_objective), so each
+    barrier evaluation is one product with that map and one with its
+    transpose.  A standard log-barrier sweep (multiplier nu per stage,
+    stopped when the barrier duality gap drops below barrier_tol) minimizes
+    t; the combination coefficients are relaxed to arbitrary complex values
+    here and only re-integerized at the end of the full solve.
+
+    Returns the updated state and the final epigraph value.
+    """
+    cfg = cfg or SolverConfig()
+    K, L, M = st.v.shape
+    fun_grad, x = _transmit_objective(ch, st, gamma)
     q = 1.0
     n_constraints = 2 * K * L + K
-    t_final = t0
     while True:
         res = minimize(
             fun_grad,
@@ -820,15 +809,16 @@ def optimize_precoders(
             options={"maxiter": cfg.max_inner_iters * 5, "ftol": 1e-15, "gtol": cfg.newton_tol},
         )
         x = res.x
-        t_final = float(x[0])
         if n_constraints / q < cfg.barrier_tol:
             break
         q *= cfg.barrier_nu
-    _, V, A = unpack(x)
+    n_v = K * L * M
+    v, af = x[1 : 1 + 2 * n_v].reshape(2, K, L, M), x[1 + 2 * n_v :].reshape(2, -1)
     out = st.copy()
-    out.v = V
-    out.a = A
-    return out, t_final
+    out.v = v[0] + 1j * v[1]
+    out.a = np.zeros_like(st.a)
+    out.a[own_stream_indicator(K, L) == 0] = af[0] + 1j * af[1]
+    return out, float(x[0])
 
 
 # ---------------------------------------------------------------------------
@@ -974,12 +964,16 @@ def _alternate(ch: ChannelSet, cfg: SystemConfig, solver: SolverConfig, st: Desi
         trace.converged = False
         trace.stop_reason = "max_outer_iters reached"
 
-    st = _quantize_coefficients(st)
-    st = _reduce_common_divisors(st)
-    st, err = yield st
-    if err is not None:
-        trace.converged = False
-        trace.stop_reason += f"; final receive refit: {err}"
+    rounded = _reduce_common_divisors(_quantize_coefficients(st))
+    # a rejected step leaves the receive block's own output: when rounding
+    # keeps its integers, a refit would return it again
+    kept = np.array_equal(rounded.a, st.a) and np.array_equal(rounded.c, st.c)
+    st = rounded
+    if not (kept and trace.stop_reason == "transmit step rejected"):
+        st, err = yield st
+        if err is not None:
+            trace.converged = False
+            trace.stop_reason += f"; final receive refit: {err}"
     report = rate_report(ch, st)
     den_worst = float(
         max(np.max(stage2_denominators(ch, st)), np.max(stage1_denominators(ch, st)))
@@ -1018,7 +1012,9 @@ def solve(
     same rejected barrier solve.  After an accepted step it stops once r_min
     moved by at most rate_tol (relative to max(1, |r_min|)).  Afterwards the
     relaxed coefficients are rounded to Gaussian integers, common divisors are
-    removed, and the receive side is refit once against the final integers.
+    removed, and the receive side is refit once against the final integers,
+    unless they are the ones its last block used: after a rejected step that
+    left a and c unchanged, that refit would return the block's own output.
 
     Returns (state, report, trace); trace.converged is False when the outer
     loop or a sub-block hit its iteration budget, and trace.stop_reason says

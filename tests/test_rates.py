@@ -187,3 +187,29 @@ def test_rate_report_json_roundtrip_with_infinities():
     assert back.r_min == rep.r_min
     payload = json.loads(rep.to_json())
     assert payload["mu"][1][0] == "inf"
+
+
+def test_rate_report_builds_the_estimated_cross_vectors_once(monkeypatch):
+    """Both stages' denominators share one build of the estimated-channel
+    cross vectors; the true-channel alignment residual needs the other."""
+    from latticealign import rates as rates_mod
+
+    cfg = SystemConfig(K=3, M=2, N=2, L=1, P=10.0, epsilon=0.1, seed=3)
+    ch = perturb_csi(generate_channels(cfg), 0.1, seed=4)
+    st = _symmetric_setup()[3]
+    st = DesignState(
+        v=np.ones((3, 1, 2)), u=np.ones((3, 1, 2)), utilde=np.ones((3, 1, 2)),
+        a=st.a, c=st.c, P=cfg.P,
+    )
+    want = stage1_rates(ch, st), stage2_rates(ch, st)  # each builds its own
+    real, built = rates_mod.cross_vectors, []
+
+    def counted(H, V):
+        built.append(H)
+        return real(H, V)
+
+    monkeypatch.setattr(rates_mod, "cross_vectors", counted)
+    got = rate_report(ch, st)
+    assert len(built) == 2 and built[0] is ch.Hhat and built[1] is ch.H
+    assert got.mu.tobytes() == want[0].tobytes()
+    assert got.mu_tilde.tobytes() == want[1].tobytes()

@@ -32,9 +32,12 @@ from latticealign.solver import (
     _least_squares_filters,
     _newton_batch,
     _Problems,
+    _quantize_coefficients,
+    _reduce_common_divisors,
     _scaling_value,
     _stage2_joint_update,
     _starts,
+    _transmit_objective,
     decorrelator_closed_form,
     decorrelator_objective,
     decorrelator_robust,
@@ -653,12 +656,13 @@ def _count_calls(monkeypatch, *names):
 
 def test_solve_stops_at_the_first_rejected_transmit_step(monkeypatch):
     """A rejected transmit step leaves the receive block's own output, so the
-    loop ends there instead of repeating the block and the barrier solve."""
+    loop ends there instead of repeating the block and the barrier solve.
+    Rounding keeps its integers here, so there is no final refit either."""
     calls = _count_calls(monkeypatch, "optimize_receivers", "optimize_precoders")
     ch, cfg = _random_instance(eps=0.1, seed=30)
     _, _, trace = solve(ch, cfg)
     assert len(calls["optimize_precoders"]) == 1
-    assert len(calls["optimize_receivers"]) == 2  # the loop's block and the final refit
+    assert len(calls["optimize_receivers"]) == 1  # the loop's block only
     series = trace.pre_quantize_series()
     assert rate_report(ch, calls["optimize_precoders"][0][0]).r_min < series[0]
     assert trace.converged and trace.stop_reason == "transmit step rejected"
@@ -1101,3 +1105,201 @@ def test_receive_only_candidate_carries_a_capped_first_block(monkeypatch):
             )
             assert "receive-side" in trace.stop_reason
         assert [(rec.iter, rec.stage) for rec in trace.records] == [(0, "receivers")]
+
+
+# ---------------------------------------------------------------------------
+# transmit block: the real residual map against the einsum objective
+# ---------------------------------------------------------------------------
+
+
+def _transmit_reference(ch, st, gamma):
+    """The barrier objective of the transmit block in its einsum form, which
+    unpacks x to complex (v, a) and rebuilds both stages' residuals per call;
+    returns (fun_grad, x0) like _transmit_objective."""
+    K, L, M = st.v.shape
+    P, eps, Hhat = st.P, ch.epsilon, ch.Hhat
+    U, Ut, c = st.u, st.utilde, st.c
+    nu, nut = (np.sqrt(np.sum(np.abs(X) ** 2, axis=-1)) for X in (U, Ut))
+    E = own_stream_indicator(K, L)
+    free = E.reshape(-1) == 0
+    HU = np.einsum("kiab,kla->kilb", Hhat.conj(), U)
+    HUt = np.einsum("kiab,kla->kilb", Hhat.conj(), Ut)
+    cc, ccb = c[:, :, None, None], np.conj(c)[:, :, None, None]
+    n_v, d2 = K * L * M, 1e-18
+
+    def unpack(x):
+        V = (x[1 : 1 + n_v] + 1j * x[1 + n_v : 1 + 2 * n_v]).reshape(K, L, M)
+        Af = np.zeros(K * L * K * L, dtype=complex)
+        Af[free] = x[1 + 2 * n_v : 1 + 2 * n_v + free.sum()] + 1j * x[1 + 2 * n_v + free.sum() :]
+        return x[0], V, Af.reshape(K, L, K, L)
+
+    def bounds(V, A):
+        TT = np.einsum("kiab,inb->kina", Hhat, V)
+        nvs = np.sqrt(np.sum(np.abs(V) ** 2, axis=-1) + d2)
+        stages = []
+        for Uf, nf, B in ((U, nu, A), (Ut, nut, cc * A + E)):
+            Z = np.einsum("kla,kina->klin", Uf.conj(), TT) - B
+            Hs = np.sqrt(np.abs(Z) ** 2 + d2)
+            S = eps * nf[:, :, None, None] * nvs[None, None, :, :]
+            g = nf**2 + P * np.sum((Hs + S) ** 2 - d2, axis=(2, 3))
+            stages.append((Z, Hs, S, g))
+        return stages, nvs
+
+    def fun_grad(x, q):
+        t, V, A = unpack(x)
+        ps = gamma - np.sum(np.abs(V) ** 2, axis=(1, 2))
+        ((Z1, H1, S1, g1), (Z2, H2, S2, g2)), nvs = bounds(V, A)
+        s1, s2 = t - g1, t - g2
+        if s1.min() > 0 and s2.min() > 0 and ps.min() > 0:
+            lam1, lam2, lamp = 1.0 / (q * s1), 1.0 / (q * s2), 1.0 / (q * ps)
+            F = t - (np.sum(np.log(s1)) + np.sum(np.log(s2)) + np.sum(np.log(ps))) / q
+            gt = 1.0 - lam1.sum() - lam2.sum()
+        else:
+            lam1, lam2, lamp = 1e30 * (s1 <= 0), 1e30 * (s2 <= 0), 1e30 * (ps <= 0)
+            viol = (
+                np.sum(np.maximum(-s1, 0)) + np.sum(np.maximum(-s2, 0))
+                + np.sum(np.maximum(-ps, 0))
+            )
+            F = 1e30 * (1.0 + viol)
+            gt = -(lam1.sum() + lam2.sum())
+        C1 = lam1[:, :, None, None] * P * ((H1 + S1) / H1) * Z1
+        C2 = lam2[:, :, None, None] * P * ((H2 + S2) / H2) * Z2
+        gA = -C1 - C2 * ccb
+        gV = np.einsum("klin,kilb->inb", C1, HU) + np.einsum("klin,kilb->inb", C2, HUt)
+        if eps > 0:
+            e1 = P * eps * np.einsum("klin,kl->in", lam1[:, :, None, None] * (H1 + S1), nu)
+            e2 = P * eps * np.einsum("klin,kl->in", lam2[:, :, None, None] * (H2 + S2), nut)
+            gV = gV + ((e1 + e2) / nvs)[:, :, None] * V
+        gV = gV + lamp[:, None, None] * V
+        gAf = gA.reshape(-1)[free]
+        grad = np.concatenate(
+            [[gt], 2 * gV.real.ravel(), 2 * gV.imag.ravel(), 2 * gAf.real, 2 * gAf.imag]
+        )
+        return F, grad
+
+    V0 = st.v.copy()
+    for k in range(K):
+        p = float(np.sum(np.abs(V0[k]) ** 2))
+        if p >= gamma * (1 - 1e-9):
+            V0[k] *= np.sqrt(gamma * (1 - 1e-8) / p)
+    (_, _, _, g1), (_, _, _, g2) = bounds(V0, st.a)[0]
+    m0 = float(max(g1.max(), g2.max()))
+    t0 = m0 + max(1e-4, 0.02 * (1 + abs(m0)))
+    Af = st.a.reshape(-1)[free]
+    return fun_grad, np.concatenate([[t0], V0.real.ravel(), V0.imag.ravel(), Af.real, Af.imag])
+
+
+def _rel_err(x, ref):
+    return np.max(np.abs(np.asarray(x) - ref)) / np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+@pytest.mark.parametrize("shape", _SHAPES)
+def test_transmit_map_matches_the_einsum_objective(shape, eps):
+    """The precomputed real residual map gives the einsum objective's value
+    and gradient at the start, at a perturbed feasible point and, in its
+    _BIG branch, at an infeasible one; its gradient passes a central
+    finite-difference check, and its start vector is the einsum one."""
+    ch, cfg, st = _shaped_instance(*shape, eps, seed=1400 + sum(shape))
+    rng = np.random.default_rng(1401)
+    st.c = rng.integers(-2, 3, st.c.shape) + 1j * rng.integers(-2, 3, st.c.shape)
+    st.a[own_stream_indicator(st.K, st.L) == 0] += 0.3 * complex_gaussian(
+        rng, st.a.shape
+    )[own_stream_indicator(st.K, st.L) == 0]
+    fun_grad, x0 = _transmit_objective(ch, st, cfg.gamma)
+    ref, x0_ref = _transmit_reference(ch, st, cfg.gamma)
+    assert np.array_equal(x0[1:], x0_ref[1:])
+    assert x0[0] == pytest.approx(x0_ref[0], rel=1e-12)
+
+    x1 = x0_ref + 0.01 * rng.standard_normal(len(x0))
+    x1[1 : 1 + 2 * st.v.size] *= 0.9  # inside the power budget
+    x1[0] = 2 * x0_ref[0]
+    bad = x0_ref.copy()
+    bad[0] = -1e20  # every epigraph slack negative
+    bad[1 : 1 + 2 * st.v.size] *= 2.0  # and every user over budget
+    for q in (1.0, 20.0, 4e5):
+        for x in (x0_ref, x1):
+            F, g = fun_grad(x, q)
+            F_ref, g_ref = ref(x, q)
+            assert F_ref < 1e30  # a feasible point
+            assert abs(F - F_ref) <= 1e-9 * abs(F_ref) and _rel_err(g, g_ref) <= 1e-9
+        h = 1e-6
+        fd = np.array(
+            [(fun_grad(x1 + h * e, q)[0] - fun_grad(x1 - h * e, q)[0]) / (2 * h)
+             for e in np.eye(len(x1))]
+        )
+        assert _rel_err(fd, fun_grad(x1, q)[1]) <= 1e-5
+        F, g = fun_grad(bad, q)
+        F_ref, g_ref = ref(bad, q)
+        assert F == F_ref > 1e30
+        assert _rel_err(g, g_ref) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# final refit: skipped when it would return the loop's own receive block
+# ---------------------------------------------------------------------------
+
+
+def _parent_refit(ch, st):
+    """The final refit a solve makes: the receive block on the rounded state."""
+    return optimize_receivers(ch, _reduce_common_divisors(_quantize_coefficients(st)))[0]
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+def test_skipped_final_refit_matches_the_refit(eps, monkeypatch):
+    """A solve that stops at a rejected step with integers that rounding
+    keeps returns its last receive block without a refit.  That design is
+    the refit design bit for bit at eps 0, and agrees with it in r_min to
+    1e-10 at eps 0.1."""
+    calls = _count_calls(monkeypatch, "optimize_receivers")
+    skipped = 0
+    for shape in _SHAPES:
+        ch, cfg = _case_instance(shape, eps)
+        for st0 in _lockstep_starts(ch, cfg):
+            calls["optimize_receivers"].clear()
+            st, rep, trace = solve(ch, cfg, init_state=st0)
+            blocks = sum(rec.stage == "receivers" for rec in trace.records)
+            if len(calls["optimize_receivers"]) == blocks + 1:
+                continue  # the solve made its final refit
+            assert trace.stop_reason == "transmit step rejected"
+            assert len(calls["optimize_receivers"]) == blocks
+            skipped += 1
+            refit = _parent_refit(ch, st)
+            rep_refit = rate_report(ch, refit)
+            assert abs(rep.r_min - rep_refit.r_min) <= 1e-10
+            if eps == 0:
+                assert _same_design(st, refit) and rep.r_min == rep_refit.r_min
+                assert _same_bits(rep.mu_tilde, rep_refit.mu_tilde)
+    assert skipped >= 10
+
+
+def test_final_refit_runs_when_rounding_moves_the_coefficients(monkeypatch):
+    """A rejected step after an accepted one leaves relaxed coefficients,
+    which rounding moves, so the receive side is still refit to them."""
+    from latticealign import solver as solver_mod
+
+    real = solver_mod.optimize_precoders
+    steps = []
+
+    def transmit(ch, st, gamma, cfg=None):
+        if steps:  # the second step: a worse stage-two filter, rejected
+            out = st.copy()
+            out.utilde[:] = 0.0
+            steps.append(out)
+            return out, 0.0
+        out, t = real(ch, st, gamma, cfg)
+        steps.append(out)
+        return out, t
+
+    ch, cfg = _random_instance(eps=0.1, seed=31)
+    monkeypatch.setattr(solver_mod, "optimize_precoders", transmit)
+    calls = _count_calls(monkeypatch, "optimize_receivers")
+    st, _, trace = solve(ch, cfg)
+    relaxed = steps[0].a
+    assert not np.array_equal(relaxed, np.round(relaxed.real) + 1j * np.round(relaxed.imag))
+    assert trace.stop_reason == "transmit step rejected" and len(steps) == 2
+    assert [rec.stage for rec in trace.records] == [
+        "receivers", "precoders", "receivers", "precoders", "quantize"
+    ]
+    assert len(calls["optimize_receivers"]) == 3  # two loop blocks and the final refit
+    assert np.array_equal(st.a, np.round(st.a.real) + 1j * np.round(st.a.imag))
