@@ -39,7 +39,7 @@ class SystemConfig:
     def __post_init__(self):
         for name in ("K", "M", "N", "L"):
             val = getattr(self, name)
-            if not isinstance(val, int) or val < 1:
+            if isinstance(val, bool) or not isinstance(val, int) or val < 1:
                 raise ConfigurationError(f"{name} must be a positive integer, got {val!r}")
         if self.L > min(self.M, self.N):
             raise ConfigurationError(

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import numbers
 import time
 from dataclasses import dataclass, fields, replace
@@ -79,7 +80,8 @@ class ExperimentSpec:
         for name in ("K_grid", "snr_db_grid", "epsilon_grid"):
             if not getattr(self, name):
                 raise ConfigurationError(f"{name} must be non-empty")
-        for name in ("trials", "n_starts", "dist_ia_iters", "seed", "K_grid"):
+        counts = ("trials", "n_starts", "dist_ia_iters", "M", "N", "L")
+        for name in counts + ("seed", "K_grid"):
             value = getattr(self, name)
             for x in value if name == "K_grid" else (value,):
                 if isinstance(x, bool) or not isinstance(x, numbers.Integral):
@@ -88,18 +90,20 @@ class ExperimentSpec:
             raise ConfigurationError("K_grid entries must be >= 1")
         if any(e < 0 for e in self.epsilon_grid):
             raise ConfigurationError("epsilon_grid entries must be >= 0")
-        if self.trials < 1:
-            raise ConfigurationError("trials must be >= 1")
-        if self.n_starts < 1:
-            raise ConfigurationError("n_starts must be >= 1")
-        if self.dist_ia_iters < 1:
-            raise ConfigurationError("dist_ia_iters must be >= 1")
+        for name in counts:
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be >= 1")
         if self.objective not in ("worst", "sum"):
             raise ConfigurationError("objective must be 'worst' or 'sum'")
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "K_grid", tuple(int(k) for k in self.K_grid))
-        object.__setattr__(self, "snr_db_grid", tuple(float(s) for s in self.snr_db_grid))
-        object.__setattr__(self, "epsilon_grid", tuple(float(e) for e in self.epsilon_grid))
+        for name in ("M", "N", "L"):
+            object.__setattr__(self, name, int(getattr(self, name)))
+        for name in ("snr_db_grid", "epsilon_grid"):
+            grid = tuple(float(x) for x in getattr(self, name))
+            if not all(math.isfinite(x) for x in grid):
+                raise ConfigurationError(f"{name} entries must be finite, got {grid}")
+            object.__setattr__(self, name, grid)
 
 
 @dataclass

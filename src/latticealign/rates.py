@@ -124,16 +124,17 @@ class DesignState:
         return CoeffVector(entries=tuple(ints), own_index=k * self.L + l)
 
 
-def stage_targets(st: DesignState, k, l, stage: int, c=None) -> np.ndarray:
+def stage_targets(st, k, l, stage: int, c=None) -> np.ndarray:
     """Residual targets of decoders (k, l), one (K*L,) row each: a for stage
     one, c a + e_own for stage two, with the scalings c defaulting to st.c.
-    k and l index like st.c: integers, index arrays or slices."""
+    k and l are integers or index arrays; row k owns stream k mod st.K, so
+    st may also stack the user rows of several designs (solver._Stack)."""
     shape = np.shape(st.c[k, l]) + (-1,)
     a = st.a[k, l].reshape(shape)
     if stage == 1:
         return a
     c = np.asarray(st.c[k, l] if c is None else c, dtype=complex)
-    return c[..., None] * a + own_stream_indicator(st.K, st.L)[k, l].reshape(shape)
+    return c[..., None] * a + own_stream_indicator(st.K, st.L)[k % st.K, l].reshape(shape)
 
 
 def _denominators(ch: ChannelSet, st: DesignState, stage: int, w=None) -> np.ndarray:
@@ -141,7 +142,7 @@ def _denominators(ch: ChannelSet, st: DesignState, stage: int, w=None) -> np.nda
     w, when given, is cross_vectors(ch.Hhat, st.v)."""
     U = st.u if stage == 1 else st.utilde
     w = cross_vectors(ch.Hhat, st.v) if w is None else w
-    b = stage_targets(st, slice(None), slice(None), stage)
+    b = stage_targets(st, np.arange(st.K)[:, None], np.arange(st.L), stage)
     return robust_noise(w[:, None], U, b, vector_norms(st.v).reshape(-1), ch.epsilon, st.P)
 
 

@@ -50,8 +50,7 @@ from .rates import (
     per_stream_rates,
     rate_report,
     robust_noise,
-    stage1_denominators,
-    stage2_denominators,
+    stage_targets,
     vector_norms,
 )
 
@@ -73,10 +72,7 @@ class SolverConfig:
     max_outer_iters: cap on the receive/transmit alternations of solve.
     max_inner_iters: caps three loops: the Newton steps of each filter fit,
         the L-BFGS-B iterations (times 5) of each barrier stage, and the
-        sweeps of the receive-side fixed point.  That fixed point stops
-        after a sweep that writes nothing only when the cap would have
-        allowed another sweep, and otherwise needs two sweeps, so a cap of
-        1 always raises.
+        sweeps of the receive-side fixed point.
     rate_tol: solve stops after an accepted transmit step once r_min moved
         by at most rate_tol * max(1, |r_min|); the receive fixed point stops
         once no stage-two rate moves by rate_tol or more.
@@ -103,13 +99,15 @@ class TraceRecord:
     iter: int
     stage: str  # "receivers" | "precoders" | "quantize"
     r_min: float
-    objective: float
 
 
 @dataclass
 class SolveTrace:
     """What a solve did, kept out of the solve JSON and the simulate CSV.
 
+    records hold the r_min the loop measured after each block: the receive
+    block, the transmit step (the kept state's r_min, so the receive block's
+    own when the step was rejected) and, last, the rounded final design.
     stop_reason says why the outer loop ended: "transmit step rejected",
     "rate_tol reached", "max_outer_iters reached", or the block and message
     of a NonConvergenceError; a capped final refit appends its own message.
@@ -124,20 +122,11 @@ class SolveTrace:
     first_receivers: DesignState | None = None
     first_receivers_error: str = ""
 
-    def add(self, it: int, stage: str, r_min: float, objective: float):
-        self.records.append(TraceRecord(it, stage, float(r_min), float(objective)))
-
-    def r_min_series(self) -> list[float]:
-        return [rec.r_min for rec in self.records]
+    def add(self, it: int, stage: str, r_min: float):
+        self.records.append(TraceRecord(it, stage, float(r_min)))
 
     def pre_quantize_series(self) -> list[float]:
         return [rec.r_min for rec in self.records if rec.stage != "quantize"]
-
-    def to_csv(self) -> str:
-        lines = ["iter,r_min,stage,objective"]
-        for rec in self.records:
-            lines.append(f"{rec.iter},{rec.r_min!r},{rec.stage},{rec.objective!r}")
-        return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -204,20 +193,11 @@ class _Stack:
         """(design, user within that design) of user rows k."""
         return np.divmod(k, self.K)
 
-    def targets(self, k, l, stage: int, c=None) -> np.ndarray:
-        """rates.stage_targets of decoders (k, l); user row k owns stream k mod K."""
-        a = self.a[k, l].reshape(np.shape(self.c[k, l]) + (-1,))
-        if stage == 1:
-            return a
-        c = np.asarray(self.c[k, l] if c is None else c, dtype=complex)
-        own = own_stream_indicator(self.K, self.L)[k % self.K, l]
-        return c[..., None] * a + own.reshape(a.shape)
-
 
 def _decoders(ch: ChannelSet, st, k, l, stage: int, c=None):
     """Cross vectors, residual targets and stream norms of decoders (k, l)."""
     S = _Stack.of(ch, st)
-    return S.w[k], S.targets(k, l, stage, c), S.nv[k]
+    return S.w[k], stage_targets(S, k, l, stage, c), S.nv[k]
 
 
 def decorrelator_objective(
@@ -471,7 +451,8 @@ def decorrelator_robust(
 
 
 def _fit_message(cfg: SolverConfig, k, l) -> str:
-    bad = [(int(i), int(j)) for i, j in zip(k, l)]
+    # a stage-two refit batch has one row per candidate scaling of a decoder
+    bad = sorted({(int(i), int(j)) for i, j in zip(k, l)})
     return (
         f"receive-filter Newton solve did not reach newton_tol within "
         f"{cfg.max_inner_iters} steps for decoders {bad}"
@@ -507,7 +488,7 @@ def scaling_candidates(ch: ChannelSet, st: DesignState, k, l, cfg: SolverConfig 
     kk, ll = (np.broadcast_to(i, shape).reshape(-1) for i in (k, l))
     a = S.a[kk, ll].reshape(len(kk), -1)
     ut = S.utilde[kk, ll]
-    q = np.einsum("...ja,...a->...j", S.w[kk], ut.conj()) - S.targets(kk, ll, 2, c=0)
+    q = np.einsum("...ja,...a->...j", S.w[kk], ut.conj()) - stage_targets(S, kk, ll, 2, c=0)
     s = ch.epsilon * S.nv[kk] * vector_norms(ut)[..., None]
     live = np.any(a != 0, axis=1)
 
@@ -664,9 +645,8 @@ def optimize_receivers(
         S.u[k1[better], l1[better]] = cand[better]
 
     traces: list[list[np.ndarray]] = [[] for _ in range(n)]
-    prev: list[np.ndarray | None] = [None] * n
     running = np.ones(n, dtype=bool)
-    for sweep in range(cfg.max_inner_iters):
+    for _ in range(cfg.max_inner_iters):
         rows = running[S.split(kk)[0]]
         noise, wrote, changed, capped = _stage2_joint_update(ch, S, cfg, kk[rows], ll[rows])
         note(*capped)
@@ -674,12 +654,11 @@ def optimize_receivers(
         mu = np.log2(S.P / noise).reshape(-1, K, L)
         wrote, changed = wrote.reshape(-1, K * L).any(1), changed.reshape(-1, K * L).any(1)
         for i, d in enumerate(np.flatnonzero(running)):
-            traces[d].append(mu[i])
-            settled = prev[d] is not None and not changed[i]
-            settled = settled and float(np.max(np.abs(mu[i] - prev[d]))) < cfg.rate_tol
-            if settled or not wrote[i] and sweep + 1 < cfg.max_inner_iters:
-                running[d] = False
-            prev[d] = mu[i]
+            tr = traces[d]
+            tr.append(mu[i])
+            settled = len(tr) > 1 and not changed[i]
+            settled = settled and float(np.max(np.abs(mu[i] - tr[-2]))) < cfg.rate_tol
+            running[d] = wrote[i] and not settled
         if not running.any():
             break
 
@@ -900,20 +879,16 @@ def initial_state(
     return st
 
 
-def _quantize_coefficients(st: DesignState) -> DesignState:
-    out = st.copy()
-    out.a = np.round(st.a.real) + 1j * np.round(st.a.imag)
-    return out
-
-
-def _reduce_common_divisors(st: DesignState) -> DesignState:
-    """Divide each coefficient vector by its common Gaussian divisor.
+def _round_coefficients(st: DesignState) -> DesignState:
+    """A copy of st with each relaxed coefficient rounded to the nearest Gaussian
+    integer, and each coefficient vector then divided by its common divisor.
 
     A shared divisor r (norm > 1) wastes aggregate-decoding rate: the pair
     (u/r, a/r) decodes a strictly finer combination at higher rate while
     c -> c r leaves the stage-two targets untouched.
     """
     out = st.copy()
+    out.a = np.round(st.a.real) + 1j * np.round(st.a.imag)
     K, L = st.K, st.L
     for k in range(K):
         for l in range(L):
@@ -946,16 +921,16 @@ def _alternate(ch: ChannelSet, cfg: SystemConfig, solver: SolverConfig, st: Desi
             trace.stop_reason = f"optimize_receivers: {err}"
             break
         r_a = rate_report(ch, st).r_min
-        trace.add(outer, "receivers", r_a, float(np.sum(stage2_denominators(ch, st))))
+        trace.add(outer, "receivers", r_a)
 
-        st_cand, t_val = optimize_precoders(ch, st, cfg.gamma, solver)
+        st_cand, _ = optimize_precoders(ch, st, cfg.gamma, solver)
         r_cand = rate_report(ch, st_cand).r_min
         if r_cand < r_a:
-            trace.add(outer, "precoders", r_a, t_val)
+            trace.add(outer, "precoders", r_a)
             trace.stop_reason = "transmit step rejected"
             break
         st = st_cand
-        trace.add(outer, "precoders", r_cand, t_val)
+        trace.add(outer, "precoders", r_cand)
         if np.isfinite(r_prev) and abs(r_cand - r_prev) <= solver.rate_tol * max(1.0, abs(r_cand)):
             trace.stop_reason = "rate_tol reached"
             break
@@ -964,7 +939,7 @@ def _alternate(ch: ChannelSet, cfg: SystemConfig, solver: SolverConfig, st: Desi
         trace.converged = False
         trace.stop_reason = "max_outer_iters reached"
 
-    rounded = _reduce_common_divisors(_quantize_coefficients(st))
+    rounded = _round_coefficients(st)
     # a rejected step leaves the receive block's own output: when rounding
     # keeps its integers, a refit would return it again
     kept = np.array_equal(rounded.a, st.a) and np.array_equal(rounded.c, st.c)
@@ -975,10 +950,7 @@ def _alternate(ch: ChannelSet, cfg: SystemConfig, solver: SolverConfig, st: Desi
             trace.converged = False
             trace.stop_reason += f"; final receive refit: {err}"
     report = rate_report(ch, st)
-    den_worst = float(
-        max(np.max(stage2_denominators(ch, st)), np.max(stage1_denominators(ch, st)))
-    )
-    trace.add(outer + 1, "quantize", report.r_min, den_worst)
+    trace.add(outer + 1, "quantize", report.r_min)
 
     for k in range(cfg.K):
         if st.power(k) > cfg.gamma + 1e-9:
@@ -1128,7 +1100,7 @@ def multi_start(
             converged=not err,
             stop_reason="receive-only fit" + (f"; optimize_receivers: {err}" if err else ""),
         )
-        tr_rx.add(0, "receivers", rep_rx.r_min, 0.0)
+        tr_rx.add(0, "receivers", rep_rx.r_min)
         results.append((st_rx, rep_rx, tr_rx))
 
     best = None

@@ -33,6 +33,9 @@ def test_system_config_validation():
         SystemConfig(K=3, M=2, N=2, L=1, P=10.0, epsilon=-0.1)
     with pytest.raises(ConfigurationError):
         SystemConfig(K=3, M=2, N=2, L=1, P=10.0, gamma=0.0)
+    for name in ("K", "M", "N", "L"):  # a bool is an int
+        with pytest.raises(ConfigurationError, match=f"{name} must be a positive integer"):
+            SystemConfig(**{**dict(K=3, M=2, N=2, L=1, P=10.0), name: True})
 
 
 @pytest.mark.parametrize(

@@ -146,7 +146,9 @@ def test_simulate_bad_config(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "key, value", [("trials", 1.5), ("trials", True), ("K_grid", [2.7]), ("seed", 0.5)]
+    "key, value",
+    [("trials", 1.5), ("trials", True), ("K_grid", [2.7]), ("seed", 0.5), ("M", True),
+     ("L", True)],
 )
 def test_simulate_rejects_non_integer_counts(tmp_path, capsys, key, value):
     path = _sim_config(tmp_path, **{key: value})

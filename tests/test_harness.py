@@ -72,10 +72,15 @@ def test_spec_validation():
     for name, bad in (
         ("trials", 1.5), ("trials", True), ("n_starts", 2.0), ("dist_ia_iters", 10.5),
         ("seed", 0.5), ("seed", False), ("K_grid", (2.7,)), ("K_grid", (3, True)),
+        ("M", True), ("N", 2.0), ("L", False),
     ):
         with pytest.raises(ConfigurationError, match=name):
             _spec(**{name: bad})
     assert _spec(trials=np.int64(2), K_grid=(np.int64(3),)).K_grid == (3,)
+    assert type(_spec(M=np.int64(2)).M) is int
+    for name in ("M", "N", "L"):
+        with pytest.raises(ConfigurationError, match=f"{name} must be >= 1"):
+            _spec(**{name: 0})
 
 
 def test_run_experiment_row_grid():
@@ -237,6 +242,11 @@ def test_experiment_from_json_solver_section():
         ('{"methods": ["tdma"], "K_grid": [3], "snr_db_grid": [10.0],'
          ' "epsilon_grid": [0.0], "M": 2, "N": 2, "solver": {"barrier_q0": 2.0}}',
          "unknown solver keys"),
+        ('{"methods": ["tdma"], "K_grid": [3], "snr_db_grid": [0.0, NaN],'
+         ' "epsilon_grid": [0.0], "M": 2, "N": 2}', "snr_db_grid entries must be finite"),
+        ('{"methods": ["tdma"], "K_grid": [3], "snr_db_grid": [10.0],'
+         ' "epsilon_grid": [0.0, Infinity], "M": 2, "N": 2}',
+         "epsilon_grid entries must be finite"),
     ],
 )
 def test_experiment_from_json_rejects(text, fragment):

@@ -29,11 +29,11 @@ from latticealign.rates import (
 from latticealign.solver import (
     SolveTrace,
     SolverConfig,
+    TraceRecord,
     _least_squares_filters,
     _newton_batch,
     _Problems,
-    _quantize_coefficients,
-    _reduce_common_divisors,
+    _round_coefficients,
     _scaling_value,
     _stage2_joint_update,
     _starts,
@@ -238,19 +238,20 @@ def test_solve_symmetric_reaches_oracle():
     assert trace.converged
 
 
-def test_solve_trace_monotone_and_csv():
+def test_solve_trace_monotone_with_every_stage():
+    """The trace alternates receive and transmit records, is non-decreasing
+    before rounding and ends with the rounded design's own r_min."""
     ch, cfg = _random_instance(eps=0.1, seed=31)
     st, rep, trace = solve(ch, cfg)
     series = trace.pre_quantize_series()
     assert len(series) >= 2
     for prev, cur in zip(series, series[1:]):
         assert cur >= prev - 1e-9
-    text = trace.to_csv()
-    lines = text.strip().splitlines()
-    assert lines[0] == "iter,r_min,stage,objective"
-    assert any(",receivers," in ln for ln in lines[1:])
-    assert any(",precoders," in ln for ln in lines[1:])
-    assert any(",quantize," in ln for ln in lines[1:])
+    stages = [rec.stage for rec in trace.records]
+    assert stages[:-1] == ["receivers", "precoders"] * (len(stages) // 2)
+    last = trace.records[-1]
+    assert (last.stage, last.r_min) == ("quantize", rep.r_min)
+    assert last.iter == trace.records[-2].iter + 1
 
 
 def test_solve_returns_integer_coefficients_and_budget():
@@ -376,10 +377,14 @@ def test_nonconvergence_error_carries_best():
 
 def test_solve_trace_records():
     tr = SolveTrace()
-    tr.add(0, "receivers", 1.0, 2.0)
-    tr.add(0, "precoders", 1.5, 1.0)
-    tr.add(1, "quantize", 1.4, 0.5)
-    assert tr.r_min_series() == [1.0, 1.5, 1.4]
+    tr.add(0, "receivers", 1.0)
+    tr.add(0, "precoders", 1.5)
+    tr.add(1, "quantize", np.float64(1.4))
+    assert tr.records == [
+        TraceRecord(0, "receivers", 1.0), TraceRecord(0, "precoders", 1.5),
+        TraceRecord(1, "quantize", 1.4),
+    ]
+    assert type(tr.records[-1].r_min) is float
     assert tr.pre_quantize_series() == [1.0, 1.5]
 
 
@@ -702,6 +707,53 @@ def test_receive_block_is_idempotent(shape, eps, monkeypatch):
     if eps == 0:
         for name in ("v", "u", "utilde"):
             assert np.array_equal(getattr(twice, name), getattr(once, name))
+
+
+def test_receive_fixed_point_cap_of_one():
+    """A sweep that writes nothing ends the receive fixed point whatever the
+    cap: with a cap of 1, the block on its own output returns after that one
+    sweep, while a block whose only sweep writes still hits the cap."""
+    ch, cfg = _random_instance(eps=0.0, seed=3)
+    st = initial_state(ch, cfg)
+    once, _ = optimize_receivers(ch, st)
+    twice, trace = optimize_receivers(ch, once, SolverConfig(max_inner_iters=1))
+    assert len(trace) == 1 and _same_design(twice, once)
+    with pytest.raises(NonConvergenceError, match="fixed-point iteration hit the iteration cap"):
+        optimize_receivers(ch, st, SolverConfig(max_inner_iters=1))
+
+
+def test_capped_fit_message_names_each_decoder_once():
+    """A stage-two refit batch has one row per candidate scaling, yet the
+    message of a capped block lists each decoder once, sorted."""
+    cfg = SystemConfig(K=3, M=2, N=2, L=1, P=10.0, epsilon=0.1, seed=1)
+    ch = perturb_csi(generate_channels(cfg), 0.1, seed=101)
+    _, _, errors = optimize_receivers(
+        ch, [initial_state(ch, cfg)], SolverConfig(max_inner_iters=3)
+    )
+    assert errors[0].endswith("within 3 steps for decoders [(0, 0), (1, 0)]")
+
+
+def test_denominators_are_evaluated_only_by_rate_report(monkeypatch):
+    """solve and multi_start evaluate each stage's denominators once per
+    rate_report call and nowhere else."""
+    from latticealign import rates as rates_mod
+    from latticealign import solver as solver_mod
+
+    calls = dict.fromkeys(("rate_report", "stage1_denominators", "stage2_denominators"), 0)
+    for mod in (rates_mod, solver_mod):
+        for name in calls:
+            if hasattr(mod, name):
+
+                def counted(*args, _real=getattr(mod, name), _name=name, **kwargs):
+                    calls[_name] += 1
+                    return _real(*args, **kwargs)
+
+                monkeypatch.setattr(mod, name, counted)
+    ch, cfg = _random_instance(eps=0.1, seed=31)
+    solve(ch, cfg)
+    multi_start(ch, cfg, 2)
+    assert calls["rate_report"] > 0
+    assert calls["stage1_denominators"] == calls["stage2_denominators"] == calls["rate_report"]
 
 
 def test_multi_start_reuses_the_seeded_first_receive_block(monkeypatch):
@@ -1242,7 +1294,7 @@ def test_transmit_map_matches_the_einsum_objective(shape, eps):
 
 def _parent_refit(ch, st):
     """The final refit a solve makes: the receive block on the rounded state."""
-    return optimize_receivers(ch, _reduce_common_divisors(_quantize_coefficients(st)))[0]
+    return optimize_receivers(ch, _round_coefficients(st))[0]
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.1])
