@@ -16,6 +16,7 @@ Exit codes: 0 success, 2 configuration problem, 3 non-convergence under
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -39,7 +40,9 @@ EXIT_CONFIG = 2
 EXIT_NONCONVERGED = 3
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="latticealign",
         description="robust lattice-aligned transceiver design for interference networks",

@@ -86,6 +86,10 @@ class ExperimentSpec:
             for x in value if name == "K_grid" else (value,):
                 if isinstance(x, bool) or not isinstance(x, numbers.Integral):
                     raise ConfigurationError(f"{name} takes integers only, got {x!r}")
+        for name in ("snr_db_grid", "epsilon_grid"):
+            for x in getattr(self, name):
+                if isinstance(x, bool) or not isinstance(x, numbers.Real):
+                    raise ConfigurationError(f"{name} takes real numbers only, got {x!r}")
         if any(k < 1 for k in self.K_grid):
             raise ConfigurationError("K_grid entries must be >= 1")
         if any(e < 0 for e in self.epsilon_grid):

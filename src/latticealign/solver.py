@@ -10,7 +10,9 @@ or convex:
   a smoothed copy, all decoders of the block in one batch) plus a finite
   integer search for each c, scored as one decoder x candidate array;
 * transmit-side block: the epigraph problem in (v, relaxed a, t) is convex
-  and is solved with a log-barrier method under the per-user power budget.
+  and is solved with a log-barrier method under the per-user power budget;
+  its sweep of barrier stages ends at the duality-gap bound or at the first
+  stage that stalls (at most one L-BFGS-B iteration).
 
 The outer loop alternates the two blocks and never accepts a step that
 lowers the worst rate bound.  It stops at the first rejected transmit step:
@@ -66,7 +68,8 @@ class SolverConfig:
         objective t - (sum of log slacks) / q grows from one barrier stage to
         the next; the first stage uses q = 1.
     barrier_tol: the barrier stops once its duality-gap bound, the number of
-        constraints over q, drops below this.
+        constraints over q, drops below this, or after the first stage that
+        stalls (at most one L-BFGS-B iteration).
     newton_tol: Newton-decrement tolerance of the filter and relaxed scaling
         fits, and the gradient tolerance of each barrier stage.
     max_outer_iters: cap on the receive/transmit alternations of solve.
@@ -767,7 +770,8 @@ def optimize_precoders(
     coordinates of (v, a), built once per call (_transmit_objective), so each
     barrier evaluation is one product with that map and one with its
     transpose.  A standard log-barrier sweep (multiplier nu per stage,
-    stopped when the barrier duality gap drops below barrier_tol) minimizes
+    stopped when the barrier duality gap drops below barrier_tol or after
+    the first stage that stalls at one L-BFGS-B iteration or less) minimizes
     t; the combination coefficients are relaxed to arbitrary complex values
     here and only re-integerized at the end of the full solve.
 
@@ -788,7 +792,9 @@ def optimize_precoders(
             options={"maxiter": cfg.max_inner_iters * 5, "ftol": 1e-15, "gtol": cfg.newton_tol},
         )
         x = res.x
-        if n_constraints / q < cfg.barrier_tol:
+        # n / q bounds the duality gap only at a centred point, which a stage
+        # of at most one iteration did not reach; the stages after it stall too
+        if n_constraints / q < cfg.barrier_tol or res.nit <= 1:
             break
         q *= cfg.barrier_nu
     n_v = K * L * M

@@ -158,6 +158,17 @@ def test_simulate_rejects_non_integer_counts(tmp_path, capsys, key, value):
     assert not (tmp_path / "rows.csv").exists()
 
 
+@pytest.mark.parametrize("key", ["snr_db_grid", "epsilon_grid"])
+@pytest.mark.parametrize("entry", ["0.1", "10", True])
+def test_simulate_rejects_non_number_grid_entries(tmp_path, capsys, key, entry):
+    """Strings and booleans in a grid exit 2 instead of a TypeError or a silent cast."""
+    path = _sim_config(tmp_path, **{key: [entry]})
+    code = main(["simulate", "--config", str(path), "--output", str(tmp_path / "rows.csv")])
+    assert code == EXIT_CONFIG == 2
+    assert f"{key} takes real numbers only, got {entry!r}" in capsys.readouterr().err
+    assert not (tmp_path / "rows.csv").exists()
+
+
 def test_simulate_strict_flags_nonconvergence(tmp_path, capsys):
     """A one-step cap on the inner fits stops the receive block short."""
     cfg_path = _sim_config(

@@ -659,6 +659,36 @@ def _count_calls(monkeypatch, *names):
     return calls
 
 
+def _receive_block_output(seed=28):
+    """A K=3, M=N=2 design after one receive block, every user on its power budget."""
+    ch, cfg = _random_instance(eps=0.1, seed=seed)
+    st, _ = optimize_receivers(ch, initial_state(ch, cfg, "random_unit", seed=seed + 1, init_a="round"))
+    return ch, cfg, st
+
+
+def test_barrier_sweep_ends_at_a_stalled_first_stage(monkeypatch):
+    """With every user on the budget the first barrier stage stalls, and the
+    sweep ends there instead of running its remaining stages from the same x."""
+    ch, cfg, st = _receive_block_output()
+    assert np.allclose([st.power(k) for k in range(cfg.K)], cfg.gamma)
+    calls = _count_calls(monkeypatch, "minimize")
+    optimize_precoders(ch, st, cfg.gamma)
+    assert [res.nit for res in calls["minimize"]] == [1]
+
+
+def test_barrier_sweep_continues_after_a_stage_that_moves(monkeypatch):
+    """At half the budget the power barrier is not stiff, so the first stage
+    moves and the sweep goes on; it ends at its first stalled stage."""
+    ch, cfg, st = _receive_block_output()
+    st.v = st.v * np.sqrt(0.5)
+    calls = _count_calls(monkeypatch, "minimize")
+    out, _ = optimize_precoders(ch, st, cfg.gamma)
+    nits = [res.nit for res in calls["minimize"]]
+    assert len(nits) > 1
+    assert min(nits[:-1]) >= 2
+    assert max(out.power(k) for k in range(cfg.K)) <= cfg.gamma
+
+
 def test_solve_stops_at_the_first_rejected_transmit_step(monkeypatch):
     """A rejected transmit step leaves the receive block's own output, so the
     loop ends there instead of repeating the block and the barrier solve.
