@@ -34,8 +34,8 @@ class SymmetricInstance:
             raise ConfigurationError("symmetric analysis needs K >= 2 users")
         if not isinstance(self.h, GaussianInt):
             raise ConfigurationError("cross gain h must be a GaussianInt")
-        if not self.P > 0:
-            raise ConfigurationError("P must be positive")
+        if not (self.P > 0 and math.isfinite(self.P)):
+            raise ConfigurationError(f"P must be positive and finite, got {self.P!r}")
 
     @property
     def habs2(self) -> float:

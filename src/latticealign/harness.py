@@ -161,9 +161,10 @@ class _Trial:
 def _run_lattice(trial: _Trial):
     ch, cfg, spec = trial.ch, trial.cfg, trial.spec
     solver = spec.solver if spec.solver is not None else HARNESS_SOLVER
-    # seed one start from the min-leakage alignment precoders: the plain
-    # receive-side fit on those is already at least the alignment rates,
-    # so the chosen design never trails that baseline on the same trial
+    # seed one start from the min-leakage alignment precoders: its first
+    # receive block is already at least the alignment rates, and solve returns
+    # no less r_min than that block when it converged, so under the worst-rate
+    # objective the chosen design never trails that baseline on the same trial
     V_ia, _, _ = trial.ia_design
     st, report, trace = multi_start(
         ch, cfg, n_starts=spec.n_starts, solver=solver, objective=spec.objective,

@@ -248,15 +248,9 @@ def per_stream_rates(report: RateReport, a: np.ndarray) -> np.ndarray:
     bound of every decoder whose aggregate includes it with a nonzero
     coefficient.
     """
-    K, L = report.mu_tilde.shape
-    r = report.mu_tilde.copy()
-    for k in range(K):
-        for l in range(L):
-            if not np.isfinite(report.mu[k, l]):
-                continue
-            involved = np.abs(a[k, l]) > 0
-            r[involved] = np.minimum(r[involved], report.mu[k, l])
-    return r
+    mu = report.mu[..., None, None]
+    limits = np.where((np.abs(a) > 0) & np.isfinite(mu), mu, np.inf)
+    return np.minimum(report.mu_tilde, limits.min(axis=(0, 1)))
 
 
 def goodput(ch: ChannelSet, st: DesignState, designed_rate: float) -> float:

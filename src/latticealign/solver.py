@@ -36,6 +36,8 @@ a solve of that design alone gives; optimize_receivers returns those errors.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,12 +91,18 @@ class SolverConfig:
     rate_tol: float = 1e-5
 
     def __post_init__(self):
+        for name in ("max_outer_iters", "max_inner_iters"):
+            val = getattr(self, name)
+            if isinstance(val, bool) or not isinstance(val, numbers.Integral) or val < 1:
+                raise ConfigurationError(f"{name} must be an integer >= 1, got {val!r}")
+        for name in ("barrier_nu", "barrier_tol", "newton_tol", "rate_tol"):
+            val = getattr(self, name)
+            if isinstance(val, bool) or not isinstance(val, numbers.Real) or not math.isfinite(val):
+                raise ConfigurationError(f"{name} must be a finite real number, got {val!r}")
         if self.barrier_nu <= 1:
             raise ConfigurationError("need barrier_nu > 1")
         if min(self.barrier_tol, self.newton_tol, self.rate_tol) <= 0:
             raise ConfigurationError("tolerances must be positive")
-        if min(self.max_outer_iters, self.max_inner_iters) < 1:
-            raise ConfigurationError("iteration caps must be at least 1")
 
 
 @dataclass
@@ -110,20 +118,16 @@ class SolveTrace:
 
     records hold the r_min the loop measured after each block: the receive
     block, the transmit step (the kept state's r_min, so the receive block's
-    own when the step was rejected) and, last, the rounded final design.
+    own when the step was rejected) and, last, the returned design.
     stop_reason says why the outer loop ended: "transmit step rejected",
     "rate_tol reached", "max_outer_iters reached", or the block and message
-    of a NonConvergenceError; a capped final refit appends its own message.
-    first_receivers is the state the first receive-side block returned, and
-    first_receivers_error the message of that block's NonConvergenceError
-    ("" when it converged).
+    of a NonConvergenceError; a capped final refit appends its message, and
+    returning the first receive block appends "; kept the first receive block".
     """
 
     records: list[TraceRecord] = field(default_factory=list)
     converged: bool = True
     stop_reason: str = ""
-    first_receivers: DesignState | None = None
-    first_receivers_error: str = ""
 
     def add(self, it: int, stage: str, r_min: float):
         self.records.append(TraceRecord(it, stage, float(r_min)))
@@ -915,19 +919,19 @@ def _alternate(ch: ChannelSet, cfg: SystemConfig, solver: SolverConfig, st: Desi
     and error message (None when it converged) and returns (state, report,
     trace)."""
     trace = SolveTrace()
+    first = None  # the first receive block's state and r_min
     r_prev = -np.inf
     outer = 0
     for outer in range(solver.max_outer_iters):
         st, err = yield st
-        if outer == 0:
-            trace.first_receivers = st
-            trace.first_receivers_error = err or ""
         if err is not None:
             trace.converged = False
             trace.stop_reason = f"optimize_receivers: {err}"
             break
         r_a = rate_report(ch, st).r_min
         trace.add(outer, "receivers", r_a)
+        if outer == 0:
+            first = st, r_a
 
         st_cand, _ = optimize_precoders(ch, st, cfg.gamma, solver)
         r_cand = rate_report(ch, st_cand).r_min
@@ -956,6 +960,12 @@ def _alternate(ch: ChannelSet, cfg: SystemConfig, solver: SolverConfig, st: Desi
             trace.converged = False
             trace.stop_reason += f"; final receive refit: {err}"
     report = rate_report(ch, st)
+    if first is not None and first[1] > report.r_min:
+        st_first = _round_coefficients(first[0])
+        rep_first = rate_report(ch, st_first)
+        if rep_first.r_min > report.r_min:
+            st, report = st_first, rep_first
+            trace.stop_reason += "; kept the first receive block"
     trace.add(outer + 1, "quantize", report.r_min)
 
     for k in range(cfg.K):
@@ -993,6 +1003,8 @@ def solve(
     removed, and the receive side is refit once against the final integers,
     unless they are the ones its last block used: after a rejected step that
     left a and c unchanged, that refit would return the block's own output.
+    Rounding can lose more than the loop gained, so a converged first receive
+    block, its common divisors divided out, is returned if its r_min is higher.
 
     Returns (state, report, trace); trace.converged is False when the outer
     loop or a sub-block hit its iteration budget, and trace.stop_reason says
@@ -1079,44 +1091,20 @@ def multi_start(
     then the alignment seed when the geometry admits one, then seeded random
     draws, so enlarging n_starts can only improve the selected objective.
 
-    Each entry of extra_precoders, (K, L, M) like DesignState.v, adds two
-    candidates on top of the n_starts budget: a full solve seeded from those
-    precoders, and the plain receive-side fit with zero coefficients, which is
-    that solve's first receive block.  The latter never trails any
-    fixed-filter single-user rate for the same precoders, which makes a
-    known-good design (for example an alignment solution) a floor for the
-    returned objective.  Its trace carries over that block's convergence and
-    error.
+    Each entry of extra_precoders, (K, L, M) like DesignState.v, adds one
+    start with those precoders and zero coefficients.  Its first receive
+    block never trails any fixed-filter single-user rate for those
+    precoders, and solve returns no less r_min than that block (when it
+    converged), so a known-good design such as an alignment solution floors
+    the returned r_min; with objective="sum" that block is no candidate.
 
-    All starts and seeded solves go to one solve call, which runs them in
-    lock-step with one receive-side batch per round; each result is the one
-    a solve of that start alone gives.
+    All starts run in one lock-step solve call, each with the result a solve
+    of it alone gives; the first start with the best objective is returned.
     """
-    solver = solver or SolverConfig()
     starts = _starts(ch, cfg, n_starts)
-    seeded = [state_from_precoders(cfg, V) for V in extra_precoders]
-    solved = list(zip(*solve(ch, cfg, solver, init_state=starts + seeded)))
-    results = solved[: len(starts)]
-    for result in solved[len(starts) :]:
-        # the seeded solve, then its first receive block on its own
-        results.append(result)
-        st_rx, err = result[2].first_receivers, result[2].first_receivers_error
-        rep_rx = rate_report(ch, st_rx)
-        tr_rx = SolveTrace(
-            converged=not err,
-            stop_reason="receive-only fit" + (f"; optimize_receivers: {err}" if err else ""),
-        )
-        tr_rx.add(0, "receivers", rep_rx.r_min)
-        results.append((st_rx, rep_rx, tr_rx))
-
-    best = None
-    best_key = -np.inf
-    for result in results:
-        key = _objective_key(result[0], result[1], objective)
-        if key > best_key:
-            best = result
-            best_key = key
-    return best
+    starts += [state_from_precoders(cfg, V) for V in extra_precoders]
+    results = zip(*solve(ch, cfg, solver, init_state=starts))
+    return max(results, key=lambda r: _objective_key(r[0], r[1], objective))
 
 
 def _starts(ch: ChannelSet, cfg: SystemConfig, n_starts: int) -> list[DesignState]:

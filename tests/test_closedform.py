@@ -1,5 +1,7 @@
 """Closed-form symmetric rates against direct numerical optimization."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -147,6 +149,8 @@ def test_symmetric_instance_validation():
         SymmetricInstance(K=3, h=2, P=4.0)  # not a GaussianInt
     with pytest.raises(ConfigurationError):
         SymmetricInstance(K=3, h=GaussianInt(2, 0), P=0.0)
+    with pytest.raises(ConfigurationError):
+        SymmetricInstance(K=3, h=GaussianInt(2, 0), P=math.inf)
 
 
 def test_symmetric_channelset_layout():

@@ -242,6 +242,17 @@ def test_experiment_from_json_solver_section():
         ('{"methods": ["tdma"], "K_grid": [3], "snr_db_grid": [10.0],'
          ' "epsilon_grid": [0.0], "M": 2, "N": 2, "solver": {"barrier_q0": 2.0}}',
          "unknown solver keys"),
+        *(
+            ('{"methods": ["tdma"], "K_grid": [3], "snr_db_grid": [10.0],'
+             ' "epsilon_grid": [0.0], "M": 2, "N": 2, "solver": {"%s": %s}}' % (key, value),
+             key)
+            for key, value in (
+                ("max_inner_iters", '"5"'), ("max_inner_iters", "2.5"),
+                ("max_outer_iters", "true"), ("rate_tol", "NaN"),
+                ("newton_tol", "Infinity"), ("barrier_nu", "Infinity"),
+                ("barrier_tol", '"1e-6"'),
+            )
+        ),
         ('{"methods": ["tdma"], "K_grid": [3], "snr_db_grid": [0.0, NaN],'
          ' "epsilon_grid": [0.0], "M": 2, "N": 2}', "snr_db_grid entries must be finite"),
         ('{"methods": ["tdma"], "K_grid": [3], "snr_db_grid": [10.0],'

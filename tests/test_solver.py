@@ -68,6 +68,15 @@ def test_solver_config_validation():
         SolverConfig(rate_tol=0.0)
     with pytest.raises(ConfigurationError):
         SolverConfig(max_outer_iters=0)
+    for bad in ("5", 2.5, True, np.nan):
+        for name in ("max_outer_iters", "max_inner_iters"):
+            with pytest.raises(ConfigurationError, match=name):
+                SolverConfig(**{name: bad})
+    for bad in ("0.1", True, np.nan, np.inf, -np.inf):
+        for name in ("barrier_nu", "barrier_tol", "newton_tol", "rate_tol"):
+            with pytest.raises(ConfigurationError, match=name):
+                SolverConfig(**{name: bad})
+    SolverConfig(barrier_nu=10, max_outer_iters=np.int64(3), rate_tol=np.float64(1e-4))
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.15])
@@ -311,7 +320,8 @@ def test_multi_start_prefix_stable_objective():
 
 
 def test_multi_start_extra_precoders_floor():
-    """The receive-only candidate makes a good precoder set a rate floor."""
+    """The seeded start's first receive block makes a good precoder set a
+    rate floor."""
     from latticealign.baselines import distributive_ia_design, ia_stream_rates
 
     ch, cfg = _random_instance(seed=42, P=20.0)
@@ -786,22 +796,24 @@ def test_denominators_are_evaluated_only_by_rate_report(monkeypatch):
     assert calls["stage1_denominators"] == calls["stage2_denominators"] == calls["rate_report"]
 
 
-def test_multi_start_reuses_the_seeded_first_receive_block(monkeypatch):
-    """The receive-only candidate of an extra precoder set is the seeded
-    solve's first receive block, not a second fit of the same input."""
+def test_multi_start_runs_each_extra_precoder_set_as_one_start(monkeypatch):
+    """An extra precoder set is one more start of multi_start's one solve
+    call: two candidates at n_starts=1, the second the seeded solve's own
+    design, and every receive fit runs inside that solve."""
     from latticealign import solver as solver_mod
     from latticealign.baselines import distributive_ia_design
 
     ch, cfg = _random_instance(eps=0.1, seed=42, P=20.0)
     V, _, _ = distributive_ia_design(ch.Hhat, cfg.L, cfg.gamma * cfg.P / cfg.L, 80)
     V = V.transpose(0, 2, 1)  # alignment columns -> stream rows
-    expect, _ = optimize_receivers(ch, state_from_precoders(cfg, V))
+    expect, _, _ = solve(ch, cfg, init_state=state_from_precoders(cfg, V))
 
-    depth, outside, candidates = [0], [], []
+    depth, solves, outside, candidates = [0], [], [], []
     real_solve, real_rx = solver_mod.solve, solver_mod.optimize_receivers
     real_key = solver_mod._objective_key
 
     def nested_solve(*args, **kwargs):
+        solves.append(kwargs["init_state"])
         depth[0] += 1
         try:
             return real_solve(*args, **kwargs)
@@ -821,9 +833,8 @@ def test_multi_start_reuses_the_seeded_first_receive_block(monkeypatch):
     monkeypatch.setattr(solver_mod, "_objective_key", key)
     multi_start(ch, cfg, n_starts=1, extra_precoders=(V,))
     assert outside and not any(outside)  # every receive fit runs inside a solve
-    assert len(candidates) == 3
-    for name in ("v", "u", "utilde", "a", "c"):
-        assert np.array_equal(getattr(candidates[-1], name), getattr(expect, name))
+    assert len(solves) == 1 and len(solves[0]) == 2
+    assert len(candidates) == 2 and _same_design(candidates[-1], expect)
 
 
 # ---------------------------------------------------------------------------
@@ -1056,8 +1067,6 @@ def _assert_same_solve(got, want):
     assert rep.r_min == rep1.r_min
     assert tr.records == tr1.records
     assert (tr.stop_reason, tr.converged) == (tr1.stop_reason, tr1.converged)
-    assert tr.first_receivers_error == tr1.first_receivers_error
-    assert _same_design(tr.first_receivers, tr1.first_receivers)
 
 
 def _lockstep_starts(ch, cfg):
@@ -1076,6 +1085,47 @@ def test_lockstep_solve_equals_one_design_solves(shape, eps):
     assert len(states) == len(reports) == len(traces) == len(starts)
     for d, st0 in enumerate(starts):
         _assert_same_solve((states[d], reports[d], traces[d]), solve(ch, cfg, init_state=st0))
+
+
+@pytest.mark.parametrize("shape, eps", _CASES)
+def test_solve_returns_at_least_its_first_receive_block(shape, eps):
+    """Every design, in lock-step and alone, ends with an r_min at or above
+    its solve's first receive block."""
+    ch, cfg = _case_instance(shape, eps)
+    starts = _lockstep_starts(ch, cfg)
+    _, reports, traces = solve(ch, cfg, init_state=starts)
+    alone = [solve(ch, cfg, init_state=st0)[1:] for st0 in starts]
+    for rep, trace in [*zip(reports, traces), *alone]:
+        assert trace.records[0].stage == "receivers"
+        assert rep.r_min >= trace.records[0].r_min
+
+
+def test_solve_keeps_a_first_receive_block_that_beats_its_final_design(monkeypatch):
+    """A transmit step that relaxes a badly (u and a shrunk, c grown, which
+    raises the stage-one bound of non-integer coefficients) is accepted until
+    rate_tol, and rounding then loses more than the loop gained: solve
+    returns the first receive block, integer and divisor-free."""
+    from latticealign import solver as solver_mod
+
+    def transmit(ch, st, gamma, cfg=None):
+        out = st.copy()
+        out.u, out.a, out.c = st.u / 4, st.a / 4, st.c * 4
+        return out, 0.0
+
+    ch, cfg = _random_instance(eps=0.1, seed=40)
+    st0 = initial_state(ch, cfg)
+    first, _ = optimize_receivers(ch, st0)
+    monkeypatch.setattr(solver_mod, "optimize_precoders", transmit)
+    st, rep, trace = solve(ch, cfg, init_state=st0)
+    assert trace.stop_reason == "rate_tol reached; kept the first receive block"
+    assert trace.converged
+    assert _same_design(st, _round_coefficients(first))
+    assert rep.r_min == rate_report(ch, st).r_min == trace.records[-1].r_min
+    assert rep.r_min >= trace.records[0].r_min
+    assert np.array_equal(st.a, np.round(st.a.real) + 1j * np.round(st.a.imag))
+    for k in range(cfg.K):
+        for l in range(cfg.L):
+            assert common_divisor(st.coeff_vector(k, l)) is None
 
 
 def test_lockstep_capped_designs_keep_their_own_errors():
@@ -1157,36 +1207,6 @@ def test_lockstep_raises_the_first_failing_design_in_start_order(monkeypatch):
     assert len(calls["optimize_receivers"]) == 6  # over[2] raised in round 2 of 3
     states, _, traces = solve(ch, cfg, init_state=[fine, fine])
     assert traces.converged and _same_design(states[0], states[1])
-
-
-def test_receive_only_candidate_carries_a_capped_first_block(monkeypatch):
-    """The receive-only candidate of an extra precoder set reads
-    non-converged, with the block's error, when that block hit its cap."""
-    from latticealign import solver as solver_mod
-
-    ch, cfg = _random_instance(eps=0.1, seed=42, P=20.0)
-    V = complex_gaussian(np.random.default_rng(43), (cfg.K, cfg.L, cfg.M))
-    seen = []
-
-    def last_wins(st, report, objective):  # the receive-only candidate comes last
-        seen.append(st)
-        return float(len(seen))
-
-    monkeypatch.setattr(solver_mod, "_objective_key", last_wins)
-    for solver, converged in ((SolverConfig(), True), (SolverConfig(max_inner_iters=1), False)):
-        seen.clear()
-        _, _, seeded = solve(ch, cfg, solver, init_state=state_from_precoders(cfg, V))
-        st, _, trace = multi_start(ch, cfg, 1, solver, extra_precoders=(V,))
-        assert len(seen) == 3 and _same_design(st, seeded.first_receivers)
-        assert trace.converged is converged is not bool(seeded.first_receivers_error)
-        if converged:
-            assert trace.stop_reason == "receive-only fit"
-        else:
-            assert trace.stop_reason == (
-                f"receive-only fit; optimize_receivers: {seeded.first_receivers_error}"
-            )
-            assert "receive-side" in trace.stop_reason
-        assert [(rec.iter, rec.stage) for rec in trace.records] == [(0, "receivers")]
 
 
 # ---------------------------------------------------------------------------
