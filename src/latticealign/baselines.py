@@ -157,7 +157,8 @@ def distributive_ia_design(
     links, roles swapped) recomputes the precoders the same way.  Total
     leakage is non-increasing because both half-steps minimize the same
     quantity, which is symmetric between the two directions.  Each half-step
-    treats all K users in one batch.
+    treats all K users in one batch.  trace[i] is the leakage after iteration
+    i's receive half-step: the sum of each user's L smallest eigenvalues.
     """
     K, _, N, _ = Hhat.shape
     V = tdma_design(Hhat, L)  # deterministic start: direct-channel modes
@@ -167,8 +168,8 @@ def distributive_ia_design(
     trace: list[float] = []
     for _ in range(iters):
         Q = interference_covariances(Hhat, V, rho)
-        U = np.linalg.eigh(Q)[1][..., :L]
-        trace.append(_leakage(Q, U))
+        lam, U = (x[..., :L] for x in np.linalg.eigh(Q))
+        trace.append(float(lam.sum()))
         V = np.linalg.eigh(interference_covariances(Hrec, U, rho))[1][..., :L]
     return V, U, trace
 

@@ -32,8 +32,8 @@ class SymmetricInstance:
     def __post_init__(self):
         if not isinstance(self.K, int) or self.K < 2:
             raise ConfigurationError("symmetric analysis needs K >= 2 users")
-        if not isinstance(self.h, GaussianInt):
-            raise ConfigurationError("cross gain h must be a GaussianInt")
+        if not isinstance(self.h, GaussianInt) or self.h.norm() == 0:
+            raise ConfigurationError("cross gain h must be a nonzero GaussianInt")
         if not (self.P > 0 and math.isfinite(self.P)):
             raise ConfigurationError(f"P must be positive and finite, got {self.P!r}")
 

@@ -124,17 +124,20 @@ class DesignState:
         return CoeffVector(entries=tuple(ints), own_index=k * self.L + l)
 
 
-def stage_targets(st, k, l, stage: int, c=None) -> np.ndarray:
+def stage_targets(st, k, l, stage, c=None) -> np.ndarray:
     """Residual targets of decoders (k, l), one (K*L,) row each: a for stage
     one, c a + e_own for stage two, with the scalings c defaulting to st.c.
-    k and l are integers or index arrays; row k owns stream k mod st.K, so
-    st may also stack the user rows of several designs (solver._Stack)."""
-    shape = np.shape(st.c[k, l]) + (-1,)
+    k, l and stage (1 or 2) are integers or index arrays that broadcast; row
+    k owns stream k mod st.K, so st may also stack the user rows of several
+    designs (solver._Stack)."""
+    shape = np.shape(st.c[k, l]) + (st.K * st.L,)
     a = st.a[k, l].reshape(shape)
-    if stage == 1:
+    one = np.asarray(stage) == 1
+    if one.all():
         return a
     c = np.asarray(st.c[k, l] if c is None else c, dtype=complex)
-    return c[..., None] * a + own_stream_indicator(st.K, st.L)[k % st.K, l].reshape(shape)
+    b = c[..., None] * a + own_stream_indicator(st.K, st.L)[k % st.K, l].reshape(shape)
+    return np.where(one[..., None], a, b)
 
 
 def _denominators(ch: ChannelSet, st: DesignState, stage: int, w=None) -> np.ndarray:

@@ -7,8 +7,9 @@ or convex:
 
 * receive-side block: per-decoder regularized least squares for u and utilde
   (closed form when the CSI bound is zero, otherwise damped Newton steps on
-  a smoothed copy, all decoders of the block in one batch) plus a finite
-  integer search for each c, scored as one decoder x candidate array;
+  a smoothed copy, all decoders of the block in one batch, which also holds
+  the stage-one fits in the first sweep) plus a finite integer search for
+  each c, scored as one decoder x candidate array;
 * transmit-side block: the epigraph problem in (v, relaxed a, t) is convex
   and is solved with a log-barrier method under the per-user power budget;
   its sweep of barrier stages ends at the duality-gap bound or at the first
@@ -201,14 +202,14 @@ class _Stack:
         return np.divmod(k, self.K)
 
 
-def _decoders(ch: ChannelSet, st, k, l, stage: int, c=None):
+def _decoders(ch: ChannelSet, st, k, l, stage, c=None):
     """Cross vectors, residual targets and stream norms of decoders (k, l)."""
     S = _Stack.of(ch, st)
     return S.w[k], stage_targets(S, k, l, stage, c), S.nv[k]
 
 
 def decorrelator_objective(
-    ch: ChannelSet, st: DesignState, k, l, stage: int, u: np.ndarray, c=None
+    ch: ChannelSet, st: DesignState, k, l, stage, u: np.ndarray, c=None
 ):
     """Exact robust decorrelator objective ||u||^2 + P sum (|residual| + eps bound)^2
     (rates.robust_noise) of filters u for decoders (k, l)."""
@@ -225,7 +226,7 @@ def _least_squares_filters(w: np.ndarray, b: np.ndarray, P: float) -> np.ndarray
 
 
 def decorrelator_closed_form(
-    ch: ChannelSet, st: DesignState, k, l, stage: int, c=None
+    ch: ChannelSet, st: DesignState, k, l, stage, c=None
 ) -> np.ndarray:
     """Regularized least-squares receive filter for the zero-CSI-error case.
 
@@ -271,10 +272,9 @@ class _Problems:
         return _Problems(A, np.stack([t.real, t.imag], -1), s0, sigma, rho, P)
 
     def take(self, idx) -> "_Problems":
-        return _Problems(
-            self.A[idx], self.beta[idx], self.s0[idx], self.sigma[idx], self.rho, self.P,
-            self.AtA[idx],
-        )
+        sub = object.__new__(_Problems)  # the fields need no __post_init__
+        sub.__dict__ = {f: x[idx] if np.ndim(x) else x for f, x in vars(self).items()}
+        return sub
 
     def _terms(self, x: np.ndarray):
         """Residuals e_j, |e_j|_d, ||x||^2, ||x||_d and the offsets s0_j + sigma_j ||x||_d."""
@@ -328,7 +328,7 @@ class _Problems:
         at most tol (likewise for ||x||_d, against the curvature of rho ||x||^2).
 
         terms are the _terms of the current iterates.  Returns (settled per
-        row, rows with a kink step, their steps).
+        row, rows with a kink step, their steps or None when there are none).
         """
         e, az, _, nxs, offset = terms
         r = az + offset
@@ -342,6 +342,8 @@ class _Problems:
             gain = gain + hidden**2 / self.rho
         settled = ~crossed.any(axis=1) & (gain <= tol)
         rows = np.flatnonzero(crossed.any(axis=1))
+        if not len(rows):
+            return settled, rows, None
         weight = np.where(crossed[rows], 2 * self.P * (_DELTA + offset[rows]) / _DELTA, 0.0)
         hess = hess[rows] + np.einsum("bj,bjkl->bkl", weight, self.AtA[rows])
         pull = np.einsum("bjrk,bjr->bjk", self.A[rows], e[rows])
@@ -414,7 +416,7 @@ def decorrelator_robust(
     st: DesignState,
     k,
     l,
-    stage: int,
+    stage,
     cfg: SolverConfig | None = None,
     u0: np.ndarray | None = None,
     c=None,
@@ -426,7 +428,8 @@ def decorrelator_robust(
     the bound is zero, so this must agree with the closed form there).  Each
     problem starts from the better of its warm start u0 (zero when not given)
     and the zero-bound closed form.  Index arrays k, l (and optional stage-two
-    scalings c) fit a whole stack of decoders at once.
+    scalings c) fit a whole stack of independent decoders at once, and stage
+    may then be an array too: one stage per row.
 
     Raises NonConvergenceError, carrying every fitted filter in ``best`` and
     the fits that hit the cap in ``failed``, when some fit does not reach
@@ -564,7 +567,7 @@ def _fit_filters(ch, st, k, l, stage, cfg, u0, c=None):
         return exc.best, exc.failed
 
 
-def _stage2_joint_update(ch: ChannelSet, st, cfg: SolverConfig, kk, ll):
+def _stage2_joint_update(ch: ChannelSet, st, cfg: SolverConfig, kk, ll, k1=(), l1=()):
     """Best (scaling, stage-two filter) pair of decoders (kk, ll), written into st.
 
     Scoring a candidate scaling with the current filter understates it, and
@@ -576,11 +579,14 @@ def _stage2_joint_update(ch: ChannelSet, st, cfg: SolverConfig, kk, ll):
     iterative robust fit, so only each decoder's four best-ranked candidates
     are refit.  The incumbent pair is always in the running, so no decoder's
     objective can increase.  Decoders do not interact here, so all refits of
-    all decoders run as one batch.
+    all decoders run as one batch, with the stage-one fits of decoders
+    (k1, l1): stage one depends on neither utilde nor c.  A new u is written
+    where it lowers its stage-one objective.
 
     Returns, per decoder, its stage-two objective after the update, whether
     a new pair was written and whether its scaling changed; then the
-    decoders (k, l) of the refits that hit the iteration cap.
+    decoders (k, l) of the stage-one and of the stage-two fits that hit the
+    iteration cap.
     """
     cands = scaling_candidates(ch, st, kk, ll, cfg)
     # the NaN padding scores NaN, which a sort puts last
@@ -590,7 +596,14 @@ def _stage2_joint_update(ch: ChannelSet, st, cfg: SolverConfig, kk, ll):
     ok = ~np.isnan(cands)
     owner = np.nonzero(ok)[0]
     kr, lr, cr = kk[owner], ll[owner], cands[ok]
-    u_g, failed = _fit_filters(ch, st, kr, lr, 2, cfg, st.utilde[kr, lr], c=cr)
+    k1, l1 = np.asarray(k1, dtype=int), np.asarray(l1, dtype=int)
+    n1, kf, lf = len(k1), np.concatenate([k1, kr]), np.concatenate([l1, lr])
+    u0, cf = np.concatenate([st.u[k1, l1], st.utilde[kr, lr]]), np.concatenate([st.c[k1, l1], cr])
+    u_fit, failed = _fit_filters(ch, st, kf, lf, np.repeat([1, 2], [n1, len(kr)]), cfg, u0, cf)
+    u1, u_g = u_fit[:n1], u_fit[n1:]
+    f1 = decorrelator_objective(ch, st, *np.tile([k1, l1], 2), 1, np.concatenate([u1, u0[:n1]]))
+    better = f1[:n1] < f1[n1:]
+    st.u[k1[better], l1[better]] = u1[better]
     f_g = np.full(cands.shape, np.inf)
     f_g[ok] = decorrelator_objective(ch, st, kr, lr, 2, u_g, c=cr)
     u_all = np.zeros(cands.shape + u_g.shape[-1:], dtype=complex)
@@ -601,7 +614,8 @@ def _stage2_joint_update(ch: ChannelSet, st, cfg: SolverConfig, kk, ll):
     changed = take & (cands[best] != st.c[kk, ll])
     st.c[kk[take], ll[take]] = cands[best][take]
     st.utilde[kk[take], ll[take]] = u_all[best][take]
-    return np.where(take, f_g[best], f_cur), take, changed, (kr[failed], lr[failed])
+    capped = [(k1[failed[:n1]], l1[failed[:n1]]), (kr[failed[n1:]], lr[failed[n1:]])]
+    return np.where(take, f_g[best], f_cur), take, changed, capped
 
 
 def optimize_receivers(
@@ -610,10 +624,11 @@ def optimize_receivers(
     """Receive-side block: refit every u once, then alternate utilde and c.
 
     Precoders and combination coefficients stay fixed.  Each u is the exact
-    (or Newton-refined) minimizer of its stage-one objective; each (utilde,
-    c) pair is improved jointly until a fixed point, and every update is
-    accepted only if it lowers its objective, so the per-decoder rate bounds
-    are non-decreasing along the returned trace of stage-two rate arrays.
+    (or Newton-refined) minimizer of its stage-one objective, fitted with the
+    first sweep's stage-two refits; each (utilde, c) pair is improved jointly
+    until a fixed point, and every update is accepted only if it lowers its
+    objective, so the per-decoder rate bounds are non-decreasing along the
+    returned trace of stage-two rate arrays.
     The fixed point is reached after a sweep that writes nothing (a further
     sweep would repeat it), or once no scaling changed and no stage-two rate
     moved by rate_tol since the sweep before.
@@ -641,22 +656,16 @@ def optimize_receivers(
 
     live = np.any(S.a != 0, axis=(2, 3)).reshape(-1)
     S.u[kk[~live], ll[~live]] = 0.0  # no aggregate to decode
-    if live.any():
-        k1, l1 = kk[live], ll[live]
-        cur = S.u[k1, l1]
-        cand, failed = _fit_filters(ch, S, k1, l1, 1, cfg, cur)
-        note(k1[failed], l1[failed])
-        better = decorrelator_objective(ch, S, k1, l1, 1, cand) < decorrelator_objective(
-            ch, S, k1, l1, 1, cur
-        )
-        S.u[k1[better], l1[better]] = cand[better]
+    first = kk[live], ll[live]  # the stage-one fits, made with the first sweep
 
     traces: list[list[np.ndarray]] = [[] for _ in range(n)]
     running = np.ones(n, dtype=bool)
     for _ in range(cfg.max_inner_iters):
         rows = running[S.split(kk)[0]]
-        noise, wrote, changed, capped = _stage2_joint_update(ch, S, cfg, kk[rows], ll[rows])
-        note(*capped)
+        noise, wrote, changed, capped = _stage2_joint_update(ch, S, cfg, kk[rows], ll[rows], *first)
+        first = ()
+        for fits in capped:  # stage one's first
+            note(*fits)
         # the rows of each running design, in design order
         mu = np.log2(S.P / noise).reshape(-1, K, L)
         wrote, changed = wrote.reshape(-1, K * L).any(1), changed.reshape(-1, K * L).any(1)
@@ -928,7 +937,8 @@ def _alternate(ch: ChannelSet, cfg: SystemConfig, solver: SolverConfig, st: Desi
             trace.converged = False
             trace.stop_reason = f"optimize_receivers: {err}"
             break
-        r_a = rate_report(ch, st).r_min
+        report = rate_report(ch, st)  # the block's own, returned if no refit follows
+        r_a = report.r_min
         trace.add(outer, "receivers", r_a)
         if outer == 0:
             first = st, r_a
@@ -959,7 +969,7 @@ def _alternate(ch: ChannelSet, cfg: SystemConfig, solver: SolverConfig, st: Desi
         if err is not None:
             trace.converged = False
             trace.stop_reason += f"; final receive refit: {err}"
-    report = rate_report(ch, st)
+        report = rate_report(ch, st)
     if first is not None and first[1] > report.r_min:
         st_first = _round_coefficients(first[0])
         rep_first = rate_report(ch, st_first)

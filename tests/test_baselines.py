@@ -7,6 +7,7 @@ import pytest
 
 from latticealign.baselines import (
     BaselineResult,
+    _leakage,
     conventional_ia_3user,
     conventional_ia_design,
     distributive_ia_design,
@@ -114,11 +115,15 @@ def test_distributive_ia_leakage_non_increasing():
 
 def _distributive_ia_reference(Hhat, L, rho, iters):
     """The per-user loop form of distributive_ia_design: the reference its
-    batched half-steps must match bit for bit."""
+    batched half-steps must match bit for bit.  Also returns each receive
+    half-step's leakage sum_k trace(U_k^H Q_k U_k) and its total
+    interference power sum_k trace(Q_k), the scale of the eigenvalues'
+    rounding errors."""
     K, _, N, M = Hhat.shape
     V = tdma_design(Hhat, L)
     U = np.zeros((K, N, L), dtype=complex)
-    trace = []
+    lam = np.zeros((K, N))
+    trace, leakage, power = [], [], []
 
     def covariances(links, X, n):
         Q = np.zeros((K, n, n), dtype=complex)
@@ -132,12 +137,15 @@ def _distributive_ia_reference(Hhat, L, rho, iters):
     for _ in range(iters):
         Q = covariances(lambda k, i: Hhat[k, i], V, N)
         for k in range(K):
-            U[k] = np.linalg.eigh(Q[k])[1][:, :L]
-        trace.append(float(sum(np.real(np.trace(U[k].conj().T @ Q[k] @ U[k])) for k in range(K))))
+            lam[k], vecs = np.linalg.eigh(Q[k])
+            U[k] = vecs[:, :L]
+        trace.append(float(lam[:, :L].sum()))
+        leakage.append(_leakage(Q, U))
+        power.append(float(np.trace(Q, axis1=1, axis2=2).real.sum()))
         Qr = covariances(lambda k, i: Hhat[i, k].conj().T, U, M)
         for k in range(K):
             V[k] = np.linalg.eigh(Qr[k])[1][:, :L]
-    return V, U, trace
+    return V, U, trace, leakage, power
 
 
 @pytest.mark.parametrize("K,L,M,N", [(3, 1, 2, 2), (4, 2, 3, 4), (3, 1, 3, 2)])
@@ -145,10 +153,13 @@ def test_distributive_ia_batched_equals_per_user_loop(K, L, M, N):
     ch, cfg = _instance(K=K, M=M, N=N, L=L, eps=0.1, seed=60 + K + M + N)
     rho = cfg.gamma * cfg.P / cfg.L
     V, U, trace = distributive_ia_design(ch.Hhat, L, rho, iters=40)
-    V_ref, U_ref, trace_ref = _distributive_ia_reference(ch.Hhat, L, rho, 40)
+    V_ref, U_ref, trace_ref, leakage, power = _distributive_ia_reference(ch.Hhat, L, rho, 40)
     assert np.array_equal(V, V_ref)
     assert np.array_equal(U, U_ref)
     assert trace == trace_ref
+    # an aligned network's leakage is itself rounding noise, so the error is
+    # measured against the interference power
+    assert np.all(np.abs(np.subtract(trace, leakage)) <= 1e-12 * np.array(power))
 
 
 def test_distributive_ia_three_user_alignment_nearly_exact():

@@ -148,6 +148,8 @@ def test_symmetric_instance_validation():
     with pytest.raises(ConfigurationError):
         SymmetricInstance(K=3, h=2, P=4.0)  # not a GaussianInt
     with pytest.raises(ConfigurationError):
+        SymmetricInstance(K=3, h=GaussianInt(0, 0), P=4.0)  # no interference to align
+    with pytest.raises(ConfigurationError):
         SymmetricInstance(K=3, h=GaussianInt(2, 0), P=0.0)
     with pytest.raises(ConfigurationError):
         SymmetricInstance(K=3, h=GaussianInt(2, 0), P=math.inf)

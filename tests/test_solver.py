@@ -598,6 +598,85 @@ def test_newton_fit_never_worse_than_lbfgs_reference(shape, eps):
             assert f_new <= f_ref * (1 + 1e-9)
 
 
+def _captured_newton_batches(monkeypatch, eps):
+    """(problem fields, x0, tol, max_iter) of every _newton_batch call that
+    receive blocks make on the _SHAPES instances: filter fits of both
+    stages and relaxed scaling fits."""
+    from latticealign import solver as solver_mod
+
+    real, batches = solver_mod._newton_batch, []
+
+    def captured(prob, x0, tol, max_iter):
+        fields = (prob.A, prob.beta, prob.s0, prob.sigma, prob.rho, prob.P)
+        batches.append((tuple(np.array(f) for f in fields), np.array(x0), tol, max_iter))
+        return real(prob, x0, tol, max_iter)
+
+    monkeypatch.setattr(solver_mod, "_newton_batch", captured)
+    for shape in _SHAPES:
+        ch, cfg, st = _shaped_instance(*shape, eps, seed=1500 + sum(shape))
+        optimize_receivers(ch, st)
+    monkeypatch.undo()
+    return batches
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.25])
+def test_newton_batch_rows_equal_their_solves_alone(eps, monkeypatch):
+    """Each row of a stacked Newton solve ends with the bits, and the
+    converged flag, of that row solved on its own, kink steps included."""
+    batches = _captured_newton_batches(monkeypatch, eps)
+    assert any(len(x0) > 1 for _, x0, _, _ in batches)
+    for (A, beta, s0, sigma, rho, P), x0, tol, max_iter in batches:
+        x, ok = _newton_batch(_Problems(A, beta, s0, sigma, rho, P), x0, tol, max_iter)
+        s0, sigma = np.broadcast_to(s0, A.shape[:2]), np.broadcast_to(sigma, A.shape[:2])
+        for i in range(len(x0)):
+            alone = _Problems(*(f[i : i + 1] for f in (A, beta, s0, sigma)), rho, P)
+            x1, ok1 = _newton_batch(alone, x0[i : i + 1], tol, max_iter)
+            assert _same_bits(x[i : i + 1], x1) and ok[i] == ok1[0]
+
+
+def _two_call_receive_reference(ch, st, cfg):
+    """The receive block as two kinds of call: one batch of stage-one fits,
+    then the stage-two sweeps, each its own batch, until the block's stop rule."""
+    st = st.copy()
+    kk, ll = _decoder_grid(st)
+    live = np.any(st.a != 0, axis=(2, 3)).reshape(-1)
+    st.u[kk[~live], ll[~live]] = 0.0
+    k1, l1 = kk[live], ll[live]
+    cur = st.u[k1, l1]
+    cand = decorrelator_robust(ch, st, k1, l1, 1, cfg, u0=cur)
+    better = decorrelator_objective(ch, st, k1, l1, 1, cand) < decorrelator_objective(
+        ch, st, k1, l1, 1, cur
+    )
+    st.u[k1[better], l1[better]] = cand[better]
+    trace = []
+    for _ in range(cfg.max_inner_iters):
+        noise, wrote, changed, _ = _stage2_joint_update(ch, st, cfg, kk, ll)
+        trace.append(np.log2(st.P / noise).reshape(st.K, st.L))
+        settled = len(trace) > 1 and not changed.any()
+        if not wrote.any() or settled and np.max(np.abs(trace[-1] - trace[-2])) < cfg.rate_tol:
+            break
+    return st, trace
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.25])
+@pytest.mark.parametrize("shape", _SHAPES)
+def test_shared_first_sweep_batch_equals_two_calls(shape, eps):
+    """Fitting the stage-one filters in the first sweep's batch gives the
+    bits of a stage-one call followed by the stage-two sweeps.  The start is
+    a receive block's output with fresh stage-two filters, so the stage-one
+    fits start from their warm starts and the sweeps have work to do."""
+    ch, cfg, st = _shaped_instance(*shape, eps, seed=1400 + sum(shape))
+    st.a[0, 0] = 0.0  # one decoder without an aggregate
+    cfg = SolverConfig()
+    st, _ = optimize_receivers(ch, st, cfg)
+    st.utilde = complex_gaussian(np.random.default_rng(1401), st.utilde.shape)
+    got, trace = optimize_receivers(ch, st, cfg)
+    want, trace_ref = _two_call_receive_reference(ch, st, cfg)
+    assert _same_design(got, want)
+    assert len(trace) == len(trace_ref) > 1
+    assert all(_same_bits(x, y) for x, y in zip(trace, trace_ref))
+
+
 def test_receive_block_makes_no_scipy_calls(monkeypatch):
     from latticealign import solver as solver_mod
 
@@ -702,12 +781,18 @@ def test_barrier_sweep_continues_after_a_stage_that_moves(monkeypatch):
 def test_solve_stops_at_the_first_rejected_transmit_step(monkeypatch):
     """A rejected transmit step leaves the receive block's own output, so the
     loop ends there instead of repeating the block and the barrier solve.
-    Rounding keeps its integers here, so there is no final refit either."""
-    calls = _count_calls(monkeypatch, "optimize_receivers", "optimize_precoders")
+    Rounding keeps its integers here, so there is no final refit either, and
+    the block's own rate report is returned, not computed again."""
+    calls = _count_calls(monkeypatch, "optimize_receivers", "optimize_precoders", "rate_report")
     ch, cfg = _random_instance(eps=0.1, seed=30)
-    _, _, trace = solve(ch, cfg)
+    st, rep, trace = solve(ch, cfg)
     assert len(calls["optimize_precoders"]) == 1
     assert len(calls["optimize_receivers"]) == 1  # the loop's block only
+    # the block's report and the rejected step's: the block's is returned
+    assert len(calls["rate_report"]) == 2 and calls["rate_report"][0] is rep
+    fresh = rate_report(ch, st)
+    for name in ("mu", "mu_tilde", "alignment"):
+        assert _same_bits(getattr(rep, name), getattr(fresh, name))
     series = trace.pre_quantize_series()
     assert rate_report(ch, calls["optimize_precoders"][0][0]).r_min < series[0]
     assert trace.converged and trace.stop_reason == "transmit step rejected"
