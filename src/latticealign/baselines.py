@@ -138,15 +138,6 @@ def interference_covariances(
     return R.sum(axis=1)
 
 
-def _leakage(Q: np.ndarray, U: np.ndarray) -> float:
-    return float(sum(np.real(np.trace(U[k].conj().T @ Q[k] @ U[k])) for k in range(len(Q))))
-
-
-def total_leakage(H: np.ndarray, V: np.ndarray, U: np.ndarray, rho: float) -> float:
-    """Interference power left in the receive subspaces."""
-    return _leakage(interference_covariances(H, V, rho), U)
-
-
 def distributive_ia_design(
     Hhat: np.ndarray, L: int, rho: float, iters: int
 ) -> tuple[np.ndarray, np.ndarray, list[float]]:
@@ -165,13 +156,12 @@ def distributive_ia_design(
     U = np.zeros((K, N, L), dtype=complex)
     # reciprocal direction: channel from i to k becomes Hhat[i, k]^H
     Hrec = Hhat.conj().transpose(1, 0, 3, 2)
-    trace: list[float] = []
-    for _ in range(iters):
-        Q = interference_covariances(Hhat, V, rho)
-        lam, U = (x[..., :L] for x in np.linalg.eigh(Q))
-        trace.append(float(lam.sum()))
+    lam = np.empty((iters, K, N))  # each receive half-step's eigenvalues
+    for i in range(iters):
+        lam[i], U = np.linalg.eigh(interference_covariances(Hhat, V, rho))
+        U = U[..., :L]
         V = np.linalg.eigh(interference_covariances(Hrec, U, rho))[1][..., :L]
-    return V, U, trace
+    return V, U, lam[..., :L].sum(axis=(1, 2)).tolist()
 
 
 def ia_stream_rates(

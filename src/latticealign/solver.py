@@ -13,7 +13,9 @@ or convex:
 * transmit-side block: the epigraph problem in (v, relaxed a, t) is convex
   and is solved with a log-barrier method under the per-user power budget;
   its sweep of barrier stages ends at the duality-gap bound or at the first
-  stage that stalls (at most one L-BFGS-B iteration).
+  stage that stalls (at most one L-BFGS-B iteration).  It is the only user
+  of scipy, whose L-BFGS-B minimize (solver.minimize) is imported at the
+  first barrier stage, so importing latticealign loads no scipy.optimize.
 
 The outer loop alternates the two blocks and never accepts a step that
 lowers the worst rate bound.  It stops at the first rejected transmit step:
@@ -42,7 +44,6 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .channel import ChannelSet, SystemConfig, complex_gaussian
 from .errors import ConfigurationError, NonConvergenceError, PowerBudgetError
@@ -380,15 +381,22 @@ def _newton_batch(
         dx = -np.linalg.solve(hess, grad[..., None])[..., 0]
         slope = np.einsum("bk,bk->b", grad, dx)  # -lambda^2
         step = np.ones(len(active))
-        pending = np.ones(len(active), dtype=bool)
-        for _ in range(_MAX_HALVINGS):
-            f_new = sub.evaluate(xa + step[:, None] * dx)
-            pending &= ~(f_new <= f + _ARMIJO * step * slope)
-            if not pending.any():
+        f_new = sub.evaluate(xa + dx)
+        # the rows failing the Armijo test halve their steps together (to a
+        # shared t), and only they are evaluated again
+        pending, part, t = np.flatnonzero(~(f_new <= f + _ARMIJO * slope)), sub, 1.0
+        for _ in range(_MAX_HALVINGS - 1):
+            if not len(pending):
                 break
-            step[pending] *= 0.5
+            if len(pending) < len(part.A):
+                part = sub.take(pending)
+            t *= 0.5
+            f_try = part.evaluate(xa[pending] + t * dx[pending])
+            ok = f_try <= f[pending] + _ARMIJO * t * slope[pending]
+            step[pending[ok]], f_new[pending[ok]] = t, f_try[ok]
+            pending = pending[~ok]
+        f_new[pending] = f[pending]
         x_new = xa + step[:, None] * dx
-        f_new = np.where(pending, f, f_new)
         settled, rows, dk = sub.kinks(dx, grad, hess, tol, terms)
         if len(rows):
             f_kink = sub.take(rows).evaluate(xa[rows] + dk)
@@ -769,6 +777,13 @@ def _transmit_objective(ch: ChannelSet, st: DesignState, gamma: float):
     m0 = float(bounds_of(x0)[-1].max())
     x0[0] = m0 + max(1e-4, 0.02 * (1 + abs(m0)))
     return fun_grad, x0
+
+
+def minimize(fun, x0, **kwargs):
+    """scipy.optimize.minimize, imported at its first call."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, **kwargs)
 
 
 def optimize_precoders(

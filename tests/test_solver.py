@@ -1,11 +1,16 @@
 """Alternating solver: gradients, blocks, safeguards, full pipeline."""
 
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import latticealign
 from latticealign.channel import (
     ChannelSet,
     SystemConfig,
@@ -694,6 +699,30 @@ def test_receive_block_makes_no_scipy_calls(monkeypatch):
         assert calls == []
     optimize_precoders(ch, st, cfg.gamma)  # the transmit block still uses scipy
     assert calls
+
+
+_FRESH_RUNS = {
+    "import": "import latticealign",
+    "analyze": 'from latticealign import cli; cli.main(["analyze", "symmetric", "--K", "3", '
+    '"--h", "2", "--P", "4"])',
+    "tdma": "from latticealign import ExperimentSpec, run_experiment; run_experiment("
+    'ExperimentSpec(methods=("tdma",), K_grid=(3,), snr_db_grid=(10.0,), '
+    "epsilon_grid=(0.0, 0.1), M=2, N=2, trials=1))",
+    "solve": "from latticealign import SystemConfig, generate_channels, solve; "
+    "cfg = SystemConfig(K=3, M=2, N=2, L=1, P=10.0, seed=5); solve(generate_channels(cfg), cfg)",
+}
+
+
+@pytest.mark.parametrize("run", sorted(_FRESH_RUNS))
+def test_scipy_optimize_loads_at_the_first_barrier_stage(run):
+    """Only the transmit block loads scipy.optimize.  A fresh interpreter is
+    needed because pytest has loaded scipy already."""
+    src = str(Path(latticealign.__file__).resolve().parent.parent)
+    code = _FRESH_RUNS[run] + "; import sys; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == str(run == "solve")
 
 
 def test_capped_filter_fit_keeps_the_refit_state():
