@@ -3,7 +3,9 @@
 All baselines design on the channel estimates, spend the same per-user power
 budget gamma with per-stream power gamma P / L, and are scored with the same
 outage rule as the lattice scheme: a stream's nominal rate is delivered only
-if the true channels support it.
+if the true channels support it.  Every scheme's post-filter gains
+u^H H_ki v_in come from rates.cross_vectors, the kernel that also scores
+the lattice design, so all methods share one definition of a gain.
 
 * tdma: users take turns, no interference, waterfilling-free top singular
   modes of the direct channel;
@@ -21,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelSet, SystemConfig
+from .rates import cross_vectors, own_stream_indicator, robust_residuals
 
 
 @dataclass(frozen=True)
@@ -43,6 +46,20 @@ class BaselineResult:
         )
 
 
+def _direct(H: np.ndarray) -> np.ndarray:
+    """The (K, N, M) stack of direct links H_kk."""
+    d = np.arange(H.shape[0])
+    return H[d, d]
+
+
+def _gains(H: np.ndarray, V: np.ndarray, U: np.ndarray):
+    """|u_kl^H H_ki v_in| as a (K, L, K*L) array (column i*L + n) and the
+    filter norms ||u_kl|| as (K, L), for streams stored as columns of V
+    (K, M, L) and U (K, N, L)."""
+    w = cross_vectors(H, V.transpose(0, 2, 1))[:, None]
+    return robust_residuals(w, U.transpose(0, 2, 1), 0.0, 0.0, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # TDMA
 # ---------------------------------------------------------------------------
@@ -50,29 +67,19 @@ class BaselineResult:
 
 def tdma_design(Hhat: np.ndarray, L: int) -> np.ndarray:
     """Top-L right singular vectors of each direct channel, unit columns."""
-    K = Hhat.shape[0]
-    M = Hhat.shape[3]
-    V = np.zeros((K, M, L), dtype=complex)
-    for k in range(K):
-        _, _, vh = np.linalg.svd(Hhat[k, k])
-        V[k] = vh.conj().T[:, :L]
-    return V
+    vh = np.linalg.svd(_direct(Hhat))[2]
+    return vh.conj().swapaxes(1, 2)[..., :L]
 
 
 def tdma_per_user_rates(
     H: np.ndarray, V: np.ndarray, P: float, gamma: float, L: int
 ) -> np.ndarray:
     """Time-shared MIMO rates: each user gets a 1/K slot, interference-free."""
-    K = H.shape[0]
-    N = H.shape[2]
+    K, _, N, _ = H.shape
     rho = gamma * P / L
-    rates = np.zeros(K)
-    for k in range(K):
-        HV = H[k, k] @ V[k]
-        Mat = np.eye(N) + rho * (HV @ HV.conj().T)
-        sign, logdet = np.linalg.slogdet(Mat)
-        rates[k] = logdet / np.log(2) / K
-    return rates
+    HV = _direct(H) @ V
+    _, logdet = np.linalg.slogdet(np.eye(N) + rho * (HV @ HV.conj().swapaxes(1, 2)))
+    return logdet / np.log(2) / K
 
 
 # ---------------------------------------------------------------------------
@@ -82,14 +89,8 @@ def tdma_per_user_rates(
 
 def two_stage_ml_design(Hhat: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
     """Matched single-stream transceivers: dominant singular pair per user."""
-    K, _, N, M = Hhat.shape
-    V = np.zeros((K, M), dtype=complex)
-    U = np.zeros((K, N), dtype=complex)
-    for k in range(K):
-        uu, _, vh = np.linalg.svd(Hhat[k, k])
-        V[k] = np.sqrt(gamma) * vh.conj().T[:, 0]
-        U[k] = uu[:, 0]
-    return V, U
+    uu, _, vh = np.linalg.svd(_direct(Hhat))
+    return np.sqrt(gamma) * vh[:, 0].conj(), uu[..., 0]
 
 
 def two_stage_ml_constraints(
@@ -99,20 +100,18 @@ def two_stage_ml_constraints(
 
     All K-1 interferers must be decodable as a multiple-access stage while
     the desired signal acts as noise; the symmetric-rate point charges each
-    interferer 1/(K-1) of the sum constraint.
+    interferer 1/(K-1) of the sum constraint.  A lone user has no such
+    stage (+inf).
     """
     K = H.shape[0]
-    stage1 = np.full(K, np.inf)
-    stage2 = np.zeros(K)
-    for k in range(K):
-        d = U[k].conj() @ H[k, k] @ V[k]
-        stage2[k] = np.log2(1 + P * abs(d) ** 2)
-        if K > 1:
-            cross = sum(
-                abs(U[k].conj() @ H[k, i] @ V[i]) ** 2 for i in range(K) if i != k
-            )
-            stage1[k] = np.log2(1 + P * cross / (1 + P * abs(d) ** 2)) / (K - 1)
-    return stage1, stage2
+    g, _ = _gains(H, V[..., None], U[..., None])
+    p = P * g[:, 0] ** 2  # p[k, i]: power of transmitter i after filter k
+    own = np.eye(K, dtype=bool)
+    desired = p[own]
+    if K == 1:
+        return np.full(1, np.inf), np.log2(1 + desired)
+    cross = np.where(own, 0.0, p).sum(axis=1)
+    return np.log2(1 + cross / (1 + desired)) / (K - 1), np.log2(1 + desired)
 
 
 def two_stage_ml_common_rate(
@@ -168,22 +167,12 @@ def ia_stream_rates(
     H: np.ndarray, V: np.ndarray, U: np.ndarray, rho: float
 ) -> np.ndarray:
     """log2(1 + SINR) per stream with interference treated as noise."""
-    K = H.shape[0]
-    L = V.shape[2]
-    rates = np.zeros((K, L))
-    for k in range(K):
-        for l in range(L):
-            u = U[k][:, l]
-            nu2 = float(np.sum(np.abs(u) ** 2))
-            sig = rho * abs(u.conj() @ H[k, k] @ V[k][:, l]) ** 2
-            intf = 0.0
-            for i in range(K):
-                for n in range(L):
-                    if i == k and n == l:
-                        continue
-                    intf += rho * abs(u.conj() @ H[k, i] @ V[i][:, n]) ** 2
-            rates[k, l] = np.log2(1 + sig / (nu2 + intf))
-    return rates
+    K, _, L = V.shape
+    g, nu = _gains(H, V, U)
+    p = rho * g**2
+    own = own_stream_indicator(K, L).reshape(p.shape) > 0
+    intf = np.where(own, 0.0, p).sum(axis=-1)
+    return np.log2(1 + p[own].reshape(K, L) / (nu**2 + intf))
 
 
 def conventional_ia_design(
@@ -216,15 +205,13 @@ def conventional_ia_design(
     for k, Vk in enumerate((V1, V2, V3)):
         V[k] = Vk / np.linalg.norm(Vk, axis=0, keepdims=True)
 
-    U = np.zeros((3, N, L), dtype=complex)
-    for k in range(3):
-        others = [H[k, i] @ V[i] for i in range(3) if i != k]
-        for l in range(L):
-            own = [H[k, k] @ V[k][:, [n]] for n in range(L) if n != l]
-            S = np.concatenate(others + own, axis=1) if (others or own) else np.zeros((N, 0))
-            uu, sv, _ = np.linalg.svd(S, full_matrices=True)
-            U[k][:, l] = uu[:, -1]
-    return V, U
+    # each filter spans the null space of every other stream at its receiver:
+    # the aligned interference and the user's other desired streams
+    others = own_stream_indicator(3, L).reshape(3, L, 3 * L) == 0
+    w = np.broadcast_to(cross_vectors(H, V.transpose(0, 2, 1))[:, None], others.shape + (N,))
+    S = w[others].reshape(3, L, 3 * L - 1, N)
+    U = np.linalg.svd(S.swapaxes(-1, -2))[0][..., -1]
+    return V, U.swapaxes(1, 2)
 
 
 def conventional_ia_3user(

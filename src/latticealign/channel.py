@@ -215,14 +215,18 @@ def channelset_from_json(text: str) -> ChannelSet:
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"invalid channel JSON: {exc}") from exc
     try:
-        K, M, N = payload["K"], payload["M"], payload["N"]
-        H = np.zeros((K, K, N, M), dtype=complex)
-        Hhat = np.zeros((K, K, N, M), dtype=complex)
-        for k in range(K):
-            for i in range(K):
-                H[k, i] = _matrix_from_json(payload["H"][k][i])
-                Hhat[k, i] = _matrix_from_json(payload["Hhat"][k][i])
+        shape = (payload["K"], payload["K"], payload["N"], payload["M"])
+        H, Hhat = (
+            np.array([[_matrix_from_json(A) for A in row] for row in payload[name]], dtype=complex)
+            for name in ("H", "Hhat")
+        )
         epsilon = float(payload["epsilon"])
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"malformed channel JSON: {exc}") from exc
+    for name, links in (("H", H), ("Hhat", Hhat)):
+        if links.shape != shape:
+            raise ConfigurationError(
+                f"malformed channel JSON: {name} has shape {links.shape}, "
+                f"expected (K, K, N, M) = {shape}"
+            )
     return ChannelSet(H=H, Hhat=Hhat, epsilon=epsilon)

@@ -27,10 +27,8 @@ import numpy as np
 from . import baselines
 from .channel import ChannelSet, SystemConfig, generate_channels, perturb_csi, snr_db_to_power
 from .errors import ConfigurationError
-from .rates import goodput, per_stream_rates, rate_report
+from .rates import _OUTAGE_TOL, goodput, per_stream_rates, rate_report
 from .solver import SolverConfig, multi_start
-
-_OUTAGE_TOL = 1e-12
 
 KNOWN_METHODS = (
     "lattice",
@@ -136,6 +134,7 @@ def child_seed(base: int, K: int, snr_db: float, epsilon: float, trial: int, tag
 
 
 def _per_user_goodput(nominal: np.ndarray, achieved: np.ndarray) -> np.ndarray:
+    """Each nominal rate where the achieved rate carries it, else 0; never negative."""
     out = np.where(nominal <= achieved + _OUTAGE_TOL, nominal, 0.0)
     return np.maximum(out, 0.0)
 
@@ -171,11 +170,8 @@ def _run_lattice(trial: _Trial):
         extra_precoders=(V_ia.transpose(0, 2, 1),),  # alignment columns -> stream rows
     )
     if spec.objective == "sum":
-        designed = np.maximum(per_stream_rates(report, st.a), 0.0)
-        true_rep = rate_report(ch.true_view(), st)
-        sustained = per_stream_rates(true_rep, st.a)
-        g = np.where(designed <= sustained + _OUTAGE_TOL, designed, 0.0)
-        per_user = g.sum(axis=1)
+        sustained = per_stream_rates(rate_report(ch.true_view(), st), st.a)
+        per_user = _per_user_goodput(per_stream_rates(report, st.a), sustained).sum(axis=1)
     else:
         g = goodput(ch, st, max(0.0, report.r_min))
         per_user = np.full(cfg.K, cfg.L * g)

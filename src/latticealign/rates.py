@@ -24,6 +24,8 @@ from .channel import ChannelSet
 from .gaussint import GaussianInt, CoeffVector
 
 _INT_TOL = 1e-9
+# a committed rate is delivered when the true channels carry it to within this
+_OUTAGE_TOL = 1e-12
 
 
 def own_stream_indicator(K: int, L: int) -> np.ndarray:
@@ -267,4 +269,4 @@ def goodput(ch: ChannelSet, st: DesignState, designed_rate: float) -> float:
     if d == 0.0:
         return 0.0
     r_true = rate_report(ch.true_view(), st).r_min
-    return d if d <= r_true + 1e-12 else 0.0
+    return d if d <= r_true + _OUTAGE_TOL else 0.0

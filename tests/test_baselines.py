@@ -40,6 +40,86 @@ def total_leakage(H, V, U, rho):
     return _leakage(interference_covariances(H, V, rho), U)
 
 
+# Per-user loop forms of the batched baselines: the oracles they must match.
+
+
+def _tdma_design_reference(Hhat, L):
+    K, M = Hhat.shape[0], Hhat.shape[3]
+    V = np.zeros((K, M, L), dtype=complex)
+    for k in range(K):
+        _, _, vh = np.linalg.svd(Hhat[k, k])
+        V[k] = vh.conj().T[:, :L]
+    return V
+
+
+def _tdma_per_user_rates_reference(H, V, P, gamma, L):
+    K, N = H.shape[0], H.shape[2]
+    rho = gamma * P / L
+    rates = np.zeros(K)
+    for k in range(K):
+        HV = H[k, k] @ V[k]
+        _, logdet = np.linalg.slogdet(np.eye(N) + rho * (HV @ HV.conj().T))
+        rates[k] = logdet / np.log(2) / K
+    return rates
+
+
+def _two_stage_ml_design_reference(Hhat, gamma):
+    K, _, N, M = Hhat.shape
+    V = np.zeros((K, M), dtype=complex)
+    U = np.zeros((K, N), dtype=complex)
+    for k in range(K):
+        uu, _, vh = np.linalg.svd(Hhat[k, k])
+        V[k] = np.sqrt(gamma) * vh.conj().T[:, 0]
+        U[k] = uu[:, 0]
+    return V, U
+
+
+def _two_stage_ml_constraints_reference(H, V, U, P):
+    K = H.shape[0]
+    stage1 = np.full(K, np.inf)
+    stage2 = np.zeros(K)
+    for k in range(K):
+        d = U[k].conj() @ H[k, k] @ V[k]
+        stage2[k] = np.log2(1 + P * abs(d) ** 2)
+        if K > 1:
+            cross = sum(
+                abs(U[k].conj() @ H[k, i] @ V[i]) ** 2 for i in range(K) if i != k
+            )
+            stage1[k] = np.log2(1 + P * cross / (1 + P * abs(d) ** 2)) / (K - 1)
+    return stage1, stage2
+
+
+def _ia_stream_rates_reference(H, V, U, rho):
+    K, L = H.shape[0], V.shape[2]
+    rates = np.zeros((K, L))
+    for k in range(K):
+        for l in range(L):
+            u = U[k][:, l]
+            nu2 = float(np.sum(np.abs(u) ** 2))
+            sig = rho * abs(u.conj() @ H[k, k] @ V[k][:, l]) ** 2
+            intf = 0.0
+            for i in range(K):
+                for n in range(L):
+                    if not (i == k and n == l):
+                        intf += rho * abs(u.conj() @ H[k, i] @ V[i][:, n]) ** 2
+            rates[k, l] = np.log2(1 + sig / (nu2 + intf))
+    return rates
+
+
+def _zero_forcing_filters_reference(H, V):
+    """Each receive filter of the 3-user closed form: the last left singular
+    vector of every other stream's column at that receiver."""
+    N, L = H.shape[2], V.shape[2]
+    U = np.zeros((3, N, L), dtype=complex)
+    for k in range(3):
+        others = [H[k, i] @ V[i] for i in range(3) if i != k]
+        for l in range(L):
+            own = [H[k, k] @ V[k][:, [n]] for n in range(L) if n != l]
+            uu = np.linalg.svd(np.concatenate(others + own, axis=1))[0]
+            U[k][:, l] = uu[:, -1]
+    return U
+
+
 def test_baseline_result_build():
     res = BaselineResult.build("tdma", np.array([1.0, 2.0, 0.5]))
     assert res.worst_case == pytest.approx(0.5)
@@ -127,7 +207,7 @@ def _distributive_ia_reference(Hhat, L, rho, iters):
     interference power sum_k trace(Q_k), the scale of the eigenvalues'
     rounding errors."""
     K, _, N, M = Hhat.shape
-    V = tdma_design(Hhat, L)
+    V = _tdma_design_reference(Hhat, L)
     U = np.zeros((K, N, L), dtype=complex)
     lam = np.zeros((K, N))
     trace, leakage, power = [], [], []
@@ -264,3 +344,69 @@ def test_conventional_ia_deterministic():
     V1, U1 = conventional_ia_design(ch.Hhat, cfg.L)
     V2, U2 = conventional_ia_design(ch.Hhat, cfg.L)
     assert np.array_equal(V1, V2) and np.array_equal(U1, U2)
+
+
+# (K, L, M, N): every user count the suite names, several streams and
+# unequal antenna counts wherever they fit
+SHAPES = [(1, 2, 2, 3), (2, 2, 3, 2), (3, 1, 2, 2), (3, 2, 4, 3), (4, 3, 3, 4)]
+
+
+def _assert_rel(got, expect, rel=1e-12):
+    assert got.shape == expect.shape
+    assert np.array_equal(np.isinf(got), np.isinf(expect))
+    fin = np.isfinite(expect)
+    assert np.all(np.abs(got[fin] - expect[fin]) <= rel * np.abs(expect[fin]))
+
+
+@pytest.mark.parametrize("K,L,M,N", SHAPES)
+def test_tdma_batched_equals_per_user_loop(K, L, M, N):
+    ch, cfg = _instance(K=K, M=M, N=N, L=L, eps=0.1, seed=70 + K)
+    V = tdma_design(ch.Hhat, L)
+    assert np.array_equal(V, _tdma_design_reference(ch.Hhat, L))
+    for H in (ch.Hhat, ch.H):
+        _assert_rel(
+            tdma_per_user_rates(H, V, cfg.P, cfg.gamma, L),
+            _tdma_per_user_rates_reference(H, V, cfg.P, cfg.gamma, L),
+        )
+
+
+@pytest.mark.parametrize("K,L,M,N", SHAPES)
+def test_two_stage_ml_batched_equals_per_user_loop(K, L, M, N):
+    ch, cfg = _instance(K=K, M=M, N=N, L=L, eps=0.1, seed=80 + K)
+    V, U = two_stage_ml_design(ch.Hhat, 2.0)
+    V_ref, U_ref = _two_stage_ml_design_reference(ch.Hhat, 2.0)
+    assert np.array_equal(V, V_ref) and np.array_equal(U, U_ref)
+    for H in (ch.Hhat, ch.H):
+        s1, s2 = two_stage_ml_constraints(H, V, U, cfg.P)
+        s1_ref, s2_ref = _two_stage_ml_constraints_reference(H, V, U, cfg.P)
+        assert np.all(np.isinf(s1)) == (K == 1)
+        _assert_rel(s1, s1_ref)
+        _assert_rel(s2, s2_ref)
+
+
+@pytest.mark.parametrize("K,L,M,N", SHAPES)
+def test_ia_stream_rates_batched_equals_per_user_loop(K, L, M, N):
+    ch, cfg = _instance(K=K, M=M, N=N, L=L, eps=0.1, seed=90 + K)
+    rho = cfg.gamma * cfg.P / L
+    V, U, _ = distributive_ia_design(ch.Hhat, L, rho, iters=20)
+    for H in (ch.Hhat, ch.H):
+        _assert_rel(ia_stream_rates(H, V, U, rho), _ia_stream_rates_reference(H, V, U, rho))
+
+
+@pytest.mark.parametrize("L", [1, 2, 3])
+def test_conventional_ia_filters_batched_equal_per_stream_loop(L):
+    for seed in range(5):
+        ch, _ = _instance(M=2 * L, N=2 * L, L=L, seed=300 + 10 * L + seed)
+        V, U = conventional_ia_design(ch.Hhat, L)
+        U_ref = _zero_forcing_filters_reference(ch.Hhat, V)
+        # |u^H H_ki v_in| of every receive filter against every stream
+        gains = [
+            np.abs(np.einsum("kal,kiab,ibn->klin", X.conj(), ch.Hhat, V)).reshape(3, L, -1)
+            for X in (U, U_ref)
+        ]
+        own = np.eye(3 * L, dtype=bool).reshape(3, L, -1)
+        residual, residual_ref = (g[~own].max() for g in gains)
+        assert residual <= 10 * residual_ref + 1e-12
+        # the desired stream survives, with the loop's gain up to rounding
+        _assert_rel(gains[0][own], gains[1][own])
+        assert np.allclose(np.linalg.norm(U, axis=1), 1.0)

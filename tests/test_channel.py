@@ -1,6 +1,7 @@
 """Channel generation, uncertainty model and serialization."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -180,3 +181,17 @@ def test_channelset_json_rejects_malformed():
         channelset_from_json("not json")
     with pytest.raises(ConfigurationError):
         channelset_from_json(json.dumps({"H": [[1]]}))
+    cfg = SystemConfig(K=1, M=2, N=2, L=1, P=10.0, seed=32)
+    good = json.loads(channelset_to_json(generate_channels(cfg)))
+    extra = json.loads(channelset_to_json(generate_channels(replace(cfg, K=2))))
+    for name in ("H", "Hhat"):
+        for links in (
+            [[[[1.0, 0.0]]]],  # a 1x1 link where (N, M) = (2, 2) is declared
+            [[good[name][0][0][:1]]],  # one row of a 2x2 link
+            [[good[name][0][0] + good[name][0][0][:1]]],  # three rows
+            extra[name],  # links past K
+            [good[name][0] * 2],  # a second transmitter past K
+            good[name] * 2,  # a second receiver past K
+        ):
+            with pytest.raises(ConfigurationError, match="malformed"):
+                channelset_from_json(json.dumps(dict(good, **{name: links})))

@@ -110,6 +110,18 @@ def test_solve_malformed_channel(tmp_path, capsys):
     path.write_text("{\"K\": 3}")
     code = main(["solve", "--channel", str(path)])
     assert code == EXIT_CONFIG
+    # links that do not fill the declared (K, K, N, M) shape exactly
+    good = json.loads(_channel_file(tmp_path).read_text())
+    H = good["H"]
+    for links in (
+        [[[[1.0, 0.0]]] * 3] * 3,  # 1x1 links where 2x2 ones are declared
+        [[A[:1] for A in row] for row in H],  # 1x2 links
+        H + H[:1],  # a fourth receiver past K
+    ):
+        path.write_text(json.dumps(dict(good, H=links)))
+        code = main(["solve", "--channel", str(path)])
+        assert code == EXIT_CONFIG
+        assert "malformed channel JSON" in capsys.readouterr().err
 
 
 def test_solve_epsilon_below_actual_error(tmp_path, capsys):
