@@ -12,38 +12,15 @@ the lattice design, so all methods share one definition of a gain.
 * two_stage_ml: decode all interferers jointly as a multiple-access stage
   (Gaussian codebooks), subtract, then decode the desired stream;
 * distributive_ia: alternating min-leakage interference alignment;
-* conventional_ia_3user: the closed-form eigenvector alignment for three
-  users with even square antennas.
+* conventional_ia: the closed-form eigenvector alignment for three users
+  with even square antennas (conventional_ia_design).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .channel import ChannelSet, SystemConfig
 from .rates import cross_vectors, own_stream_indicator, robust_residuals
-
-
-@dataclass(frozen=True)
-class BaselineResult:
-    method: str
-    per_user_rates: np.ndarray
-    worst_case: float
-    sum_rate: float
-    feasible: bool = True
-
-    @staticmethod
-    def build(method: str, rates: np.ndarray, feasible: bool = True) -> "BaselineResult":
-        rates = np.asarray(rates, dtype=float)
-        return BaselineResult(
-            method=method,
-            per_user_rates=rates,
-            worst_case=float(rates.min()),
-            sum_rate=float(rates.sum()),
-            feasible=feasible,
-        )
 
 
 def _direct(H: np.ndarray) -> np.ndarray:
@@ -213,17 +190,3 @@ def conventional_ia_design(
     U = np.linalg.svd(S.swapaxes(-1, -2))[0][..., -1]
     return V, U.swapaxes(1, 2)
 
-
-def conventional_ia_3user(
-    ch: ChannelSet, cfg: SystemConfig
-) -> tuple[np.ndarray | None, np.ndarray | None, BaselineResult]:
-    """Closed-form alignment scored on true channels; infeasible -> zeros."""
-    design = conventional_ia_design(ch.Hhat, cfg.L)
-    if design is None:
-        return None, None, BaselineResult.build(
-            "conventional_ia", np.zeros(ch.K), feasible=False
-        )
-    V, U = design
-    rho = cfg.gamma * cfg.P / cfg.L
-    rates = ia_stream_rates(ch.H, V, U, rho).sum(axis=1)
-    return V, U, BaselineResult.build("conventional_ia", rates)

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 import json
-import math
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, is_finite_real, is_integer
 
 
 @dataclass(frozen=True)
@@ -24,7 +23,8 @@ class SystemConfig:
 
     K users, M transmit / N receive antennas, L streams per user, per-stream
     transmit power P, per-user power budget gamma (sum of squared precoder
-    norms), CSI error bound epsilon, base RNG seed.
+    norms), CSI error bound epsilon, base RNG seed.  Each bad value raises
+    ConfigurationError naming its field.
     """
 
     K: int
@@ -37,22 +37,23 @@ class SystemConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("K", "M", "N", "L"):
+        for name, least in (("K", 1), ("M", 1), ("N", 1), ("L", 1), ("seed", 0)):
             val = getattr(self, name)
-            if isinstance(val, bool) or not isinstance(val, int) or val < 1:
-                raise ConfigurationError(f"{name} must be a positive integer, got {val!r}")
+            if not (is_integer(val) and val >= least):
+                kind = "positive" if least else "non-negative"
+                raise ConfigurationError(f"{name} must be a {kind} integer, got {val!r}")
         if self.L > min(self.M, self.N):
             raise ConfigurationError(
                 f"L={self.L} streams do not fit in min(M, N)={min(self.M, self.N)}"
             )
-        if not (self.P > 0 and math.isfinite(self.P)):
-            raise ConfigurationError(f"P must be positive and finite, got {self.P!r}")
-        if not (self.gamma > 0 and math.isfinite(self.gamma)):
-            raise ConfigurationError(f"gamma must be positive and finite, got {self.gamma!r}")
-        if not (self.epsilon >= 0 and math.isfinite(self.epsilon)):
-            raise ConfigurationError(
-                f"epsilon must be non-negative and finite, got {self.epsilon!r}"
-            )
+        for name in ("P", "gamma", "epsilon"):
+            val = getattr(self, name)
+            zero_ok = name == "epsilon"
+            if not (is_finite_real(val) and (val >= 0 if zero_ok else val > 0)):
+                kind = "non-negative" if zero_ok else "positive"
+                raise ConfigurationError(
+                    f"{name} must be a {kind} finite real number, got {val!r}"
+                )
 
 
 def snr_db_to_power(snr_db: float) -> float:
@@ -83,7 +84,7 @@ class ChannelSet:
             )
         if not (np.all(np.isfinite(H)) and np.all(np.isfinite(Hhat))):
             raise ConfigurationError("H and Hhat must have finite entries")
-        if not (self.epsilon >= 0 and math.isfinite(self.epsilon)):
+        if not (is_finite_real(self.epsilon) and self.epsilon >= 0):
             raise ConfigurationError(
                 f"epsilon must be non-negative and finite, got {self.epsilon!r}"
             )

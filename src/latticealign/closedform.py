@@ -16,26 +16,29 @@ import math
 import numpy as np
 
 from .channel import ChannelSet, SystemConfig
-from .errors import ConfigurationError
+from .errors import ConfigurationError, is_finite_real, is_integer
 from .gaussint import GaussianInt, nearest_gaussian
 from .rates import DesignState
 
 
 @dataclass(frozen=True)
 class SymmetricInstance:
-    """Symmetric scalar network: K users, direct gains 1, cross gains h."""
+    """Symmetric scalar network: K users, direct gains 1, cross gains h.
+
+    Each bad value raises ConfigurationError naming its field.
+    """
 
     K: int
     h: GaussianInt
     P: float
 
     def __post_init__(self):
-        if not isinstance(self.K, int) or self.K < 2:
-            raise ConfigurationError("symmetric analysis needs K >= 2 users")
+        if not (is_integer(self.K) and self.K >= 2):
+            raise ConfigurationError(f"K must be an integer >= 2, got {self.K!r}")
         if not isinstance(self.h, GaussianInt) or self.h.norm() == 0:
             raise ConfigurationError("cross gain h must be a nonzero GaussianInt")
-        if not (self.P > 0 and math.isfinite(self.P)):
-            raise ConfigurationError(f"P must be positive and finite, got {self.P!r}")
+        if not (is_finite_real(self.P) and self.P > 0):
+            raise ConfigurationError(f"P must be a positive finite real number, got {self.P!r}")
 
     @property
     def habs2(self) -> float:

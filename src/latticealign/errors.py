@@ -1,4 +1,17 @@
-"""Shared exception types."""
+"""Shared exception types and the type tests of configuration values."""
+
+import math
+import numbers
+
+
+def is_integer(val) -> bool:
+    """Whether val is an integer, numpy integers included and bools not."""
+    return not isinstance(val, bool) and isinstance(val, numbers.Integral)
+
+
+def is_finite_real(val) -> bool:
+    """Whether val is a finite real number, numpy floats included and bools not."""
+    return not isinstance(val, bool) and isinstance(val, numbers.Real) and math.isfinite(val)
 
 
 class ConfigurationError(ValueError):

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import baselines
 from .channel import ChannelSet, SystemConfig, generate_channels, perturb_csi, snr_db_to_power
-from .errors import ConfigurationError
+from .errors import ConfigurationError, is_integer
 from .rates import _OUTAGE_TOL, goodput, per_stream_rates, rate_report
 from .solver import SolverConfig, multi_start
 
@@ -82,7 +82,7 @@ class ExperimentSpec:
         for name in counts + ("seed", "K_grid"):
             value = getattr(self, name)
             for x in value if name == "K_grid" else (value,):
-                if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+                if not is_integer(x):
                     raise ConfigurationError(f"{name} takes integers only, got {x!r}")
         for name in ("snr_db_grid", "epsilon_grid"):
             for x in getattr(self, name):

@@ -204,24 +204,6 @@ class RateReport:
         }
         return json.dumps(payload)
 
-    @staticmethod
-    def from_json(text: str) -> "RateReport":
-        payload = json.loads(text)
-
-        def dec(x):
-            if x == "inf":
-                return math.inf
-            if x == "-inf":
-                return -math.inf
-            return float(x)
-
-        return RateReport(
-            mu=np.array([[dec(x) for x in row] for row in payload["mu"]]),
-            mu_tilde=np.array([[dec(x) for x in row] for row in payload["mu_tilde"]]),
-            r_min=dec(payload["r_min"]),
-            alignment=np.array(payload["alignment"], dtype=float),
-        )
-
 
 def rate_report(ch: ChannelSet, st: DesignState) -> RateReport:
     """Evaluate all rate bounds of a design.

@@ -9,7 +9,8 @@ or convex:
   (closed form when the CSI bound is zero, otherwise damped Newton steps on
   a smoothed copy, all decoders of the block in one batch, which also holds
   the stage-one fits in the first sweep) plus a finite integer search for
-  each c, scored as one decoder x candidate array;
+  each c over the unit box around its least-squares point, scored as one
+  decoder x candidate array;
 * transmit-side block: the epigraph problem in (v, relaxed a, t) is convex
   and is solved with a log-barrier method under the per-user power budget;
   its sweep of barrier stages ends at the duality-gap bound or at the first
@@ -39,14 +40,18 @@ a solve of that design alone gives; optimize_receivers returns those errors.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channel import ChannelSet, SystemConfig, complex_gaussian
-from .errors import ConfigurationError, NonConvergenceError, PowerBudgetError
+from .errors import (
+    ConfigurationError,
+    NonConvergenceError,
+    PowerBudgetError,
+    is_finite_real,
+    is_integer,
+)
 from .gaussint import GaussianInt, common_divisor, exact_div
 from .rates import (
     DesignState,
@@ -74,8 +79,8 @@ class SolverConfig:
     barrier_tol: the barrier stops once its duality-gap bound, the number of
         constraints over q, drops below this, or after the first stage that
         stalls (at most one L-BFGS-B iteration).
-    newton_tol: Newton-decrement tolerance of the filter and relaxed scaling
-        fits, and the gradient tolerance of each barrier stage.
+    newton_tol: Newton-decrement tolerance of the robust filter fits, and the
+        gradient tolerance of each barrier stage.
     max_outer_iters: cap on the receive/transmit alternations of solve.
     max_inner_iters: caps three loops: the Newton steps of each filter fit,
         the L-BFGS-B iterations (times 5) of each barrier stage, and the
@@ -95,11 +100,11 @@ class SolverConfig:
     def __post_init__(self):
         for name in ("max_outer_iters", "max_inner_iters"):
             val = getattr(self, name)
-            if isinstance(val, bool) or not isinstance(val, numbers.Integral) or val < 1:
+            if not (is_integer(val) and val >= 1):
                 raise ConfigurationError(f"{name} must be an integer >= 1, got {val!r}")
         for name in ("barrier_nu", "barrier_tol", "newton_tol", "rate_tol"):
             val = getattr(self, name)
-            if isinstance(val, bool) or not isinstance(val, numbers.Real) or not math.isfinite(val):
+            if not is_finite_real(val):
                 raise ConfigurationError(f"{name} must be a finite real number, got {val!r}")
         if self.barrier_nu <= 1:
             raise ConfigurationError("need barrier_nu > 1")
@@ -241,7 +246,7 @@ def decorrelator_closed_form(
 # Smoothed robust residual problems, stacked along a leading batch axis.  In
 # real coordinates x = [Re u, Im u] each problem is
 #
-#     f(x) = rho ||x||^2 + P sum_j [(|A_j x - beta_j|_d + s0_j + sigma_j ||x||_d)^2 - d^2]
+#     f(x) = ||x||^2 + P sum_j [(|A_j x - beta_j|_d + sigma_j ||x||_d)^2 - d^2]
 #
 # with |y|_d = sqrt(|y|^2 + d^2): smooth and strictly convex.  A_j is the
 # (2, 2n) real form of a complex row C_j, so |A_j x - beta_j| = |C_j u - t_j|.
@@ -251,26 +256,20 @@ def decorrelator_closed_form(
 class _Problems:
     A: np.ndarray  # (B, J, 2, 2n)
     beta: np.ndarray  # (B, J, 2)
-    s0: np.ndarray  # (B, J) constant offsets
     sigma: np.ndarray  # (B, J) weights of ||x||_d
-    rho: float
     P: float
-    AtA: np.ndarray | None = None  # (B, J, 2n, 2n) A_j^T A_j, computed when not given
+    AtA: np.ndarray = field(init=False)  # (B, J, 2n, 2n) A_j^T A_j
 
     def __post_init__(self):
-        shape = self.A.shape[:2]
-        self.s0 = np.broadcast_to(self.s0, shape)
-        self.sigma = np.broadcast_to(self.sigma, shape)
-        if self.AtA is None:
-            self.AtA = np.einsum("bjrk,bjrl->bjkl", self.A, self.A)
+        self.AtA = np.einsum("bjrk,bjrl->bjkl", self.A, self.A)
 
     @staticmethod
-    def from_complex(C, t, s0, sigma, rho, P) -> "_Problems":
+    def from_complex(C, t, sigma, P) -> "_Problems":
         A = np.stack(
             [np.concatenate([C.real, -C.imag], -1), np.concatenate([C.imag, C.real], -1)],
             axis=-2,
         )
-        return _Problems(A, np.stack([t.real, t.imag], -1), s0, sigma, rho, P)
+        return _Problems(A, np.stack([t.real, t.imag], -1), sigma, P)
 
     def take(self, idx) -> "_Problems":
         sub = object.__new__(_Problems)  # the fields need no __post_init__
@@ -278,13 +277,13 @@ class _Problems:
         return sub
 
     def _terms(self, x: np.ndarray):
-        """Residuals e_j, |e_j|_d, ||x||^2, ||x||_d and the offsets s0_j + sigma_j ||x||_d."""
+        """Residuals e_j, |e_j|_d, ||x||^2, ||x||_d and the offsets sigma_j ||x||_d."""
         d2 = _DELTA**2
         e = np.einsum("bjrk,bk->bjr", self.A, x) - self.beta
         az = np.sqrt(np.einsum("bjr,bjr->bj", e, e) + d2)
         nx2 = np.einsum("bk,bk->b", x, x)
         nxs = np.sqrt(nx2 + d2)
-        return e, az, nx2, nxs, self.s0 + self.sigma * nxs[:, None]
+        return e, az, nx2, nxs, self.sigma * nxs[:, None]
 
     def evaluate(self, x: np.ndarray, derivatives: bool = False, terms=None):
         """f per problem; with derivatives also the gradient and the Hessian.
@@ -292,12 +291,12 @@ class _Problems:
         d2 = _DELTA**2
         e, az, nx2, nxs, offset = self._terms(x) if terms is None else terms
         r = az + offset
-        f = self.rho * nx2 + self.P * np.sum(r * r - d2, axis=1)
+        f = nx2 + self.P * np.sum(r * r - d2, axis=1)
         if not derivatives:
             return f
         daz = np.einsum("bjrk,bjr->bjk", self.A, e) / az[..., None]
         dr = daz + (self.sigma / nxs[:, None])[..., None] * x[:, None, :]
-        grad = 2 * self.rho * x + 2 * self.P * np.einsum("bj,bjk->bk", r, dr)
+        grad = 2 * x + 2 * self.P * np.einsum("bj,bjk->bk", r, dr)
         # sum_j [dr dr^T + r Hess(|.|_d) + r sigma Hess(||x||_d)]
         w = r / az
         rs = np.einsum("bj,bj->b", r, self.sigma) / nxs
@@ -308,7 +307,7 @@ class _Problems:
             - np.einsum("bjk,bjl->bkl", daz * w[..., None], daz)
             + rs[:, None, None] * (eye - x[:, :, None] * x[:, None, :] / (nxs**2)[:, None, None])
         )
-        return f, grad, 2 * self.P * hess + 2 * self.rho * eye
+        return f, grad, 2 * self.P * hess + 2 * eye
 
     def kinks(self, dx, grad, hess, tol, terms):
         """How the Newton steps dx meet the kinks of |A_j x - beta_j| and ||x||.
@@ -326,7 +325,7 @@ class _Problems:
         the push away from it.  That push is the curvature times the step's
         move of e, and leaving the kink would gain about push^2 / (4 P).  A
         row is settled when its step crosses no kink and these gains sum to
-        at most tol (likewise for ||x||_d, against the curvature of rho ||x||^2).
+        at most tol (likewise for ||x||_d, against the unit curvature of ||x||^2).
 
         terms are the _terms of the current iterates.  Returns (settled per
         row, rows with a kink step, their steps or None when there are none).
@@ -337,10 +336,9 @@ class _Problems:
         crossed = (az > 10 * _DELTA) & (np.einsum("bjr,bjr->bj", e, e + moves) < 0)
         hidden = r * _DELTA**2 * np.sqrt(np.einsum("bjr,bjr->bj", moves, moves)) / az**3
         gain = self.P * np.sum(hidden**2, axis=1)
-        if self.rho > 0:
-            rs = np.einsum("bj,bj->b", r, self.sigma)
-            hidden = self.P * rs * _DELTA**2 * np.sqrt(np.einsum("bk,bk->b", dx, dx)) / nxs**3
-            gain = gain + hidden**2 / self.rho
+        rs = np.einsum("bj,bj->b", r, self.sigma)
+        hidden = self.P * rs * _DELTA**2 * np.sqrt(np.einsum("bk,bk->b", dx, dx)) / nxs**3
+        gain = gain + hidden**2
         settled = ~crossed.any(axis=1) & (gain <= tol)
         rows = np.flatnonzero(crossed.any(axis=1))
         if not len(rows):
@@ -447,9 +445,7 @@ def decorrelator_robust(
     w, b, nv = _decoders(ch, st, k, l, stage, c)
     shape, (J, N) = b.shape[:-1], w.shape[-2:]
     w, b = w.reshape(-1, J, N), b.reshape(-1, J)
-    prob = _Problems.from_complex(
-        w.conj(), b.conj(), 0.0, ch.epsilon * nv.reshape(-1, J), 1.0, st.P
-    )
+    prob = _Problems.from_complex(w.conj(), b.conj(), ch.epsilon * nv.reshape(-1, J), st.P)
     starts = [
         np.broadcast_to(0.0 if u0 is None else u0, (len(w), N)),
         _least_squares_filters(w, b, st.P),
@@ -483,62 +479,45 @@ def _scaling_value(ch, st, k, l, c):
     return decorrelator_objective(ch, st, k, l, 2, st.utilde[k, l], c=c)
 
 
-def scaling_candidates(ch: ChannelSet, st: DesignState, k, l, cfg: SolverConfig | None = None):
+def scaling_candidates(ch: ChannelSet, st: DesignState, k, l):
     """Gaussian-integer scalings worth scoring for decoders (k, l).
 
     The scaling c of a decoder should minimize f(c), the stage-two objective
     of its current utilde as a function of c, which up to the noise term
     ||utilde||^2 and the factor P is sum_j (|q_j - c a_j| + eps ||v_j||
     ||utilde||)^2 with q_j the estimated post-filter gain minus the
-    own-stream target.  The relaxed complex minimizer is found first
-    (weighted least squares, then damped Newton steps when the CSI bound
-    couples in, every decoder in one batch).  The candidates are the Gaussian
-    integers in the closed unit box around it, real part major, then the
-    integer incumbent when it lies outside the box; a decoder that decodes
+    own-stream target.  The candidates are the Gaussian integers in the
+    closed unit box around the weighted least-squares minimizer
+    sum_j conj(a_j) q_j / sum_j |a_j|^2 of its CSI-bound-free part, real
+    part major; the callers score them by f itself.  A decoder that decodes
     no aggregate gets the single candidate 1.
 
-    Returns a complex array of shape broadcast(k, l) + (10,), NaN past each
+    Returns a complex array of shape broadcast(k, l) + (9,), NaN past each
     decoder's last candidate.
     """
-    cfg = cfg or SolverConfig()
     S = _Stack.of(ch, st)
     shape = np.broadcast(k, l).shape
     kk, ll = (np.broadcast_to(i, shape).reshape(-1) for i in (k, l))
     a = S.a[kk, ll].reshape(len(kk), -1)
     ut = S.utilde[kk, ll]
     q = np.einsum("...ja,...a->...j", S.w[kk], ut.conj()) - stage_targets(S, kk, ll, 2, c=0)
-    s = ch.epsilon * S.nv[kk] * vector_norms(ut)[..., None]
     live = np.any(a != 0, axis=1)
 
-    c_rel = np.zeros(len(kk), dtype=complex)
+    c_ls = np.zeros(len(kk), dtype=complex)
     al, ql = a[live], q[live]
-    c_rel[live] = np.sum(al.conj() * ql, axis=1) / np.sum(np.abs(al) ** 2, axis=1)
-    if ch.epsilon > 0 and live.any():
-        # the relaxed point only centres the candidate box, so a fit that
-        # stops at the iteration cap is still a usable centre
-        prob = _Problems.from_complex(al[..., None], ql, s[live], 0.0, 0.0, 1.0)
-        x0 = np.stack([c_rel[live].real, c_rel[live].imag], axis=1)
-        x, _ = _newton_batch(prob, x0, cfg.newton_tol, cfg.max_inner_iters)
-        c_rel[live] = x[:, 0] + 1j * x[:, 1]
+    c_ls[live] = np.sum(al.conj() * ql, axis=1) / np.sum(np.abs(al) ** 2, axis=1)
 
-    # the closed unit box around c_rel holds 2 or 3 integers per axis; the
+    # the closed unit box around c_ls holds 2 or 3 integers per axis; the
     # integer parts keep every candidate free of negative zeros
-    xy = np.stack([c_rel.real, c_rel.imag])
+    xy = np.stack([c_ls.real, c_ls.imag])
     lo = np.ceil(xy - 1 - 1e-12).astype(int)
     n = np.floor(xy + 1 + 1e-12).astype(int) - lo + 1
-    size = n[0] * n[1]
-    j = np.arange(10)[:, None]  # slot, real part major
+    j = np.arange(9)[:, None]  # slot, real part major
     box = (lo[0] + j // n[1]) + 1j * (lo[1] + j % n[1])
-    cands = np.where(j < size, box, np.nan).T
-    # keep the incumbent in the running so a scaling update can never regress
-    cur = np.stack([S.c[kk, ll].real, S.c[kk, ll].imag])
-    inc = np.round(cur).astype(int)
-    integral = np.all(np.abs(cur - inc) < 1e-9, axis=0)
-    extra = integral & np.any((inc < lo) | (inc >= lo + n), axis=0)
-    cands[extra, size[extra]] = inc[0, extra] + 1j * inc[1, extra]
+    cands = np.where(j < n[0] * n[1], box, np.nan).T
     cands[~live] = np.nan
     cands[~live, 0] = 1.0
-    return cands.reshape(shape + (10,))
+    return cands.reshape(shape + (9,))
 
 
 def optimize_scaling(ch: ChannelSet, st: DesignState, k: int, l: int) -> GaussianInt:
@@ -583,23 +562,23 @@ def _stage2_joint_update(ch: ChannelSet, st, cfg: SolverConfig, kk, ll, k1=(), l
     the filter was first fitted to.  Each candidate is therefore scored by
     the objective of its own refit filter.  The current filter's f(c) over
     the decoder x candidate array of scaling_candidates, computed once, only
-    ranks the candidates: with a nonzero CSI bound every refit is an
-    iterative robust fit, so only each decoder's four best-ranked candidates
-    are refit.  The incumbent pair is always in the running, so no decoder's
-    objective can increase.  Decoders do not interact here, so all refits of
-    all decoders run as one batch, with the stage-one fits of decoders
-    (k1, l1): stage one depends on neither utilde nor c.  A new u is written
-    where it lowers its stage-one objective.
+    ranks the candidates, and each decoder's four best-ranked candidates are
+    refit.  A refit pair is written only where it beats the incumbent pair,
+    whose scaling may lie outside the box, so no decoder's objective can
+    increase.  Decoders do not interact here, so all refits of all decoders
+    run as one batch, with the stage-one fits of decoders (k1, l1): stage
+    one depends on neither utilde nor c.  A new u is written where it
+    lowers its stage-one objective.
 
     Returns, per decoder, its stage-two objective after the update, whether
     a new pair was written and whether its scaling changed; then the
     decoders (k, l) of the stage-one and of the stage-two fits that hit the
     iteration cap.
     """
-    cands = scaling_candidates(ch, st, kk, ll, cfg)
+    cands = scaling_candidates(ch, st, kk, ll)
     # the NaN padding scores NaN, which a sort puts last
     proxy = _scaling_value(ch, st, kk[:, None], ll[:, None], cands)
-    order = np.argsort(proxy, axis=1, kind="stable")[:, : None if ch.epsilon == 0 else 4]
+    order = np.argsort(proxy, axis=1, kind="stable")[:, :4]
     cands = np.take_along_axis(cands, order, axis=1)
     ok = ~np.isnan(cands)
     owner = np.nonzero(ok)[0]

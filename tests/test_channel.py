@@ -39,6 +39,26 @@ def test_system_config_validation():
             SystemConfig(**{**dict(K=3, M=2, N=2, L=1, P=10.0), name: True})
 
 
+_GOOD_CONFIG = dict(K=3, M=2, N=2, L=1, P=10.0)
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [("K", 3.0), ("M", "2"), ("N", None), ("L", True), ("P", "10"), ("P", None),
+     ("P", True), ("gamma", "1"), ("gamma", -1.0), ("epsilon", None), ("epsilon", "0.1"),
+     ("epsilon", False), ("seed", -1), ("seed", 1.5), ("seed", True), ("seed", "7")],
+)
+def test_system_config_names_the_bad_field(field, bad):
+    with pytest.raises(ConfigurationError, match=f"^{field} must be"):
+        SystemConfig(**{**_GOOD_CONFIG, field: bad})
+
+
+def test_system_config_takes_numpy_scalars():
+    cfg = SystemConfig(K=np.int64(3), M=np.int32(2), N=2, L=1, P=np.float64(10.0),
+                       epsilon=np.float32(0.1), seed=np.uint32(7))
+    assert generate_channels(cfg).H.shape == (3, 3, 2, 2)
+
+
 @pytest.mark.parametrize(
     "over",
     [{"P": float("inf")}, {"P": float("nan")}, {"gamma": float("inf")},

@@ -155,6 +155,22 @@ def test_symmetric_instance_validation():
         SymmetricInstance(K=3, h=GaussianInt(2, 0), P=math.inf)
 
 
+@pytest.mark.parametrize(
+    "field, bad",
+    [("K", 1), ("K", 3.0), ("K", True), ("K", "3"), ("P", "4"), ("P", None), ("P", True),
+     ("P", 0.0), ("P", math.inf)],
+)
+def test_symmetric_instance_names_the_bad_field(field, bad):
+    with pytest.raises(ConfigurationError, match=f"^{field} must be"):
+        SymmetricInstance(**{"K": 3, "h": GaussianInt(2, 0), "P": 4.0, field: bad})
+
+
+def test_symmetric_instance_takes_numpy_scalars():
+    inst = SymmetricInstance(K=np.int64(3), h=GaussianInt(2, 0), P=np.float64(4.0))
+    ref = SymmetricInstance(K=3, h=GaussianInt(2, 0), P=4.0)
+    assert symmetric_rmin_lattice(inst) == symmetric_rmin_lattice(ref)
+
+
 def test_symmetric_channelset_layout():
     inst = SymmetricInstance(K=3, h=GaussianInt(2, 0), P=4.0)
     ch, cfg = symmetric_channelset(inst)

@@ -35,6 +35,7 @@ from latticealign.solver import (
     SolveTrace,
     SolverConfig,
     TraceRecord,
+    _fit_filters,
     _least_squares_filters,
     _newton_batch,
     _Problems,
@@ -93,7 +94,7 @@ def test_robust_objective_gradient_finite_difference(eps):
     w = cross_vectors(ch.Hhat, st.v)[0]
     b = stage_targets(st, 0, 0, 2)
     nv = np.sqrt(np.sum(np.abs(st.v) ** 2, axis=2)).reshape(-1)
-    prob = _Problems.from_complex(w.conj()[None], b.conj()[None], 0.0, eps * nv, 1.0, cfg.P)
+    prob = _Problems.from_complex(w.conj()[None], b.conj()[None], eps * nv[None], cfg.P)
     rng = np.random.default_rng(8)
     h = 1e-6
     for _ in range(5):
@@ -163,16 +164,15 @@ def test_robust_decorrelator_handles_uncertainty_descent():
     assert better > 0  # the worst-case penalty moves the optimum
 
 
-def test_scaling_candidates_box_size_and_incumbent():
+def test_scaling_candidates_box_size():
     ch, cfg = _random_instance(seed=21)
     st = initial_state(ch, cfg, "random_unit", seed=22, init_a="round")
     rng = np.random.default_rng(23)
     st.utilde[0, 0] = complex_gaussian(rng, (2,))
     cands = scaling_candidates(ch, st, 0, 0)
-    assert cands.shape == (10,)  # 3x3 closed unit box plus the incumbent
+    assert cands.shape == (9,)  # at most the 3x3 closed unit box
     n = np.count_nonzero(~np.isnan(cands))
     assert n >= 4 and np.all(np.isnan(cands[n:]))
-    assert st.c[0, 0] in cands[:n]
     assert isinstance(optimize_scaling(ch, st, 0, 0), GaussianInt)
 
 
@@ -605,14 +605,14 @@ def test_newton_fit_never_worse_than_lbfgs_reference(shape, eps):
 
 def _captured_newton_batches(monkeypatch, eps):
     """(problem fields, x0, tol, max_iter) of every _newton_batch call that
-    receive blocks make on the _SHAPES instances: filter fits of both
-    stages and relaxed scaling fits."""
+    receive blocks make on the _SHAPES instances: the filter fits of both
+    stages."""
     from latticealign import solver as solver_mod
 
     real, batches = solver_mod._newton_batch, []
 
     def captured(prob, x0, tol, max_iter):
-        fields = (prob.A, prob.beta, prob.s0, prob.sigma, prob.rho, prob.P)
+        fields = (prob.A, prob.beta, prob.sigma, prob.P)
         batches.append((tuple(np.array(f) for f in fields), np.array(x0), tol, max_iter))
         return real(prob, x0, tol, max_iter)
 
@@ -630,11 +630,10 @@ def test_newton_batch_rows_equal_their_solves_alone(eps, monkeypatch):
     converged flag, of that row solved on its own, kink steps included."""
     batches = _captured_newton_batches(monkeypatch, eps)
     assert any(len(x0) > 1 for _, x0, _, _ in batches)
-    for (A, beta, s0, sigma, rho, P), x0, tol, max_iter in batches:
-        x, ok = _newton_batch(_Problems(A, beta, s0, sigma, rho, P), x0, tol, max_iter)
-        s0, sigma = np.broadcast_to(s0, A.shape[:2]), np.broadcast_to(sigma, A.shape[:2])
+    for (A, beta, sigma, P), x0, tol, max_iter in batches:
+        x, ok = _newton_batch(_Problems(A, beta, sigma, P), x0, tol, max_iter)
         for i in range(len(x0)):
-            alone = _Problems(*(f[i : i + 1] for f in (A, beta, s0, sigma)), rho, P)
+            alone = _Problems(*(f[i : i + 1] for f in (A, beta, sigma)), P)
             x1, ok1 = _newton_batch(alone, x0[i : i + 1], tol, max_iter)
             assert _same_bits(x[i : i + 1], x1) and ok[i] == ok1[0]
 
@@ -957,24 +956,16 @@ def test_multi_start_runs_each_extra_precoder_set_as_one_start(monkeypatch):
 
 
 def _box_reference(ch, st, kk, ll):
-    """The list-based candidate builder: relaxed minimizer, closed unit box
-    around it as GaussianInt lists, then the incumbent when outside."""
+    """The list-based candidate builder: the closed unit box around the
+    weighted least-squares scaling, as GaussianInt lists."""
     a = st.a[kk, ll].reshape(len(kk), -1)
     ut = st.utilde[kk, ll]
     q = np.einsum("...ja,...a->...j", cross_vectors(ch.Hhat, st.v)[kk], ut.conj())
     q = q - own_stream_indicator(st.K, st.L)[kk, ll].reshape(q.shape)
-    s = ch.epsilon * np.sqrt(np.sum(np.abs(st.v) ** 2, axis=2)).reshape(-1)
-    s = s * np.sqrt(np.sum(np.abs(ut) ** 2, axis=-1))[..., None]
     live = np.any(a != 0, axis=1)
     c_rel = np.zeros(len(kk), dtype=complex)
     al, ql = a[live], q[live]
     c_rel[live] = np.sum(al.conj() * ql, axis=1) / np.sum(np.abs(al) ** 2, axis=1)
-    if ch.epsilon > 0 and live.any():
-        cfg = SolverConfig()
-        prob = _Problems.from_complex(al[..., None], ql, s[live], 0.0, 0.0, 1.0)
-        x0 = np.stack([c_rel[live].real, c_rel[live].imag], axis=1)
-        x, _ = _newton_batch(prob, x0, cfg.newton_tol, cfg.max_inner_iters)
-        c_rel[live] = x[:, 0] + 1j * x[:, 1]
     cands = []
     for d in range(len(kk)):
         if not live[d]:
@@ -986,11 +977,6 @@ def _box_reference(ch, st, kk, ll):
             for re in range(int(np.ceil(cr.real - 1 - 1e-12)), int(np.floor(cr.real + 1 + 1e-12)) + 1)
             for im in range(int(np.ceil(cr.imag - 1 - 1e-12)), int(np.floor(cr.imag + 1 + 1e-12)) + 1)
         ]
-        cur = st.c[kk[d], ll[d]]
-        if abs(cur.real - round(cur.real)) < 1e-9 and abs(cur.imag - round(cur.imag)) < 1e-9:
-            inc = GaussianInt(int(round(cur.real)), int(round(cur.imag)))
-            if inc not in box:
-                box.append(inc)
         cands.append(box)
     return cands
 
@@ -1003,9 +989,8 @@ def _joint_update_reference(ch, st, cfg):
     owner = np.repeat(np.arange(len(kk)), [len(cs) for cs in cands])
     cvals = np.array([complex(g) for cs in cands for g in cs])
     proxy = _scaling_value(ch, st, kk[owner], ll[owner], cvals)
-    n_refit = None if ch.epsilon == 0 else 4
     pick = np.concatenate([
-        idx[np.argsort(proxy[idx], kind="stable")][:n_refit]
+        idx[np.argsort(proxy[idx], kind="stable")][:4]
         for idx in (np.flatnonzero(owner == d) for d in range(len(kk)))
     ])
     kr, lr, cr = kk[owner[pick]], ll[owner[pick]], cvals[pick]
@@ -1060,8 +1045,8 @@ def test_scaling_array_matches_per_decoder_lists(shape, eps):
 
 
 def test_scaling_box_around_an_integer_centre():
-    """An integer relaxed minimizer spans three integers per axis, and an
-    incumbent outside that box fills the tenth slot."""
+    """An integer least-squares scaling spans three integers per axis, and an
+    incumbent outside that box is no candidate."""
     ch, cfg = _random_instance(seed=26)
     st = initial_state(ch, cfg, "random_unit", seed=27, init_a="zero")
     st.a[0, 0, 1, 0] = 1.0
@@ -1069,10 +1054,58 @@ def test_scaling_box_around_an_integer_centre():
     st.utilde[0, 0] = 2 * w / np.vdot(w, w).real  # relaxed minimizer 2
     st.c[0, 0] = -2.0
     cands = scaling_candidates(ch, st, 0, 0)
-    expect = [re + 1j * im for re in (1, 2, 3) for im in (-1, 0, 1)] + [-2]
+    expect = [re + 1j * im for re in (1, 2, 3) for im in (-1, 0, 1)]
     assert _same_bits(cands, np.array(expect, dtype=complex))
     box = _box_reference(ch, st, np.array([0]), np.array([0]))[0]
     assert _same_bits(cands, np.array([complex(g) for g in box]))
+
+
+def test_scaling_candidates_make_no_newton_call(monkeypatch):
+    """The box is centred on the least-squares scaling at every CSI bound:
+    building it runs no Newton fit."""
+    calls = _count_calls(monkeypatch, "_newton_batch")
+    for shape in _SHAPES:
+        ch, cfg, st = _shaped_instance(*shape, 0.1, seed=1250 + sum(shape))
+        cands = scaling_candidates(ch, st, *_decoder_grid(st))
+        assert cands.shape == (st.K * st.L, 9)
+        optimize_scaling(ch, st, 0, 0)
+    assert calls["_newton_batch"] == []
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+def test_joint_update_never_raises_an_objective_past_the_box(eps, monkeypatch):
+    """An incumbent scaling 7+7j, with its own refit filter, lies outside
+    most boxes.  A stage-two update never raises a decoder's objective, and
+    where no refit candidate beats the incumbent pair it keeps its bits."""
+    from latticealign import solver as solver_mod
+
+    outside = 0
+    for shift in (0, 20 + 20j):  # 20 + 20j moves every box far past the incumbent
+        monkeypatch.setattr(
+            solver_mod, "scaling_candidates", lambda *args: scaling_candidates(*args) + shift
+        )
+        for shape in _SHAPES:
+            ch, cfg, st = _shaped_instance(*shape, eps, seed=1300 + sum(shape))
+            kk, ll = _decoder_grid(st)
+            st.a[kk[0], ll[0]] = 0.0  # one decoder without an aggregate
+            st.c[:] = 7 + 7j
+            st.utilde[kk, ll] = _fit_filters(
+                ch, st, kk, ll, 2, SolverConfig(), st.utilde[kk, ll], st.c[kk, ll]
+            )[0]
+            before = st.copy()
+            f0 = decorrelator_objective(ch, st, kk, ll, 2, st.utilde[kk, ll])
+            if not shift:
+                boxes = scaling_candidates(ch, st, kk, ll)
+                outside += int(np.sum(np.all(boxes != 7 + 7j, axis=1)))
+            f, take, _, _ = _stage2_joint_update(ch, st, SolverConfig(), kk, ll)
+            assert np.all(f <= f0)
+            assert _same_bits(f, decorrelator_objective(ch, st, kk, ll, 2, st.utilde[kk, ll]))
+            kept = kk[~take], ll[~take]
+            assert _same_bits(st.c[kept], before.c[kept])
+            assert _same_bits(st.utilde[kept], before.utilde[kept])
+            if shift:  # every decoder of an aggregate keeps its incumbent pair
+                assert not take[np.any(st.a[kk, ll] != 0, axis=(1, 2))].any()
+    assert outside > 0
 
 
 def test_joint_update_scores_the_candidates_once(monkeypatch):
