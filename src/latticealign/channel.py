@@ -57,8 +57,15 @@ class SystemConfig:
 
 
 def snr_db_to_power(snr_db: float) -> float:
-    """Per-stream power for a given SNR in dB (unit noise variance)."""
-    return float(10.0 ** (snr_db / 10.0))
+    """Per-stream power for a given SNR in dB (unit noise variance); raises
+    ConfigurationError naming the SNR when it is not a positive finite float."""
+    try:
+        P = float(10.0 ** (snr_db / 10.0))
+    except OverflowError:
+        P = np.inf
+    if not (is_finite_real(P) and P > 0):
+        raise ConfigurationError(f"SNR {snr_db!r} dB gives power {P!r}, no positive finite float")
+    return P
 
 
 @dataclass(eq=False)

@@ -26,7 +26,7 @@ from .channel import ChannelSet, SystemConfig, channelset_from_json, snr_db_to_p
 from .closedform import (
     SymmetricInstance,
     gain_condition,
-    symmetric_design,
+    symmetric_filters,
     symmetric_rmin_lattice,
     symmetric_rmin_ml,
 )
@@ -113,7 +113,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_analyze_symmetric(args) -> int:
     inst = SymmetricInstance(K=args.K, h=_parse_gaussian(args.h), P=args.P)
-    st = symmetric_design(inst)
+    u, utilde, c = symmetric_filters(inst)
     payload = {
         "K": inst.K,
         "h": [inst.h.re, inst.h.im],
@@ -121,9 +121,9 @@ def _cmd_analyze_symmetric(args) -> int:
         "r_min_lattice": symmetric_rmin_lattice(inst),
         "r_min_ml": symmetric_rmin_ml(inst),
         "lattice_beats_ml_high_snr": gain_condition(inst),
-        "receive_filter": [st.u[0, 0, 0].real, st.u[0, 0, 0].imag],
-        "stage2_filter": [st.utilde[0, 0, 0].real, st.utilde[0, 0, 0].imag],
-        "scaling": [st.c[0, 0].real, st.c[0, 0].imag],
+        "receive_filter": [u.real, u.imag],
+        "stage2_filter": [utilde.real, utilde.imag],
+        "scaling": [c.real, c.imag],
     }
     print(json.dumps(payload, indent=2))
     return EXIT_OK

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import math
+import sys
 
 import numpy as np
 
@@ -37,6 +38,8 @@ class SymmetricInstance:
             raise ConfigurationError(f"K must be an integer >= 2, got {self.K!r}")
         if not isinstance(self.h, GaussianInt) or self.h.norm() == 0:
             raise ConfigurationError("cross gain h must be a nonzero GaussianInt")
+        if self.h.norm() > sys.float_info.max:
+            raise ConfigurationError("cross gain h is too large: |h|^2 overflows a float")
         if not (is_finite_real(self.P) and self.P > 0):
             raise ConfigurationError(f"P must be a positive finite real number, got {self.P!r}")
 
@@ -109,26 +112,31 @@ def gain_condition(inst: SymmetricInstance) -> bool:
     return gain_condition_sq(inst.K, inst.habs2, inst.P)
 
 
+def symmetric_filters(inst: SymmetricInstance) -> tuple[complex, complex, complex]:
+    """Every user's (u, utilde, c) in symmetric_design, with no K-user array: the
+    regularized least-squares fits to a = [0, 1, ..., 1] and to c a + own
+    indicator, and c = h."""
+    K, P = inst.K, inst.P
+    h = complex(inst.h)
+    denom = 1 + (K - 1) * abs(h) ** 2 + 1 / P
+    return (K - 1) * h / denom, (1 + (K - 1) * abs(h) ** 2) / denom, h
+
+
 def symmetric_design(inst: SymmetricInstance) -> DesignState:
     """The closed-form transceiver achieving symmetric_rmin_lattice.
 
-    v = 1, a = [0, 1, ..., 1], c = h, stage-one filter from the regularized
-    least-squares fit and utilde from the matching stage-two fit.
+    v = 1, a = [0, 1, ..., 1], and the filters and scaling of symmetric_filters.
     """
-    K, P = inst.K, inst.P
-    h = complex(inst.h)
+    K = inst.K
+    u_star, ut_star, h = symmetric_filters(inst)
     a = np.ones((K, 1, K, 1), dtype=complex)
     for k in range(K):
         a[k, 0, k, 0] = 0.0
-    denom = 1 + (K - 1) * abs(h) ** 2 + 1 / P
-    u_star = (K - 1) * h / denom
-    # stage-two regularized fit to targets c*a + own indicator
-    ut_star = (1 + (K - 1) * abs(h) ** 2) / denom
     v = np.ones((K, 1, 1), dtype=complex)
     u = np.full((K, 1, 1), u_star, dtype=complex)
     ut = np.full((K, 1, 1), ut_star, dtype=complex)
     c = np.full((K, 1), h, dtype=complex)
-    return DesignState(v=v, u=u, utilde=ut, a=a, c=c, P=P)
+    return DesignState(v=v, u=u, utilde=ut, a=a, c=c, P=inst.P)
 
 
 def ia_equivalence_params(

@@ -19,18 +19,17 @@ class ConfigurationError(ValueError):
 
 
 class NonConvergenceError(RuntimeError):
-    """Raised when an iterative solve exhausts its iteration budget.
+    """Raised when a robust filter fit exhausts its Newton iteration budget.
 
-    Carries the best iterate seen so far in ``best`` and, when available,
-    the trace collected up to the failure in ``trace``.  A batched filter
-    fit sets ``failed``, a boolean per fitted row of ``best`` that is True
-    where that fit hit the cap.
+    Carries every fitted filter in ``best`` and, in ``failed``, a boolean per
+    fitted row of ``best`` that is True where that fit hit the cap.  The
+    receive-side block catches it and returns the message as the design's
+    error instead.
     """
 
-    def __init__(self, message, best=None, trace=None, failed=None):
+    def __init__(self, message, best=None, failed=None):
         super().__init__(message)
         self.best = best
-        self.trace = trace
         self.failed = failed
 
 

@@ -97,6 +97,11 @@ class ExperimentSpec:
                 raise ConfigurationError(f"{name} must be >= 1")
         if self.objective not in ("worst", "sum"):
             raise ConfigurationError("objective must be 'worst' or 'sum'")
+        path = self.output_path
+        if path is not None and not (isinstance(path, str) and path):
+            raise ConfigurationError(
+                f"output_path must be a non-empty string or null, got {path!r}"
+            )
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "K_grid", tuple(int(k) for k in self.K_grid))
         for name in ("M", "N", "L"):
@@ -106,6 +111,8 @@ class ExperimentSpec:
             if not all(math.isfinite(x) for x in grid):
                 raise ConfigurationError(f"{name} entries must be finite, got {grid}")
             object.__setattr__(self, name, grid)
+        for snr_db in self.snr_db_grid:
+            snr_db_to_power(snr_db)  # raises where the power is no positive finite float
 
 
 @dataclass

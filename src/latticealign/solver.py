@@ -29,13 +29,13 @@ Gaussian integers (dividing out any common divisor, which can only help
 the aggregate-decoding rate) and refits the receive side to them, unless
 they are the integers its last block already used.
 
-solve and optimize_receivers also take a list of designs on one channel,
-which is how multi_start runs all its starts.  The designs then move in
-lock-step: each round makes one receive-side call over every design that
-needs a receive block, where the decoders of all of them are rows of the
-same batched fits, and then runs each design's own transmit step.  Each
-design keeps its own stop tests, caps and errors, so it ends with the bits
-a solve of that design alone gives; optimize_receivers returns those errors.
+optimize_receivers takes a list of designs on one channel: their decoders
+are rows of the same batched fits, each design keeps its own stop test and
+cap, so it ends with the bits a block of it alone gives, and each design's
+error message is returned, not raised.  solve batches only the first
+receive blocks of its starts, in one call, since most designs end after
+that block and a rejected transmit step; each start then runs its own loop
+as plain code, with one-design calls for any later block or final refit.
 """
 
 from __future__ import annotations
@@ -127,9 +127,10 @@ class SolveTrace:
     block, the transmit step (the kept state's r_min, so the receive block's
     own when the step was rejected) and, last, the returned design.
     stop_reason says why the outer loop ended: "transmit step rejected",
-    "rate_tol reached", "max_outer_iters reached", or the block and message
-    of a NonConvergenceError; a capped final refit appends its message, and
-    returning the first receive block appends "; kept the first receive block".
+    "rate_tol reached", "max_outer_iters reached", or a capped receive
+    block's message after "optimize_receivers: "; a capped final refit
+    appends its message, and returning the first receive block appends
+    "; kept the first receive block".
     """
 
     records: list[TraceRecord] = field(default_factory=list)
@@ -606,30 +607,27 @@ def _stage2_joint_update(ch: ChannelSet, st, cfg: SolverConfig, kk, ll, k1=(), l
 
 
 def optimize_receivers(
-    ch: ChannelSet, st: DesignState | list[DesignState], cfg: SolverConfig | None = None
-) -> tuple:
-    """Receive-side block: refit every u once, then alternate utilde and c.
+    ch: ChannelSet, designs: list[DesignState], cfg: SolverConfig | None = None
+) -> tuple[list[DesignState], list[list[np.ndarray]], list[str | None]]:
+    """Receive-side block of each design: refit every u once, then alternate utilde and c.
 
     Precoders and combination coefficients stay fixed.  Each u is the exact
     (or Newton-refined) minimizer of its stage-one objective, fitted with the
     first sweep's stage-two refits; each (utilde, c) pair is improved jointly
     until a fixed point, and every update is accepted only if it lowers its
-    objective, so the per-decoder rate bounds are non-decreasing along the
-    returned trace of stage-two rate arrays.
+    objective, so the per-decoder rate bounds are non-decreasing along each
+    design's trace of stage-two rate arrays.
     The fixed point is reached after a sweep that writes nothing (a further
     sweep would repeat it), or once no scaling changed and no stage-two rate
     moved by rate_tol since the sweep before.
 
-    Raises NonConvergenceError, with the finished state in ``best`` and the
-    trace in ``trace``, when the fixed point or a filter fit hit its cap.
-
-    st may also be a list of designs on this channel, whose decoders are then
-    rows of the same batches; each design keeps its own stop test and cap.
-    A list returns (states, traces, errors) and raises no cap: errors holds
-    the message each design's own block would raise, or None.
+    designs is a list of designs on this channel, whose decoders are rows of
+    the same batches; each design keeps its own stop test and cap, so it gets
+    the bits a call on it alone gives.  Returns (states, traces, errors), one
+    entry per design; errors holds None, or the message of the design's
+    first cap: the fixed point's or a filter fit's.  No cap is raised.
     """
     cfg = cfg or SolverConfig()
-    designs = [st] if isinstance(st, DesignState) else list(st)
     S = _Stack.of(ch, designs)
     K, L, n = S.K, S.L, len(designs)
     kk, ll = np.divmod(np.arange(len(S.c) * L), L)
@@ -665,14 +663,8 @@ def optimize_receivers(
         if not running.any():
             break
 
-    states = S.designs()
     cap = "receive-side fixed-point iteration hit the iteration cap"
-    errors = [cap if running[d] else errs[d] for d in range(n)]
-    if not isinstance(st, DesignState):
-        return states, traces, errors
-    if errors[0] is not None:
-        raise NonConvergenceError(errors[0], best=states[0], trace=traces[0])
-    return states[0], traces[0]
+    return S.designs(), traces, [cap if running[d] else errs[d] for d in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -916,17 +908,19 @@ def _round_coefficients(st: DesignState) -> DesignState:
     return out
 
 
-def _alternate(ch: ChannelSet, cfg: SystemConfig, solver: SolverConfig, st: DesignState):
-    """The alternating solve of one design, as a generator: it yields each
-    state that needs a receive-side block, is sent back that block's state
-    and error message (None when it converged) and returns (state, report,
-    trace)."""
+def _alternate(
+    ch: ChannelSet, cfg: SystemConfig, solver: SolverConfig, st: DesignState, err: str | None
+):
+    """The alternating solve of one design from its first receive block: that
+    block's state st and error message err (None when it converged).  Returns
+    (state, report, trace)."""
     trace = SolveTrace()
     first = None  # the first receive block's state and r_min
     r_prev = -np.inf
     outer = 0
     for outer in range(solver.max_outer_iters):
-        st, err = yield st
+        if outer > 0:
+            (st,), _, (err,) = optimize_receivers(ch, [st], solver)
         if err is not None:
             trace.converged = False
             trace.stop_reason = f"optimize_receivers: {err}"
@@ -959,7 +953,7 @@ def _alternate(ch: ChannelSet, cfg: SystemConfig, solver: SolverConfig, st: Desi
     kept = np.array_equal(rounded.a, st.a) and np.array_equal(rounded.c, st.c)
     st = rounded
     if not (kept and trace.stop_reason == "transmit step rejected"):
-        st, err = yield st
+        (st,), _, (err,) = optimize_receivers(ch, [st], solver)
         if err is not None:
             trace.converged = False
             trace.stop_reason += f"; final receive refit: {err}"
@@ -1015,13 +1009,13 @@ def solve(
     why the loop stopped.  Raises ConfigurationError when cfg's dimensions or
     epsilon differ from the channel's.
 
-    init_state may also be a list of start designs.  They are solved in
-    lock-step: each round makes one optimize_receivers call over every design
-    that needs a receive block (a loop block or its final refit), then runs
-    each design's own transmit step, acceptance test and rounding.  Every
-    design gets the bits a solve of it alone gives.  Returns three lists
-    (states, reports, traces), with traces a SolveTraces.  An error is
-    raised for the first design in list order that raises one.
+    init_state may also be a list of start designs.  One optimize_receivers
+    call over all of them makes their first receive blocks; then each start
+    runs its own loop, transmit steps, acceptance tests and rounding, with a
+    one-design call for any later receive block or final refit.  Every design
+    gets the bits a solve of it alone gives.  Returns three lists (states,
+    reports, traces), with traces a SolveTraces.  An error is raised for the
+    first design in list order that raises one; later starts are not run.
     """
     solver = solver or SolverConfig()
     if (ch.K, ch.M, ch.N) != (cfg.K, cfg.M, cfg.N):
@@ -1035,26 +1029,9 @@ def solve(
         )
     single = not isinstance(init_state, (list, tuple))
     starts = [init_state] if single else list(init_state)
-    runs = [
-        _alternate(ch, cfg, solver, initial_state(ch, cfg) if st0 is None else st0.copy())
-        for st0 in starts
-    ]
-    results: list = [None] * len(runs)
-    waiting = {d: next(run) for d, run in enumerate(runs)}
-    while waiting:
-        states, _, errors = optimize_receivers(ch, list(waiting.values()), solver)
-        for d, block in zip(list(waiting), zip(states, errors)):
-            try:
-                waiting[d] = runs[d].send(block)
-            except StopIteration as done:
-                results[d] = done.value
-                del waiting[d]
-            except Exception as exc:  # raised below, in start order
-                results[d] = exc
-                del waiting[d]
-    for res in results:
-        if isinstance(res, Exception):
-            raise res
+    starts = [initial_state(ch, cfg) if st0 is None else st0 for st0 in starts]
+    states, _, errors = optimize_receivers(ch, starts, solver)
+    results = [_alternate(ch, cfg, solver, st, err) for st, err in zip(states, errors)]
     if single:
         return results[0]
     return [r[0] for r in results], [r[1] for r in results], SolveTraces(r[2] for r in results)
@@ -1102,8 +1079,9 @@ def multi_start(
     converged), so a known-good design such as an alignment solution floors
     the returned r_min; with objective="sum" that block is no candidate.
 
-    All starts run in one lock-step solve call, each with the result a solve
-    of it alone gives; the first start with the best objective is returned.
+    All starts run in one solve call, which batches their first receive
+    blocks, each with the result a solve of it alone gives; the first start
+    with the best objective is returned.
     """
     starts = _starts(ch, cfg, n_starts)
     starts += [state_from_precoders(cfg, V) for V in extra_precoders]

@@ -89,6 +89,12 @@ def test_snr_db_to_power():
     assert snr_db_to_power(11.5) == pytest.approx(10 ** 1.15)
 
 
+@pytest.mark.parametrize("snr_db", [4000.0, -4000.0, float("nan"), float("inf")])
+def test_snr_db_to_power_rejects_powers_beyond_the_float_range(snr_db):
+    with pytest.raises(ConfigurationError, match=f"SNR {snr_db!r} dB"):
+        snr_db_to_power(snr_db)
+
+
 def test_complex_gaussian_moments():
     rng = np.random.default_rng(20)
     z = complex_gaussian(rng, (200_000,))

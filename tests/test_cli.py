@@ -70,6 +70,21 @@ def test_analyze_rejects_fractional_gain(capsys):
 def test_analyze_rejects_bad_instance(capsys):
     code = main(["analyze", "symmetric", "--K", "1", "--h", "2", "--P", "4"])
     assert code == EXIT_CONFIG
+    code = main(["analyze", "symmetric", "--K", "3", "--h", "1e200", "--P", "4"])
+    assert code == EXIT_CONFIG  # |h|^2 overflows a float
+    assert "cross gain h" in capsys.readouterr().err
+
+
+def test_analyze_many_users_builds_no_k_user_arrays(capsys):
+    """User 0's closed-form values need no K-user design: 10^8 users print at once."""
+    K = 100_000_000
+    code = main(["analyze", "symmetric", "--K", str(K), "--h", "2", "--P", "4"])
+    assert code == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    denom = 1 + (K - 1) * 4 + 1 / 4
+    assert payload["receive_filter"] == [pytest.approx((K - 1) * 2 / denom), 0.0]
+    assert payload["stage2_filter"] == [pytest.approx((1 + (K - 1) * 4) / denom), 0.0]
+    assert payload["scaling"] == [2.0, 0.0]
 
 
 def test_solve_on_saved_channel(tmp_path, capsys):
@@ -97,6 +112,13 @@ def test_solve_epsilon_override(tmp_path, capsys):
     r_wide = json.loads(capsys.readouterr().out)["r_min"]
     # designing against a wider uncertainty ball costs rate
     assert r_wide < r_stored
+
+
+def test_solve_rejects_an_snr_beyond_the_float_range(tmp_path, capsys):
+    path = _channel_file(tmp_path)
+    code = main(["solve", "--channel", str(path), "--snr-db", "4000"])
+    assert code == EXIT_CONFIG
+    assert "SNR 4000.0 dB" in capsys.readouterr().err
 
 
 def test_solve_missing_file(tmp_path, capsys):
@@ -179,6 +201,34 @@ def test_simulate_rejects_non_number_grid_entries(tmp_path, capsys, key, entry):
     assert code == EXIT_CONFIG == 2
     assert f"{key} takes real numbers only, got {entry!r}" in capsys.readouterr().err
     assert not (tmp_path / "rows.csv").exists()
+
+
+def _no_trials(spec):
+    raise AssertionError("a trial ran")
+
+
+@pytest.mark.parametrize("grid", [[4000.0], [10.0, -4000.0]])
+def test_simulate_rejects_an_snr_beyond_the_float_range(tmp_path, capsys, monkeypatch, grid):
+    """Every grid entry is checked before any trial runs."""
+    from latticealign import cli
+
+    monkeypatch.setattr(cli, "run_experiment", _no_trials)
+    path = _sim_config(tmp_path, snr_db_grid=grid)
+    code = main(["simulate", "--config", str(path), "--output", str(tmp_path / "rows.csv")])
+    assert code == EXIT_CONFIG
+    assert f"SNR {grid[-1]!r} dB" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [True, 1, ["rows.csv"], ""])
+def test_simulate_rejects_an_output_path_that_is_no_path(tmp_path, capsys, monkeypatch, value):
+    """output_path takes null or a non-empty string, checked before any trial runs."""
+    from latticealign import cli
+
+    monkeypatch.setattr(cli, "run_experiment", _no_trials)
+    path = _sim_config(tmp_path, output_path=value)
+    assert main(["simulate", "--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"output_path must be a non-empty string or null, got {value!r}" in err
 
 
 def test_simulate_strict_flags_nonconvergence(tmp_path, capsys):

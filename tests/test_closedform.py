@@ -15,6 +15,7 @@ from latticealign.closedform import (
     ia_equivalent_state,
     symmetric_channelset,
     symmetric_design,
+    symmetric_filters,
     symmetric_rmin_lattice,
     symmetric_rmin_ml,
 )
@@ -153,6 +154,20 @@ def test_symmetric_instance_validation():
         SymmetricInstance(K=3, h=GaussianInt(2, 0), P=0.0)
     with pytest.raises(ConfigurationError):
         SymmetricInstance(K=3, h=GaussianInt(2, 0), P=math.inf)
+    for h in (GaussianInt(10**200, 0), GaussianInt(10**154, 10**154)):  # |h|^2 overflows
+        with pytest.raises(ConfigurationError, match="cross gain h"):
+            SymmetricInstance(K=3, h=h, P=4.0)
+    SymmetricInstance(K=3, h=GaussianInt(10**150, 0), P=4.0)
+
+
+def test_symmetric_filters_are_every_users_design_values():
+    for K, h, P in [(3, GaussianInt(2, 0), 4.0), (5, GaussianInt(1, 1), 3.5)]:
+        inst = SymmetricInstance(K=K, h=h, P=P)
+        st = symmetric_design(inst)
+        u, utilde, c = symmetric_filters(inst)
+        assert np.array_equal(st.u, np.full((K, 1, 1), u))
+        assert np.array_equal(st.utilde, np.full((K, 1, 1), utilde))
+        assert np.array_equal(st.c, np.full((K, 1), c))
 
 
 @pytest.mark.parametrize(

@@ -66,6 +66,13 @@ def _random_instance(K=3, eps=0.0, seed=0, P=10.0):
     return ch, cfg
 
 
+def _receive_block(ch, st, cfg=None):
+    """(state, trace) of one design's receive block, which must converge."""
+    (st,), (trace,), (err,) = optimize_receivers(ch, [st], cfg)
+    assert err is None, err
+    return st, trace
+
+
 def test_solver_config_validation():
     SolverConfig()
     with pytest.raises(ConfigurationError):
@@ -206,7 +213,7 @@ def test_optimize_receivers_monotone_stage2_trace():
     for i, eps in enumerate([0.0, 0.1]):
         ch, cfg = _random_instance(eps=eps, seed=700 + i)
         st = initial_state(ch, cfg, "random_unit", seed=800 + i, init_a="round")
-        st2, trace = optimize_receivers(ch, st)
+        st2, trace = _receive_block(ch, st)
         for prev, cur in zip(trace, trace[1:]):
             assert np.all(cur >= prev - 1e-9)
         # returned state realizes the last trace entry
@@ -216,7 +223,7 @@ def test_optimize_receivers_monotone_stage2_trace():
 def test_optimize_receivers_zero_coefficients_use_zero_stage1_filter():
     ch, cfg = _random_instance(seed=26)
     st = initial_state(ch, cfg, "identity_like", init_a="zero")
-    st2, _ = optimize_receivers(ch, st)
+    st2, _ = _receive_block(ch, st)
     assert np.all(st2.u == 0)
     assert np.all(st2.a == 0)
 
@@ -226,14 +233,14 @@ def test_optimize_receivers_escapes_initial_scaling():
     inst = SymmetricInstance(K=3, h=GaussianInt(2, 0), P=4.0)
     ch, cfg = symmetric_channelset(inst)
     st = initial_state(ch, cfg, "identity_like", init_a="round")
-    st2, _ = optimize_receivers(ch, st)
+    st2, _ = _receive_block(ch, st)
     assert np.allclose(st2.c, 2.0)
 
 
 def test_optimize_precoders_stays_in_budget_and_helps():
     ch, cfg = _random_instance(seed=27)
     st = initial_state(ch, cfg, "random_unit", seed=28, init_a="round")
-    st, _ = optimize_receivers(ch, st)
+    st, _ = _receive_block(ch, st)
     r_before = rate_report(ch, st).r_min
     st2, t_val = optimize_precoders(ch, st, cfg.gamma)
     for k in range(cfg.K):
@@ -384,9 +391,9 @@ def test_initial_state_recovers_symmetric_coefficients():
 
 
 def test_nonconvergence_error_carries_best():
-    err = NonConvergenceError("stuck", best="state", trace=[1, 2])
+    err = NonConvergenceError("stuck", best="state", failed=[True])
     assert err.best == "state"
-    assert err.trace == [1, 2]
+    assert err.failed == [True]
     assert "stuck" in str(err)
 
 
@@ -619,7 +626,7 @@ def _captured_newton_batches(monkeypatch, eps):
     monkeypatch.setattr(solver_mod, "_newton_batch", captured)
     for shape in _SHAPES:
         ch, cfg, st = _shaped_instance(*shape, eps, seed=1500 + sum(shape))
-        optimize_receivers(ch, st)
+        optimize_receivers(ch, [st])
     monkeypatch.undo()
     return batches
 
@@ -672,9 +679,9 @@ def test_shared_first_sweep_batch_equals_two_calls(shape, eps):
     ch, cfg, st = _shaped_instance(*shape, eps, seed=1400 + sum(shape))
     st.a[0, 0] = 0.0  # one decoder without an aggregate
     cfg = SolverConfig()
-    st, _ = optimize_receivers(ch, st, cfg)
+    st, _ = _receive_block(ch, st, cfg)
     st.utilde = complex_gaussian(np.random.default_rng(1401), st.utilde.shape)
-    got, trace = optimize_receivers(ch, st, cfg)
+    got, trace = _receive_block(ch, st, cfg)
     want, trace_ref = _two_call_receive_reference(ch, st, cfg)
     assert _same_design(got, want)
     assert len(trace) == len(trace_ref) > 1
@@ -694,7 +701,7 @@ def test_receive_block_makes_no_scipy_calls(monkeypatch):
     monkeypatch.setattr(solver_mod, "minimize", counted)
     for shape in _SHAPES[:2]:
         ch, cfg, st = _shaped_instance(*shape, 0.1, seed=990 + sum(shape))
-        st, _ = optimize_receivers(ch, st)
+        st, _ = _receive_block(ch, st)
         assert calls == []
     optimize_precoders(ch, st, cfg.gamma)  # the transmit block still uses scipy
     assert calls
@@ -734,9 +741,8 @@ def test_capped_filter_fit_keeps_the_refit_state():
     with pytest.raises(NonConvergenceError, match=r"\(0, 0\)") as info:
         decorrelator_robust(ch, st0, 0, 0, 1, capped)
     assert info.value.best.shape == (2,)
-    with pytest.raises(NonConvergenceError) as info:
-        optimize_receivers(ch, st0, capped)
-    assert isinstance(info.value.best, DesignState)
+    (st,), _, (err,) = optimize_receivers(ch, [st0], capped)
+    assert isinstance(st, DesignState) and err is not None
     _, rep_default, _ = solve(ch, cfg)
     _, rep, trace = solve(ch, cfg, capped)
     assert not trace.converged
@@ -779,7 +785,7 @@ def _count_calls(monkeypatch, *names):
 def _receive_block_output(seed=28):
     """A K=3, M=N=2 design after one receive block, every user on its power budget."""
     ch, cfg = _random_instance(eps=0.1, seed=seed)
-    st, _ = optimize_receivers(ch, initial_state(ch, cfg, "random_unit", seed=seed + 1, init_a="round"))
+    st, _ = _receive_block(ch, initial_state(ch, cfg, "random_unit", seed=seed + 1, init_a="round"))
     return ch, cfg, st
 
 
@@ -850,9 +856,9 @@ def test_receive_block_is_idempotent(shape, eps, monkeypatch):
     moves a rate: the property that lets solve stop at a rejected step.  Its
     first sweep writes nothing, so the refit stops after that one sweep."""
     ch, cfg, st = _shaped_instance(*shape, eps, seed=700 + sum(shape))
-    once, _ = optimize_receivers(ch, st)
+    once, _ = _receive_block(ch, st)
     calls = _count_calls(monkeypatch, "_stage2_joint_update")
-    twice, trace = optimize_receivers(ch, once)
+    twice, trace = _receive_block(ch, once)
     assert len(calls["_stage2_joint_update"]) == len(trace) == 1
     assert not calls["_stage2_joint_update"][0][1].any()  # nothing written
     assert np.array_equal(twice.c, once.c) and np.array_equal(twice.a, once.a)
@@ -868,11 +874,11 @@ def test_receive_fixed_point_cap_of_one():
     sweep, while a block whose only sweep writes still hits the cap."""
     ch, cfg = _random_instance(eps=0.0, seed=3)
     st = initial_state(ch, cfg)
-    once, _ = optimize_receivers(ch, st)
-    twice, trace = optimize_receivers(ch, once, SolverConfig(max_inner_iters=1))
+    once, _ = _receive_block(ch, st)
+    twice, trace = _receive_block(ch, once, SolverConfig(max_inner_iters=1))
     assert len(trace) == 1 and _same_design(twice, once)
-    with pytest.raises(NonConvergenceError, match="fixed-point iteration hit the iteration cap"):
-        optimize_receivers(ch, st, SolverConfig(max_inner_iters=1))
+    _, _, errors = optimize_receivers(ch, [st], SolverConfig(max_inner_iters=1))
+    assert errors == ["receive-side fixed-point iteration hit the iteration cap"]
 
 
 def test_capped_fit_message_names_each_decoder_once():
@@ -1114,7 +1120,7 @@ def test_joint_update_scores_the_candidates_once(monkeypatch):
     calls = _count_calls(monkeypatch, "_scaling_value", "_stage2_joint_update")
     for eps in (0.0, 0.1):
         ch, cfg, st = _shaped_instance(*_SHAPES[1], eps, seed=1200)
-        optimize_receivers(ch, st)
+        optimize_receivers(ch, [st])
     assert len(calls["_scaling_value"]) == len(calls["_stage2_joint_update"]) > 2
 
     def no_gaussian_ints(*args, **kwargs):
@@ -1122,7 +1128,7 @@ def test_joint_update_scores_the_candidates_once(monkeypatch):
 
     monkeypatch.setattr(solver_mod, "GaussianInt", no_gaussian_ints)
     ch, cfg, st = _shaped_instance(*_SHAPES[0], 0.1, seed=1201)
-    optimize_receivers(ch, st)
+    optimize_receivers(ch, [st])
 
 
 def test_multi_start_builds_the_alignment_start_once(monkeypatch):
@@ -1198,7 +1204,7 @@ def test_multi_start_invariants_on_every_shape(shape, eps):
 
 
 # ---------------------------------------------------------------------------
-# lock-step solve of several designs against one-design solves
+# solve over a start list against one-design solves
 # ---------------------------------------------------------------------------
 
 
@@ -1261,7 +1267,7 @@ def test_solve_keeps_a_first_receive_block_that_beats_its_final_design(monkeypat
 
     ch, cfg = _random_instance(eps=0.1, seed=40)
     st0 = initial_state(ch, cfg)
-    first, _ = optimize_receivers(ch, st0)
+    first, _ = _receive_block(ch, st0)
     monkeypatch.setattr(solver_mod, "optimize_precoders", transmit)
     st, rep, trace = solve(ch, cfg, init_state=st0)
     assert trace.stop_reason == "rate_tol reached; kept the first receive block"
@@ -1295,10 +1301,7 @@ def test_lockstep_capped_designs_keep_their_own_errors():
     assert len(states) == len(blocks) == len(errors) == len(starts)
     assert any(err is None for err in errors) and any(err is not None for err in errors)
     for st0, st_d, block, err in zip(starts, states, blocks, errors):
-        try:
-            alone, trace, msg = *optimize_receivers(ch, st0, capped), None
-        except NonConvergenceError as exc:
-            alone, trace, msg = exc.best, exc.trace, str(exc)
+        (alone,), (trace,), (msg,) = optimize_receivers(ch, [st0], capped)
         assert err == msg
         assert _same_design(st_d, alone)
         assert all(_same_bits(x, y) for x, y in zip(block, trace, strict=True))
@@ -1310,7 +1313,7 @@ def test_receive_block_builds_each_designs_cross_vectors_once(monkeypatch):
     ch, cfg = _random_instance(eps=0.1, seed=42)
     starts = _lockstep_starts(ch, cfg)
     calls = _count_calls(monkeypatch, "cross_vectors")
-    optimize_receivers(ch, starts[0])
+    optimize_receivers(ch, [starts[0]])
     assert len(calls["cross_vectors"]) == 1
     optimize_receivers(ch, starts)
     assert len(calls["cross_vectors"]) == 1 + len(starts)
@@ -1325,9 +1328,39 @@ def test_solve_rejects_a_config_epsilon_other_than_the_channels():
             multi_start(ch, replace(cfg, epsilon=eps), n_starts=1)
 
 
+def _receive_call_sizes(monkeypatch):
+    """The number of designs in each optimize_receivers call solve makes, in order."""
+    from latticealign import solver as solver_mod
+
+    real, sizes = solver_mod.optimize_receivers, []
+
+    def counted(ch, designs, *args, **kwargs):
+        sizes.append(len(designs))
+        return real(ch, designs, *args, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "optimize_receivers", counted)
+    return sizes
+
+
+def test_solve_batches_only_the_first_receive_blocks(monkeypatch):
+    """One receive call holds every start's first block; every later block
+    and final refit is a one-design call.  A transmit step that keeps the
+    design is accepted, so every start runs a second block and a refit."""
+    from latticealign import solver as solver_mod
+
+    monkeypatch.setattr(solver_mod, "optimize_precoders", lambda ch, st, gamma, cfg=None: (st, 0.0))
+    sizes = _receive_call_sizes(monkeypatch)
+    ch, cfg = _random_instance(eps=0.1, seed=42)
+    starts = _lockstep_starts(ch, cfg)
+    _, _, traces = solve(ch, cfg, init_state=starts)
+    assert [tr.stop_reason for tr in traces] == ["rate_tol reached"] * len(starts)
+    assert sizes == [len(starts)] + [1] * (2 * len(starts))
+
+
 def test_lockstep_raises_the_first_failing_design_in_start_order(monkeypatch):
-    """A design that raises is dropped from the lock-step; the error raised
-    is the first one in start order, not the first one in time."""
+    """Each start runs to its end in start order after the shared first
+    block, so the error raised is the first one in start order, and the
+    starts after it are not run."""
     from latticealign import solver as solver_mod
 
     ch, cfg = _random_instance(seed=46)
@@ -1346,12 +1379,16 @@ def test_lockstep_raises_the_first_failing_design_in_start_order(monkeypatch):
         return st, 0.0
 
     monkeypatch.setattr(solver_mod, "optimize_precoders", transmit)
-    calls = _count_calls(monkeypatch, "optimize_receivers")
+    sizes = _receive_call_sizes(monkeypatch)
     with pytest.raises(PowerBudgetError, match="user 2"):
         solve(ch, cfg, init_state=[fine, over[2], over[0]])
+    # the shared first blocks, then fine's second block and refit; over[2]
+    # stops at its rejected step and raises, so over[0] never runs
+    assert sizes == [3, 1, 1]
+    sizes.clear()
     with pytest.raises(PowerBudgetError, match="user 0"):
         solve(ch, cfg, init_state=[fine, over[0], over[2]])
-    assert len(calls["optimize_receivers"]) == 6  # over[2] raised in round 2 of 3
+    assert sizes == [3, 1, 1, 1, 1]  # over[0] runs like fine before it raises
     states, _, traces = solve(ch, cfg, init_state=[fine, fine])
     assert traces.converged and _same_design(states[0], states[1])
 
@@ -1491,7 +1528,7 @@ def test_transmit_map_matches_the_einsum_objective(shape, eps):
 
 def _parent_refit(ch, st):
     """The final refit a solve makes: the receive block on the rounded state."""
-    return optimize_receivers(ch, _round_coefficients(st))[0]
+    return _receive_block(ch, _round_coefficients(st))[0]
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.1])
