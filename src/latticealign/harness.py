@@ -28,7 +28,7 @@ from . import baselines
 from .channel import ChannelSet, SystemConfig, generate_channels, perturb_csi, snr_db_to_power
 from .errors import ConfigurationError, is_integer
 from .rates import _OUTAGE_TOL, goodput, per_stream_rates, rate_report
-from .solver import SolverConfig, multi_start
+from .solver import SolverConfig, check_power, multi_start
 
 KNOWN_METHODS = (
     "lattice",
@@ -112,7 +112,9 @@ class ExperimentSpec:
                 raise ConfigurationError(f"{name} entries must be finite, got {grid}")
             object.__setattr__(self, name, grid)
         for snr_db in self.snr_db_grid:
-            snr_db_to_power(snr_db)  # raises where the power is no positive finite float
+            P = snr_db_to_power(snr_db)  # raises where the power is no positive finite float
+            if "lattice" in self.methods:
+                check_power(P)
 
 
 @dataclass

@@ -14,9 +14,9 @@ or convex:
 * transmit-side block: the epigraph problem in (v, relaxed a, t) is convex
   and is solved with a log-barrier method under the per-user power budget;
   its sweep of barrier stages ends at the duality-gap bound or at the first
-  stage that stalls (at most one L-BFGS-B iteration).  It is the only user
-  of scipy, whose L-BFGS-B minimize (solver.minimize) is imported at the
-  first barrier stage, so importing latticealign loads no scipy.optimize.
+  stage that stalls (at most one iteration).  Each stage runs minimize, the
+  package's own limited-memory BFGS: L-BFGS-B without bounds, Moré–Thuente
+  line search included, in numpy, so no solve needs scipy.
 
 The outer loop alternates the two blocks and never accepts a step that
 lowers the worst rate bound.  It stops at the first rejected transmit step:
@@ -40,7 +40,10 @@ as plain code, with one-design calls for any later block or final refit.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
+import functools
+import math
 
 import numpy as np
 
@@ -67,6 +70,19 @@ from .rates import (
 
 _DELTA = 1e-9  # smoothing width for |z| inside iterative solvers
 _BIG = 1e30  # penalty level for infeasible barrier trial points
+# The Newton kernel scales curvature terms of up to 1 / _DELTA^3 by P and
+# squares some of them, which overflows from about P = 1e154 on; powers up
+# to 1e100 (1000 dB) are carried with room to spare.
+_MAX_POWER = 1e100
+
+
+def check_power(P: float) -> None:
+    """Raise ConfigurationError naming P when the solver cannot carry that
+    per-stream power (above 1e100, an SNR of 1000 dB)."""
+    if P > _MAX_POWER:
+        raise ConfigurationError(
+            f"per-stream power P={P!r} is above {_MAX_POWER:g}, the most the solver carries"
+        )
 
 
 @dataclass(frozen=True)
@@ -78,12 +94,12 @@ class SolverConfig:
         the next; the first stage uses q = 1.
     barrier_tol: the barrier stops once its duality-gap bound, the number of
         constraints over q, drops below this, or after the first stage that
-        stalls (at most one L-BFGS-B iteration).
+        stalls (at most one minimize iteration).
     newton_tol: Newton-decrement tolerance of the robust filter fits, and the
-        gradient tolerance of each barrier stage.
+        gradient tolerance (max |g|) of each barrier stage's minimize.
     max_outer_iters: cap on the receive/transmit alternations of solve.
     max_inner_iters: caps three loops: the Newton steps of each filter fit,
-        the L-BFGS-B iterations (times 5) of each barrier stage, and the
+        the minimize iterations (times 5) of each barrier stage, and the
         sweeps of the receive-side fixed point.
     rate_tol: solve stops after an accepted transmit step once r_min moved
         by at most rate_tol * max(1, |r_min|); the receive fixed point stops
@@ -750,11 +766,221 @@ def _transmit_objective(ch: ChannelSet, st: DesignState, gamma: float):
     return fun_grad, x0
 
 
-def minimize(fun, x0, **kwargs):
-    """scipy.optimize.minimize, imported at its first call."""
-    from scipy.optimize import minimize as scipy_minimize
+# Each barrier stage runs the unbounded path of L-BFGS-B (Byrd, Lu, Nocedal &
+# Zhu, SIAM J. Sci. Comput. 16(5), 1995) with its constants: 10 correction
+# pairs, a first trial step of at most 1e10 and 20 trials per line search.
+_MEMORY = 10
+_STEP_MAX = 1e10
+_MAX_TRIALS = 20
+_EPS = float(np.finfo(float).eps)
 
-    return scipy_minimize(fun, x0, **kwargs)
+
+@dataclass(frozen=True)
+class Minimum:
+    """minimize's result: the last iterate x, its value fun, the number of
+    accepted iterations nit and why the iteration stopped."""
+
+    x: np.ndarray
+    fun: float
+    nit: int
+    message: str
+
+
+def minimize(fun, x0, maxiter: int, ftol: float, gtol: float) -> Minimum:
+    """Minimize fun (x -> (value, gradient)) from x0 by limited-memory BFGS.
+
+    The direction is -H g, with H the inverse Hessian model of the last 10
+    accepted pairs (s, y) on s'y / y'y of the newest pair (_direction), or
+    -g while the memory is empty; a pair whose s'y, taken as the step times
+    the change of the slope g'd, is not above eps * |g's| (eps the machine
+    epsilon) is not kept.  A Moré–Thuente line
+    search (_line_search) takes the step, from a first trial of
+    min(1 / ||g||, 1e10) and of 1 afterwards.  A failed search clears the
+    memory and the iteration goes on from -g, or stops when the memory was
+    already empty.  It stops once nit reaches maxiter, max |g| <= gtol, or
+    an iteration lowers f by at most ftol * max(|f_old|, |f|, 1): the stop
+    rules of L-BFGS-B without bounds, whose iterates it matches up to
+    rounding.
+    """
+    x = np.array(x0, dtype=float)
+    f, g = fun(x)
+    f, nit, h0 = float(f), 0, 1.0
+    pairs = deque(maxlen=_MEMORY)  # (s, y, s'y), oldest first
+    if np.max(np.abs(g)) <= gtol:
+        return Minimum(x, f, nit, "gradient below gtol")
+    while True:
+        d = _direction(g, pairs, h0) if pairs else -g
+        gd = float(g @ d)
+        step = None
+        if gd < 0:  # else d is no descent direction, which counts as a failed search
+            stp0 = min(1.0 / np.linalg.norm(d), _STEP_MAX) if nit == 0 else 1.0
+            step = _line_search(fun, x, d, f, gd, stp0)
+        if step is None:
+            if not pairs:
+                return Minimum(x, f, nit, "line search failed")
+            pairs.clear()
+            continue
+        f_old, g_old = f, g
+        stp, x, f, g, gd_new = step
+        nit += 1
+        if nit >= maxiter:
+            return Minimum(x, f, nit, "iteration limit reached")
+        if np.max(np.abs(g)) <= gtol:
+            return Minimum(x, f, nit, "gradient below gtol")
+        if f_old - f <= ftol * max(abs(f_old), abs(f), 1.0):
+            return Minimum(x, f, nit, "relative reduction of f below ftol")
+        sy = stp * (gd_new - gd)
+        if sy > _EPS * stp * -gd:
+            y = g - g_old
+            h0 = sy / float(y @ y)
+            pairs.append((stp * d, y, sy))
+
+
+def _direction(g, pairs, h0):
+    """-H g for the limited-memory BFGS inverse Hessian H of the pairs (rows
+    s, y of S and Y, and their s'y) on h0 I, in the compact form of Byrd,
+    Nocedal & Schnabel (Math. Program. 63, 1994, Thm 2.2):
+    H = h0 I + [S' h0 Y'] W [S; h0 Y] with W = [[R^-T (D + h0 Y Y') R^-1,
+    -R^-T], [-R^-1, 0]], R the upper triangle of S Y' and D its diagonal.
+    As in L-BFGS-B, that diagonal holds the s'y that passed the update test,
+    so R is invertible.  H g equals the two-loop recursion up to rounding,
+    in a few matrix products instead of 4 per pair."""
+    S, Y, D = (np.array(part) for part in zip(*pairs))
+    R = np.triu(S @ Y.T, 1) + np.diag(D)
+    z = np.linalg.solve(R, S @ g)
+    yz = Y.T @ z
+    top = np.linalg.solve(R.T, D * z + h0 * (Y @ (yz - g)))
+    return h0 * (yz - g) - S.T @ top
+
+
+# The line search below is adapted from MINPACK-2's dcsrch and dcstep, as
+# ported to Python in SciPy's scipy/optimize/_dcsrch.py (BSD-3-Clause):
+#     MINPACK-1 Project. June 1983.
+#     Argonne National Laboratory.
+#     Jorge J. More' and David J. Thuente.
+#
+#     MINPACK-2 Project. November 1993.
+#     Argonne National Laboratory and University of Minnesota.
+#     Brett M. Averick, Richard G. Carter, and Jorge J. More'.
+# It runs on Python floats, which overflow to inf without a warning where the
+# _BIG values outside the barrier's domain meet the cubic fits.
+
+
+def _line_search(fun, x, d, f0, g0, stp):
+    """Moré–Thuente search (ACM TOMS 20(3), 1994) along d from x, where fun
+    has value f0 and slope g0 < 0, with L-BFGS-B's constants: sufficient
+    decrease 1e-3, curvature 0.9, interval tolerance 0.1 and steps in
+    [0, 1e10].  Like L-BFGS-B it keeps the last trial once the search
+    converges or can make no more progress.  Returns (step, x, f, gradient,
+    slope) there, or None after 20 trials without that."""
+    ftol, gtol, xtol = 1e-3, 0.9, 0.1
+    gtest = ftol * g0
+    stx = sty = 0.0
+    fx = fy = f0
+    gx = gy = g0
+    stmin, stmax = 0.0, 5.0 * stp
+    width, width1 = _STEP_MAX, 2.0 * _STEP_MAX
+    brackt, stage1 = False, True
+    for _ in range(_MAX_TRIALS):
+        xt = x + stp * d
+        f, grad = fun(xt)
+        f, gd = float(f), float(grad @ d)
+        ftest = f0 + stp * gtest
+        stage1 = stage1 and not (f <= ftest and gd >= 0)
+        if (
+            brackt and (stp <= stmin or stp >= stmax or stmax - stmin <= xtol * stmax)
+            or stp == _STEP_MAX and f <= ftest and gd <= gtest
+            or stp == 0.0 and (f > ftest or gd >= gtest)
+            or f <= ftest and abs(gd) <= gtol * -g0
+        ):
+            return stp, xt, f, grad, gd
+        if stage1 and ftest < f <= fx:
+            # step on psi(stp) = f(stp) - stp * gtest, as in the first stage of dcsrch
+            stx, fxm, gxm, sty, fym, gym, stp, brackt = _dcstep(
+                stx, fx - stx * gtest, gx - gtest, sty, fy - sty * gtest, gy - gtest,
+                stp, f - stp * gtest, gd - gtest, brackt, stmin, stmax,
+            )
+            fx, fy, gx, gy = fxm + stx * gtest, fym + sty * gtest, gxm + gtest, gym + gtest
+        else:
+            stx, fx, gx, sty, fy, gy, stp, brackt = _dcstep(
+                stx, fx, gx, sty, fy, gy, stp, f, gd, brackt, stmin, stmax
+            )
+        if brackt:
+            if abs(sty - stx) >= 0.66 * width1:
+                stp = stx + 0.5 * (sty - stx)
+            width, width1 = abs(sty - stx), width
+            stmin, stmax = min(stx, sty), max(stx, sty)
+        else:
+            stmin, stmax = stp + 1.1 * (stp - stx), stp + 4.0 * (stp - stx)
+        stp = min(max(stp, 0.0), _STEP_MAX)
+        if brackt and (stp <= stmin or stp >= stmax or stmax - stmin <= xtol * stmax):
+            stp = stx
+    return None
+
+
+def _cubic_gamma(theta, da, db):
+    """The root term of the cubic through two steps with slopes da and db.  Its
+    radicand is floored at 0, as dcstep does in its third case only; elsewhere a
+    negative one would make the step NaN."""
+    s = max(abs(theta), abs(da), abs(db))
+    return s * math.sqrt(max(0.0, (theta / s) ** 2 - (da / s) * (db / s)))
+
+
+def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
+    """One safeguarded step of the Moré–Thuente search: the new interval
+    (stx, fx, dx, sty, fy, dy), the next trial step and whether a minimizer
+    is bracketed."""
+    opposite = (dp < 0) != (dx < 0) and dp != 0 and dx != 0
+    theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp  # of the cubic through stx and stp
+    if fp > fx:
+        # a higher value: the minimum is bracketed; take the cubic step if it
+        # is closer to stx than the quadratic one, else their average
+        gamma = _cubic_gamma(theta, dx, dp) * (-1.0 if stp < stx else 1.0)
+        r = ((gamma - dx) + theta) / (((gamma - dx) + gamma) + dp)
+        stpc = stx + r * (stp - stx)
+        stpq = stx + ((dx / ((fx - fp) / (stp - stx) + dx)) / 2.0) * (stp - stx)
+        stpf = stpc if abs(stpc - stx) <= abs(stpq - stx) else stpc + (stpq - stpc) / 2.0
+        brackt = True
+    elif opposite:
+        # a lower value and slopes of opposite sign: bracketed; take the cubic
+        # step if it is farther from stp than the secant step
+        gamma = _cubic_gamma(theta, dx, dp) * (-1.0 if stp > stx else 1.0)
+        r = ((gamma - dp) + theta) / (((gamma - dp) + gamma) + dx)
+        stpc = stp + r * (stx - stp)
+        stpq = stp + (dp / (dp - dx)) * (stx - stp)
+        stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
+        brackt = True
+    elif abs(dp) < abs(dx):
+        # a lower value, slopes of one sign, and the slope shrinks
+        gamma = _cubic_gamma(theta, dx, dp) * (-1.0 if stp > stx else 1.0)
+        r = ((gamma - dp) + theta) / ((gamma + (dx - dp)) + gamma)
+        if r < 0 and gamma != 0:
+            stpc = stp + r * (stx - stp)
+        else:
+            stpc = stpmax if stp > stx else stpmin
+        stpq = stp + (dp / (dp - dx)) * (stx - stp)
+        if brackt:
+            stpf = stpc if abs(stpc - stp) < abs(stpq - stp) else stpq
+            bound = stp + 0.66 * (sty - stp)
+            stpf = min(bound, stpf) if stp > stx else max(bound, stpf)
+        else:
+            stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
+            stpf = min(max(stpf, stpmin), stpmax)
+    elif brackt:
+        # a lower value, slopes of one sign, and the slope does not shrink
+        theta = 3.0 * (fp - fy) / (sty - stp) + dy + dp
+        gamma = _cubic_gamma(theta, dy, dp) * (-1.0 if stp > sty else 1.0)
+        r = ((gamma - dp) + theta) / (((gamma - dp) + gamma) + dy)
+        stpf = stp + r * (sty - stp)
+    else:
+        stpf = stpmax if stp > stx else stpmin
+    if fp > fx:
+        sty, fy, dy = stp, fp, dp
+    else:
+        if opposite:
+            sty, fy, dy = stx, fx, dx
+        stx, fx, dx = stp, fp, dp
+    return stx, fx, dx, sty, fy, dy, stpf, brackt
 
 
 def optimize_precoders(
@@ -770,9 +996,11 @@ def optimize_precoders(
     barrier evaluation is one product with that map and one with its
     transpose.  A standard log-barrier sweep (multiplier nu per stage,
     stopped when the barrier duality gap drops below barrier_tol or after
-    the first stage that stalls at one L-BFGS-B iteration or less) minimizes
-    t; the combination coefficients are relaxed to arbitrary complex values
-    here and only re-integerized at the end of the full solve.
+    the first stage that stalls at one iteration or less) minimizes t; each
+    stage is one minimize call (limited-memory BFGS, at most 5 *
+    max_inner_iters iterations, ftol 1e-15, gtol newton_tol).  The
+    combination coefficients are relaxed to arbitrary complex values here
+    and only re-integerized at the end of the full solve.
 
     Returns the updated state and the final epigraph value.
     """
@@ -783,12 +1011,11 @@ def optimize_precoders(
     n_constraints = 2 * K * L + K
     while True:
         res = minimize(
-            fun_grad,
+            functools.partial(fun_grad, q=q),
             x,
-            args=(q,),
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": cfg.max_inner_iters * 5, "ftol": 1e-15, "gtol": cfg.newton_tol},
+            maxiter=cfg.max_inner_iters * 5,
+            ftol=1e-15,
+            gtol=cfg.newton_tol,
         )
         x = res.x
         # n / q bounds the duality gap only at a centred point, which a stage
@@ -1007,7 +1234,8 @@ def solve(
     Returns (state, report, trace); trace.converged is False when the outer
     loop or a sub-block hit its iteration budget, and trace.stop_reason says
     why the loop stopped.  Raises ConfigurationError when cfg's dimensions or
-    epsilon differ from the channel's.
+    epsilon differ from the channel's, or when its power P is above 1e100
+    (check_power).
 
     init_state may also be a list of start designs.  One optimize_receivers
     call over all of them makes their first receive blocks; then each start
@@ -1027,6 +1255,7 @@ def solve(
         raise ConfigurationError(
             f"config epsilon {cfg.epsilon!r} does not match the channel's {ch.epsilon!r}"
         )
+    check_power(cfg.P)
     single = not isinstance(init_state, (list, tuple))
     starts = [init_state] if single else list(init_state)
     starts = [initial_state(ch, cfg) if st0 is None else st0 for st0 in starts]

@@ -121,6 +121,21 @@ def test_solve_rejects_an_snr_beyond_the_float_range(tmp_path, capsys):
     assert "SNR 4000.0 dB" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("snr_db", ["2000", "3000"])
+def test_solve_rejects_a_power_the_solver_cannot_carry(tmp_path, capsys, snr_db):
+    """Such powers overflowed the Newton kernel's curvature terms; they are
+    rejected before any design runs, naming the power."""
+    path = _channel_file(tmp_path)
+    assert main(["solve", "--channel", str(path), "--snr-db", snr_db]) == EXIT_CONFIG
+    assert f"per-stream power P=1e+{int(snr_db) // 10}" in capsys.readouterr().err
+
+
+def test_solve_carries_a_power_of_1000_db(tmp_path, capsys):
+    path = _channel_file(tmp_path)
+    assert main(["solve", "--channel", str(path), "--snr-db", "1000"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["report"]["r_min"] > 0
+
+
 def test_solve_missing_file(tmp_path, capsys):
     code = main(["solve", "--channel", str(tmp_path / "nope.json")])
     assert code == EXIT_CONFIG
@@ -217,6 +232,25 @@ def test_simulate_rejects_an_snr_beyond_the_float_range(tmp_path, capsys, monkey
     code = main(["simulate", "--config", str(path), "--output", str(tmp_path / "rows.csv")])
     assert code == EXIT_CONFIG
     assert f"SNR {grid[-1]!r} dB" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("methods", [["lattice"], ["tdma", "lattice"]])
+def test_simulate_rejects_a_power_the_solver_cannot_carry(tmp_path, capsys, monkeypatch, methods):
+    """With the lattice method in the spec, each SNR's power is checked
+    against the solver's limit before any trial runs."""
+    from latticealign import cli
+
+    monkeypatch.setattr(cli, "run_experiment", _no_trials)
+    path = _sim_config(tmp_path, methods=methods, snr_db_grid=[10.0, 2000.0])
+    assert main(["simulate", "--config", str(path)]) == EXIT_CONFIG
+    assert "per-stream power P=1e+200" in capsys.readouterr().err
+
+
+def test_simulate_takes_a_power_beyond_the_solver_for_baselines_only(tmp_path):
+    from latticealign.harness import experiment_from_json
+
+    path = _sim_config(tmp_path, snr_db_grid=[2000.0])
+    assert experiment_from_json(path.read_text()).snr_db_grid == (2000.0,)
 
 
 @pytest.mark.parametrize("value", [True, 1, ["rows.csv"], ""])

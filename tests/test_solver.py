@@ -48,6 +48,7 @@ from latticealign.solver import (
     decorrelator_objective,
     decorrelator_robust,
     initial_state,
+    minimize as solver_minimize,
     multi_start,
     optimize_precoders,
     optimize_receivers,
@@ -703,7 +704,7 @@ def test_receive_block_makes_no_scipy_calls(monkeypatch):
         ch, cfg, st = _shaped_instance(*shape, 0.1, seed=990 + sum(shape))
         st, _ = _receive_block(ch, st)
         assert calls == []
-    optimize_precoders(ch, st, cfg.gamma)  # the transmit block still uses scipy
+    optimize_precoders(ch, st, cfg.gamma)  # the transmit block's barrier stages
     assert calls
 
 
@@ -719,16 +720,46 @@ _FRESH_RUNS = {
 }
 
 
-@pytest.mark.parametrize("run", sorted(_FRESH_RUNS))
-def test_scipy_optimize_loads_at_the_first_barrier_stage(run):
-    """Only the transmit block loads scipy.optimize.  A fresh interpreter is
-    needed because pytest has loaded scipy already."""
+def _run_fresh(code: str) -> str:
+    """Run code in a fresh interpreter on this source tree (pytest itself has
+    loaded scipy already); returns its standard output."""
     src = str(Path(latticealign.__file__).resolve().parent.parent)
-    code = _FRESH_RUNS[run] + "; import sys; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    out = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+                         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+                         timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[-1] == str(run == "solve")
+    return out.stdout
+
+
+@pytest.mark.parametrize("run", sorted(_FRESH_RUNS))
+def test_no_run_loads_scipy_optimize(run):
+    """The barrier stages run on the package's own minimize, so no run loads
+    scipy.optimize, a solve included."""
+    code = _FRESH_RUNS[run] + "; import sys; print('scipy.optimize' in sys.modules)"
+    assert _run_fresh(code).splitlines()[-1] == "False"
+
+
+def test_solve_simulate_and_analyze_run_with_scipy_blocked():
+    """With every scipy import failing, a solve, a five-method simulate and
+    analyze symmetric still run: scipy is needed by the tests only."""
+    code = (
+        'import sys; sys.modules["scipy"] = None\n'
+        "from latticealign import SystemConfig, cli, generate_channels, perturb_csi, solve\n"
+        "from latticealign.harness import KNOWN_METHODS, ExperimentSpec, run_experiment\n"
+        "cfg = SystemConfig(K=3, M=2, N=2, L=1, P=10.0, epsilon=0.1, seed=5)\n"
+        "print(solve(perturb_csi(generate_channels(cfg), 0.1, seed=6), cfg)[1].r_min)\n"
+        "rows = run_experiment(ExperimentSpec(methods=KNOWN_METHODS, K_grid=(3,), "
+        "snr_db_grid=(10.0,), epsilon_grid=(0.0, 0.1), M=2, N=2, trials=1))\n"
+        "print(sorted({row.method for row in rows}))\n"
+        'cli.main(["analyze", "symmetric", "--K", "3", "--h", "2", "--P", "4"])\n'
+        'print("scipy" in [name.split(".")[0] for name, mod in sys.modules.items() if mod])\n'
+    )
+    out = _run_fresh(code).splitlines()
+    from latticealign.harness import KNOWN_METHODS
+
+    assert float(out[0]) > 0
+    assert out[1] == str(sorted(KNOWN_METHODS)) and len(KNOWN_METHODS) == 5
+    assert out[-1] == "False"
 
 
 def test_capped_filter_fit_keeps_the_refit_state():
@@ -810,6 +841,99 @@ def test_barrier_sweep_continues_after_a_stage_that_moves(monkeypatch):
     assert len(nits) > 1
     assert min(nits[:-1]) >= 2
     assert max(out.power(k) for k in range(cfg.K)) <= cfg.gamma
+
+
+def _quadratic(n=25, cond=1e4, seed=0):
+    """A convex quadratic in n variables whose Hessian has condition number cond."""
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    A = (Q * np.logspace(0, np.log10(cond), n)) @ Q.T
+    b = rng.standard_normal(n)
+    return lambda x: (0.5 * x @ A @ x - b @ x, A @ x - b), np.zeros(n)
+
+
+def _rosenbrock(n):
+    from scipy.optimize import rosen, rosen_der
+
+    return lambda x: (rosen(x), rosen_der(x)), np.linspace(-1.2, 1.0, n)
+
+
+def _barrier_stage(scale, q):
+    """The barrier objective at weight q of a receive block's output whose
+    precoders carry scale times the power budget."""
+    ch, cfg, st = _receive_block_output()
+    st.v = st.v * np.sqrt(scale)
+    fun_grad, x0 = _transmit_objective(ch, st, cfg.gamma)
+    return lambda x: fun_grad(x, q), x0
+
+
+# words of scipy's L-BFGS-B stop messages (upper case, "_" read as " ", as
+# both its Fortran and its C builds write them), by solver.minimize's message
+_STOP_KINDS = {
+    "gradient below gtol": "PROJECTED GRADIENT",
+    "relative reduction of f below ftol": "REDUCTION OF F",
+    "iteration limit reached": "ITERATIONS REACHED LIMIT",
+    "line search failed": "ABNORMAL",
+}
+
+
+@pytest.mark.parametrize(
+    "problem, maxiter, gtol",
+    [
+        # at gtol 1e-7 this quadratic ends at its rounding floor, where the
+        # kind of stop is down to the last bits; at 1e-5 it is the gradient
+        (lambda: _quadratic(), 1000, 1e-5),
+        (lambda: _rosenbrock(2), 1000, 1e-7),
+        (lambda: _rosenbrock(10), 1000, 1e-7),
+        (lambda: _barrier_stage(1.0, 1.0), 1000, 1e-7),  # the stalled stage
+        (lambda: _barrier_stage(0.5, 10.0), 1000, 1e-7),
+        # from about 100 iterations on, this ill-conditioned stage's paths in
+        # the two codes part through rounding alone, so its start is compared
+        (lambda: _barrier_stage(0.5, 1.0), 20, 1e-7),
+    ],
+    ids=["quadratic-cond-1e4", "rosenbrock-2", "rosenbrock-10", "barrier-full-power",
+         "barrier-half-power-q10", "barrier-half-power-q1"],
+)
+def test_minimize_matches_scipy_lbfgsb(problem, maxiter, gtol):
+    """solver.minimize follows L-BFGS-B without bounds: under the same
+    options (ftol 1e-15 as in the barrier stages) it stops for the same
+    reason at the same f."""
+    from scipy.optimize import minimize as lbfgsb
+
+    fun, x0 = problem()
+    opts = {"maxiter": maxiter, "ftol": 1e-15, "gtol": gtol}
+    ours = solver_minimize(fun, x0, **opts)
+    ref = lbfgsb(fun, x0, jac=True, method="L-BFGS-B", options=opts)
+    assert _STOP_KINDS[ours.message] in ref.message.upper().replace("_", " ")
+    assert abs(ours.fun - ref.fun) <= 1e-10 * max(1.0, abs(ref.fun))
+    assert ours.fun == fun(ours.x)[0]
+    if maxiter == 20:
+        assert ours.nit == ref.nit == 20
+
+
+def test_minimize_restarts_from_the_gradient_after_a_failed_search(monkeypatch):
+    """A line search that fails with pairs in memory clears them and goes on
+    from -g with a trial step of 1; one that fails with the memory empty ends
+    the run at the last accepted iterate."""
+    from latticealign import solver as solver_mod
+
+    searches = []
+    real = solver_mod._line_search
+
+    def first_only(fun, x, d, f0, g0, stp):
+        searches.append((x.copy(), d.copy(), stp))
+        return real(fun, x, d, f0, g0, stp) if len(searches) == 1 else None
+
+    monkeypatch.setattr(solver_mod, "_line_search", first_only)
+    A = np.diag([1.0, 10.0])
+    res = solver_minimize(lambda x: (x @ A @ x, 2 * A @ x), np.array([3.0, -4.0]),
+                          maxiter=100, ftol=1e-15, gtol=1e-7)
+    assert res.message == "line search failed" and res.nit == 1
+    (x0, d0, stp0), (x1, d1, stp1), (x2, d2, stp2) = searches
+    assert np.array_equal(d0, -2 * A @ x0) and stp0 == 1 / np.linalg.norm(d0)
+    assert not np.allclose(d1 / np.linalg.norm(d1), d2 / np.linalg.norm(d2))  # d1 used a pair
+    assert np.array_equal(x2, x1) and np.array_equal(d2, -2 * A @ x1) and stp2 == 1.0
+    assert np.array_equal(res.x, x1) and res.fun == x1 @ A @ x1 < x0 @ A @ x0
 
 
 def test_solve_stops_at_the_first_rejected_transmit_step(monkeypatch):
