@@ -31,7 +31,7 @@ for k in range(cfg.K):
     print(f"  user {k}: stage1 {mu_s:>8s}   stage2 {report.mu_tilde[k,0]:.4f}   "
           f"coeffs {np.round(st.a[k,0].ravel()).real}   c={st.c[k,0]:.0f}")
 
-print("\nouter-iteration trace (worst rate before quantization):")
+print("\nouter-iteration trace (worst rate of each kept integer design):")
 print("  " + "  ".join(f"{r:.4f}" for r in trace.pre_quantize_series()))
 
 # Sample channel errors inside the declared ball and confirm the design

@@ -28,7 +28,7 @@ from . import baselines
 from .channel import ChannelSet, SystemConfig, generate_channels, perturb_csi, snr_db_to_power
 from .errors import ConfigurationError, is_integer
 from .rates import _OUTAGE_TOL, goodput, per_stream_rates, rate_report
-from .solver import SolverConfig, check_power, multi_start
+from .solver import SolverConfig, check_carried, multi_start
 
 KNOWN_METHODS = (
     "lattice",
@@ -114,7 +114,10 @@ class ExperimentSpec:
         for snr_db in self.snr_db_grid:
             P = snr_db_to_power(snr_db)  # raises where the power is no positive finite float
             if "lattice" in self.methods:
-                check_power(P)
+                check_carried(P=P)
+        if "lattice" in self.methods:
+            for epsilon in self.epsilon_grid:
+                check_carried(epsilon=epsilon)
 
 
 @dataclass
@@ -171,7 +174,7 @@ def _run_lattice(trial: _Trial):
     solver = spec.solver if spec.solver is not None else HARNESS_SOLVER
     # seed one start from the min-leakage alignment precoders: its first
     # receive block is already at least the alignment rates, and solve returns
-    # no less r_min than that block when it converged, so under the worst-rate
+    # no less r_min than that block, so under the worst-rate
     # objective the chosen design never trails that baseline on the same trial
     V_ia, _, _ = trial.ia_design
     st, report, trace = multi_start(

@@ -71,8 +71,9 @@ class DesignState:
     coefficient vector used by decoder (k, l); its own entry is zero), c:
     (K, L) integer scaling factors, P: per-stream transmit power.
 
-    During relaxed optimization a and c may hold non-integer complex values;
-    finished designs carry exact Gaussian-integer values.
+    Only a transmit-side step holds non-integer complex a; the solver rounds
+    it before it keeps the step, so every design it keeps or returns carries
+    exact Gaussian-integer a and c.
     """
 
     v: np.ndarray

@@ -18,16 +18,17 @@ or convex:
   package's own limited-memory BFGS: L-BFGS-B without bounds, Moré–Thuente
   line search included, in numpy, so no solve needs scipy.
 
-The outer loop alternates the two blocks and never accepts a step that
-lowers the worst rate bound.  It stops at the first rejected transmit step:
-the state is then the receive block's own output, which a second pass of
-that block leaves with the same rates up to rounding, and the transmit
-block is deterministic, so a further sweep would repeat the same rejected
-step.  After an accepted step it stops once the worst rate bound moves by
-at most rate_tol.  Finally it projects the relaxed coefficients back to
-Gaussian integers (dividing out any common divisor, which can only help
-the aggregate-decoding rate) and refits the receive side to them, unless
-they are the integers its last block already used.
+Every design the outer loop keeps has Gaussian-integer coefficients free
+of common divisors (dividing one out can only help the aggregate-decoding
+rate), and its worst rate bound never falls.  A transmit step is accepted
+only when it does not lower that bound; its relaxed coefficients are then
+rounded, the receive side is refit to them, and the refit is kept only
+when it does not lower the bound either.  The loop stops at the first
+rejected step or refit: the state is then the receive block's own output,
+which a second pass of that block leaves with the same rates up to
+rounding, and the transmit block is deterministic, so a further sweep
+would repeat the same rejected step.  After a kept step it stops once the
+bound rose by at most rate_tol.
 
 optimize_receivers takes a list of designs on one channel: their decoders
 are rows of the same batched fits, each design keeps its own stop test and
@@ -35,7 +36,7 @@ cap, so it ends with the bits a block of it alone gives, and each design's
 error message is returned, not raised.  solve batches only the first
 receive blocks of its starts, in one call, since most designs end after
 that block and a rejected transmit step; each start then runs its own loop
-as plain code, with one-design calls for any later block or final refit.
+as plain code, with a one-design call for each later block.
 """
 
 from __future__ import annotations
@@ -70,19 +71,27 @@ from .rates import (
 
 _DELTA = 1e-9  # smoothing width for |z| inside iterative solvers
 _BIG = 1e30  # penalty level for infeasible barrier trial points
-# The Newton kernel scales curvature terms of up to 1 / _DELTA^3 by P and
-# squares some of them, which overflows from about P = 1e154 on; powers up
-# to 1e100 (1000 dB) are carried with room to spare.
-_MAX_POWER = 1e100
+_EPS = float(np.finfo(float).eps)
+# The range of each value the solver carries.  The Newton kernel squares
+# P-scaled curvature terms of up to 1 / _DELTA^3, which overflow from about
+# P = 1e154, or eps = 1e40 at P = 1e100; precoder and filter norms near the
+# absolute _DELTA distort the fits (a design moves by 6e-4 bit at gamma = 1e18).
+_CARRIED = (
+    ("per-stream power P", 0.0, 1e100),
+    ("power budget gamma", 1e-10, 1e10),
+    ("CSI error bound epsilon", 0.0, 1e20),
+)
 
 
-def check_power(P: float) -> None:
-    """Raise ConfigurationError naming P when the solver cannot carry that
-    per-stream power (above 1e100, an SNR of 1000 dB)."""
-    if P > _MAX_POWER:
-        raise ConfigurationError(
-            f"per-stream power P={P!r} is above {_MAX_POWER:g}, the most the solver carries"
-        )
+def check_carried(P: float = 1.0, gamma: float = 1.0, epsilon: float = 0.0) -> None:
+    """Raise ConfigurationError naming the first value the solver cannot
+    carry: a per-stream power P above 1e100 (an SNR of 1000 dB), a power
+    budget gamma outside [1e-10, 1e10] or a CSI error bound above 1e20."""
+    for (what, lo, hi), val in zip(_CARRIED, (P, gamma, epsilon)):
+        if not lo <= val <= hi:
+            raise ConfigurationError(
+                f"{what}={val!r} is outside [{lo:g}, {hi:g}], the range the solver carries"
+            )
 
 
 @dataclass(frozen=True)
@@ -100,10 +109,12 @@ class SolverConfig:
     max_outer_iters: cap on the receive/transmit alternations of solve.
     max_inner_iters: caps three loops: the Newton steps of each filter fit,
         the minimize iterations (times 5) of each barrier stage, and the
-        sweeps of the receive-side fixed point.
-    rate_tol: solve stops after an accepted transmit step once r_min moved
-        by at most rate_tol * max(1, |r_min|); the receive fixed point stops
-        once no stage-two rate moves by rate_tol or more.
+        sweeps of the receive-side fixed point.  A receive block that hits
+        a cap ends the solve, flagged as not converged; at a cap of 1 the
+        first block always does, and solve returns that block's design.
+    rate_tol: solve stops after a kept transmit step once r_min rose by at
+        most rate_tol * max(1, |r_min|); the receive fixed point stops once
+        no stage-two rate moves by rate_tol or more.
     """
 
     barrier_nu: float = 10.0
@@ -131,7 +142,7 @@ class SolverConfig:
 @dataclass
 class TraceRecord:
     iter: int
-    stage: str  # "receivers" | "precoders" | "quantize"
+    stage: str  # "receivers" | "precoders"
     r_min: float
 
 
@@ -139,14 +150,14 @@ class TraceRecord:
 class SolveTrace:
     """What a solve did, kept out of the solve JSON and the simulate CSV.
 
-    records hold the r_min the loop measured after each block: the receive
-    block, the transmit step (the kept state's r_min, so the receive block's
-    own when the step was rejected) and, last, the returned design.
-    stop_reason says why the outer loop ended: "transmit step rejected",
-    "rate_tol reached", "max_outer_iters reached", or a capped receive
-    block's message after "optimize_receivers: "; a capped final refit
-    appends its message, and returning the first receive block appends
-    "; kept the first receive block".
+    records hold the r_min of each state the loop kept: the first receive
+    block's ("receivers", iter 0), then one per transmit step ("precoders",
+    iter = the step's number), the rounded and refit step's r_min, or the
+    current one when the step or its refit was rejected.  The series never
+    falls, and its last entry is the returned design's r_min.  stop_reason
+    says why the loop ended: "transmit step rejected", "rounded transmit
+    step rejected", "rate_tol reached", "max_outer_iters reached", or a
+    capped receive block's message after "optimize_receivers: ".
     """
 
     records: list[TraceRecord] = field(default_factory=list)
@@ -157,7 +168,8 @@ class SolveTrace:
         self.records.append(TraceRecord(it, stage, float(r_min)))
 
     def pre_quantize_series(self) -> list[float]:
-        return [rec.r_min for rec in self.records if rec.stage != "quantize"]
+        """The r_min of every record; each one is an integral state."""
+        return [rec.r_min for rec in self.records]
 
 
 # ---------------------------------------------------------------------------
@@ -381,9 +393,11 @@ def _newton_batch(
     A problem leaves the active set once its Newton decrement lambda^2 / 2
     drops to tol with its kinks settled (after that last step, which the
     quadratic model makes nearly exact) or when no step lowers its objective
-    any more.  Returns the iterates and a per-problem flag that is False where the
-    decrement never reached tol within max_iter steps or before the problem
-    stalled.
+    any more.  Both tests use max(tol, 64 eps |f|) in place of tol, eps the
+    machine epsilon: at high power f is so large that double precision
+    cannot resolve a change of tol in it.  Returns the iterates and a
+    per-problem flag that is False where the decrement never reached that
+    within max_iter steps or before the problem stalled.
     """
     x = np.array(x0, dtype=float)
     converged = np.zeros(len(x), dtype=bool)
@@ -393,6 +407,7 @@ def _newton_batch(
         xa = x[active]
         terms = sub._terms(xa)
         f, grad, hess = sub.evaluate(xa, derivatives=True, terms=terms)
+        tol_f = np.maximum(tol, 64 * _EPS * np.abs(f))
         dx = -np.linalg.solve(hess, grad[..., None])[..., 0]
         slope = np.einsum("bk,bk->b", grad, dx)  # -lambda^2
         step = np.ones(len(active))
@@ -412,7 +427,7 @@ def _newton_batch(
             pending = pending[~ok]
         f_new[pending] = f[pending]
         x_new = xa + step[:, None] * dx
-        settled, rows, dk = sub.kinks(dx, grad, hess, tol, terms)
+        settled, rows, dk = sub.kinks(dx, grad, hess, tol_f, terms)
         if len(rows):
             f_kink = sub.take(rows).evaluate(xa[rows] + dk)
             lower = f_kink < f_new[rows]
@@ -420,7 +435,7 @@ def _newton_batch(
             f_new[rows[lower]] = f_kink[lower]
         moved = f_new < f
         x[active[moved]] = x_new[moved]
-        small = -slope <= 2 * tol
+        small = -slope <= 2 * tol_f
         done = small & settled
         # a problem whose objective no step can lower is at its floating-point
         # optimum; that counts as converged where the decrement is small
@@ -696,7 +711,8 @@ def _transmit_objective(ch: ChannelSet, st: DesignState, gamma: float):
     Utilde^H H v - (c a + e_own) are one affine map z = G x[1:] + z0 (real
     parts first), built here once.  fun_grad(x, q) is the value and gradient
     of t - (sum log(t - g) + sum log(gamma - ||v_k||^2)) / q, with g the
-    smoothed bounds, or _BIG (1 + total violation) outside its domain.
+    smoothed bounds, or big (1 + total violation) outside its domain, with
+    big = max(_BIG, 1e20 t0) for the start's epigraph value t0.
     """
     K, L, M = st.v.shape
     KL, P, eps = K * L, st.P, ch.epsilon
@@ -742,9 +758,9 @@ def _transmit_objective(ch: ChannelSet, st: DesignState, gamma: float):
             F = t - (np.sum(np.log(s)) + np.sum(np.log(ps))) / q
             gt = 1.0 - lam.sum()
         else:
-            lam, lamp = _BIG * (s <= 0), _BIG * (ps <= 0)
+            lam, lamp = big * (s <= 0), big * (ps <= 0)
             viol = sum(np.sum(np.maximum(-y, 0)) for y in (s[0], s[1], ps))
-            F = _BIG * (1.0 + viol)
+            F = big * (1.0 + viol)
             gt = -lam.sum()
         grad = G.T @ ((2 * P) * lam[..., None] * (HS / Hs) * z).reshape(-1)
         # the worst-case offsets and the power budget act on the stream norms
@@ -763,6 +779,9 @@ def _transmit_objective(ch: ChannelSet, st: DesignState, gamma: float):
     x0 = np.concatenate([[0.0], V0.real.ravel(), V0.imag.ravel(), af.real, af.imag])
     m0 = float(bounds_of(x0)[-1].max())
     x0[0] = m0 + max(1e-4, 0.02 * (1 + abs(m0)))
+    # outside the domain every value must exceed those inside, which the
+    # bounds of a large P eps^2 can take above _BIG
+    big = max(_BIG, 1e20 * x0[0])
     return fun_grad, x0
 
 
@@ -772,7 +791,6 @@ def _transmit_objective(ch: ChannelSet, st: DesignState, gamma: float):
 _MEMORY = 10
 _STEP_MAX = 1e10
 _MAX_TRIALS = 20
-_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -999,8 +1017,8 @@ def optimize_precoders(
     the first stage that stalls at one iteration or less) minimizes t; each
     stage is one minimize call (limited-memory BFGS, at most 5 *
     max_inner_iters iterations, ftol 1e-15, gtol newton_tol).  The
-    combination coefficients are relaxed to arbitrary complex values here
-    and only re-integerized at the end of the full solve.
+    combination coefficients are relaxed to arbitrary complex values here;
+    solve rounds them when it accepts the step.
 
     Returns the updated state and the final epigraph value.
     """
@@ -1139,62 +1157,41 @@ def _alternate(
     ch: ChannelSet, cfg: SystemConfig, solver: SolverConfig, st: DesignState, err: str | None
 ):
     """The alternating solve of one design from its first receive block: that
-    block's state st and error message err (None when it converged).  Returns
-    (state, report, trace)."""
+    block's state st and error message err (None when it converged).  Every
+    state it keeps is integral and divisor-free, and its r_min never falls.
+    Returns (state, report, trace)."""
     trace = SolveTrace()
-    first = None  # the first receive block's state and r_min
-    r_prev = -np.inf
-    outer = 0
-    for outer in range(solver.max_outer_iters):
-        if outer > 0:
-            (st,), _, (err,) = optimize_receivers(ch, [st], solver)
+    report = rate_report(ch, st)
+    trace.add(0, "receivers", report.r_min)
+    for step in range(1, solver.max_outer_iters + 1):
         if err is not None:
-            trace.converged = False
-            trace.stop_reason = f"optimize_receivers: {err}"
             break
-        report = rate_report(ch, st)  # the block's own, returned if no refit follows
-        r_a = report.r_min
-        trace.add(outer, "receivers", r_a)
-        if outer == 0:
-            first = st, r_a
-
         st_cand, _ = optimize_precoders(ch, st, cfg.gamma, solver)
-        r_cand = rate_report(ch, st_cand).r_min
-        if r_cand < r_a:
-            trace.add(outer, "precoders", r_a)
+        if rate_report(ch, st_cand).r_min < report.r_min:
+            trace.add(step, "precoders", report.r_min)
             trace.stop_reason = "transmit step rejected"
             break
-        st = st_cand
-        trace.add(outer, "precoders", r_cand)
-        if np.isfinite(r_prev) and abs(r_cand - r_prev) <= solver.rate_tol * max(1.0, abs(r_cand)):
+        (st_cand,), _, (err,) = optimize_receivers(ch, [_round_coefficients(st_cand)], solver)
+        rep_cand = rate_report(ch, st_cand)
+        if rep_cand.r_min < report.r_min:
+            trace.add(step, "precoders", report.r_min)
+            trace.stop_reason = "rounded transmit step rejected"
+            break
+        gain = rep_cand.r_min - report.r_min
+        st, report = st_cand, rep_cand
+        trace.add(step, "precoders", report.r_min)
+        if gain <= solver.rate_tol * max(1.0, abs(report.r_min)):
             trace.stop_reason = "rate_tol reached"
             break
-        r_prev = r_cand
     else:
         trace.converged = False
         trace.stop_reason = "max_outer_iters reached"
-
-    rounded = _round_coefficients(st)
-    # a rejected step leaves the receive block's own output: when rounding
-    # keeps its integers, a refit would return it again
-    kept = np.array_equal(rounded.a, st.a) and np.array_equal(rounded.c, st.c)
-    st = rounded
-    if not (kept and trace.stop_reason == "transmit step rejected"):
-        (st,), _, (err,) = optimize_receivers(ch, [st], solver)
-        if err is not None:
-            trace.converged = False
-            trace.stop_reason += f"; final receive refit: {err}"
-        report = rate_report(ch, st)
-    if first is not None and first[1] > report.r_min:
-        st_first = _round_coefficients(first[0])
-        rep_first = rate_report(ch, st_first)
-        if rep_first.r_min > report.r_min:
-            st, report = st_first, rep_first
-            trace.stop_reason += "; kept the first receive block"
-    trace.add(outer + 1, "quantize", report.r_min)
+    if err is not None:
+        trace.converged = False
+        trace.stop_reason = f"optimize_receivers: {err}"
 
     for k in range(cfg.K):
-        if st.power(k) > cfg.gamma + 1e-9:
+        if st.power(k) > cfg.gamma * (1 + 1e-9):
             raise PowerBudgetError(k, st.power(k), cfg.gamma)
     return st, report, trace
 
@@ -1217,30 +1214,27 @@ def solve(
     """Full alternating solve of the robust max-min design.
 
     Alternates the receive-side and transmit-side blocks from init_state, or
-    from initial_state(ch, cfg) when none is given; a transmit-side step is
-    accepted only when it does not lower the worst rate bound, so the
-    pre-quantization trace of r_min is non-decreasing.  The loop stops at the
-    first rejected transmit step, because the state is then the receive
-    block's own output and another sweep would refit nothing and repeat the
-    same rejected barrier solve.  After an accepted step it stops once r_min
-    moved by at most rate_tol (relative to max(1, |r_min|)).  Afterwards the
-    relaxed coefficients are rounded to Gaussian integers, common divisors are
-    removed, and the receive side is refit once against the final integers,
-    unless they are the ones its last block used: after a rejected step that
-    left a and c unchanged, that refit would return the block's own output.
-    Rounding can lose more than the loop gained, so a converged first receive
-    block, its common divisors divided out, is returned if its r_min is higher.
+    from initial_state(ch, cfg) when none is given, with its coefficients
+    first rounded to Gaussian integers and common divisors divided out
+    (_round_coefficients).  An accepted transmit step is rounded the same
+    way and its receive refit kept only when its r_min is at least the
+    current one, so the trace of r_min never falls and ends at the returned
+    r_min.  The loop stops at the first rejected step or refit (the state is
+    then the receive block's own output, and another sweep would repeat the
+    same rejected barrier solve), at a receive block that hits its iteration
+    cap, or once a kept step raised r_min by at most rate_tol (relative to
+    max(1, |r_min|)).
 
     Returns (state, report, trace); trace.converged is False when the outer
     loop or a sub-block hit its iteration budget, and trace.stop_reason says
     why the loop stopped.  Raises ConfigurationError when cfg's dimensions or
-    epsilon differ from the channel's, or when its power P is above 1e100
-    (check_power).
+    epsilon differ from the channel's, or when P, gamma or epsilon lie outside
+    the range the solver carries (check_carried).
 
     init_state may also be a list of start designs.  One optimize_receivers
     call over all of them makes their first receive blocks; then each start
     runs its own loop, transmit steps, acceptance tests and rounding, with a
-    one-design call for any later receive block or final refit.  Every design
+    one-design call for each later receive block.  Every design
     gets the bits a solve of it alone gives.  Returns three lists (states,
     reports, traces), with traces a SolveTraces.  An error is raised for the
     first design in list order that raises one; later starts are not run.
@@ -1255,10 +1249,10 @@ def solve(
         raise ConfigurationError(
             f"config epsilon {cfg.epsilon!r} does not match the channel's {ch.epsilon!r}"
         )
-    check_power(cfg.P)
+    check_carried(cfg.P, cfg.gamma, cfg.epsilon)
     single = not isinstance(init_state, (list, tuple))
     starts = [init_state] if single else list(init_state)
-    starts = [initial_state(ch, cfg) if st0 is None else st0 for st0 in starts]
+    starts = [_round_coefficients(initial_state(ch, cfg) if st0 is None else st0) for st0 in starts]
     states, _, errors = optimize_receivers(ch, starts, solver)
     results = [_alternate(ch, cfg, solver, st, err) for st, err in zip(states, errors)]
     if single:
@@ -1304,9 +1298,9 @@ def multi_start(
     Each entry of extra_precoders, (K, L, M) like DesignState.v, adds one
     start with those precoders and zero coefficients.  Its first receive
     block never trails any fixed-filter single-user rate for those
-    precoders, and solve returns no less r_min than that block (when it
-    converged), so a known-good design such as an alignment solution floors
-    the returned r_min; with objective="sum" that block is no candidate.
+    precoders, and solve returns no less r_min than that block, converged
+    or not, so a known-good design such as an alignment solution floors the
+    returned r_min; with objective="sum" that block is no candidate.
 
     All starts run in one solve call, which batches their first receive
     blocks, each with the result a solve of it alone gives; the first start

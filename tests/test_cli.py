@@ -136,6 +136,51 @@ def test_solve_carries_a_power_of_1000_db(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["report"]["r_min"] > 0
 
 
+@pytest.mark.parametrize("snr_db", ["150", "200", "500", "1000"])
+def test_solve_converges_at_high_power(tmp_path, capsys, snr_db):
+    """The receive fits stop at what double precision resolves of their
+    objective, which grows with P, so the design converges at any power the
+    solver carries."""
+    path = _channel_file(tmp_path)
+    assert main(["solve", "--channel", str(path), "--snr-db", snr_db]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["converged"] is True and payload["report"]["r_min"] > 0
+
+
+@pytest.mark.parametrize(
+    "flag, value, named",
+    [
+        ("--gamma", "1e-300", "gamma=1e-300"),
+        ("--gamma", "1e100", "gamma=1e+100"),
+        ("--gamma", "1e308", "gamma=1e+308"),
+        ("--epsilon", "1e100", "epsilon=1e+100"),
+    ],
+)
+def test_solve_rejects_a_value_the_solver_cannot_carry(tmp_path, capsys, flag, value, named):
+    """Such budgets overflowed the barrier, made a receive fit singular or
+    overflowed the power check, and such an error bound overflowed the
+    Newton kernel; they are rejected before any design runs, naming the value."""
+    path = _channel_file(tmp_path)
+    assert main(["solve", "--channel", str(path), flag, value]) == EXIT_CONFIG
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--gamma", "1e-10"],
+        ["--gamma", "1e10"],
+        ["--epsilon", "1e20"],
+        ["--gamma", "1e-10", "--power", "1e100", "--epsilon", "1e20"],
+    ],
+)
+def test_solve_carries_the_edges_of_its_range(tmp_path, capsys, args):
+    path = _channel_file(tmp_path)
+    assert main(["solve", "--channel", str(path), *args]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["converged"] is True and payload["report"]["r_min"] >= 0
+
+
 def test_solve_missing_file(tmp_path, capsys):
     code = main(["solve", "--channel", str(tmp_path / "nope.json")])
     assert code == EXIT_CONFIG
@@ -244,6 +289,25 @@ def test_simulate_rejects_a_power_the_solver_cannot_carry(tmp_path, capsys, monk
     path = _sim_config(tmp_path, methods=methods, snr_db_grid=[10.0, 2000.0])
     assert main(["simulate", "--config", str(path)]) == EXIT_CONFIG
     assert "per-stream power P=1e+200" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("methods", [["lattice"], ["tdma", "lattice"]])
+def test_simulate_rejects_an_epsilon_the_solver_cannot_carry(tmp_path, capsys, monkeypatch, methods):
+    """With the lattice method in the spec, each error bound is checked
+    against the solver's limit before any trial runs."""
+    from latticealign import cli
+
+    monkeypatch.setattr(cli, "run_experiment", _no_trials)
+    path = _sim_config(tmp_path, methods=methods, epsilon_grid=[0.1, 1e100])
+    assert main(["simulate", "--config", str(path)]) == EXIT_CONFIG
+    assert "epsilon=1e+100" in capsys.readouterr().err
+
+
+def test_simulate_takes_an_epsilon_beyond_the_solver_for_baselines_only(tmp_path):
+    from latticealign.harness import experiment_from_json
+
+    path = _sim_config(tmp_path, epsilon_grid=[1e100])
+    assert experiment_from_json(path.read_text()).epsilon_grid == (1e100,)
 
 
 def test_simulate_takes_a_power_beyond_the_solver_for_baselines_only(tmp_path):

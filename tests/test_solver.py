@@ -261,19 +261,18 @@ def test_solve_symmetric_reaches_oracle():
 
 
 def test_solve_trace_monotone_with_every_stage():
-    """The trace alternates receive and transmit records, is non-decreasing
-    before rounding and ends with the rounded design's own r_min."""
+    """The trace holds the first receive block, then one record per transmit
+    step, never decreases and ends with the returned design's own r_min."""
     ch, cfg = _random_instance(eps=0.1, seed=31)
     st, rep, trace = solve(ch, cfg)
     series = trace.pre_quantize_series()
     assert len(series) >= 2
     for prev, cur in zip(series, series[1:]):
-        assert cur >= prev - 1e-9
-    stages = [rec.stage for rec in trace.records]
-    assert stages[:-1] == ["receivers", "precoders"] * (len(stages) // 2)
-    last = trace.records[-1]
-    assert (last.stage, last.r_min) == ("quantize", rep.r_min)
-    assert last.iter == trace.records[-2].iter + 1
+        assert cur >= prev
+    assert [(rec.iter, rec.stage) for rec in trace.records] == [(0, "receivers")] + [
+        (i, "precoders") for i in range(1, len(series))
+    ]
+    assert trace.records[-1].r_min == rep.r_min
 
 
 def test_solve_returns_integer_coefficients_and_budget():
@@ -401,14 +400,14 @@ def test_nonconvergence_error_carries_best():
 def test_solve_trace_records():
     tr = SolveTrace()
     tr.add(0, "receivers", 1.0)
-    tr.add(0, "precoders", 1.5)
-    tr.add(1, "quantize", np.float64(1.4))
+    tr.add(1, "precoders", 1.5)
+    tr.add(2, "precoders", np.float64(1.5))
     assert tr.records == [
-        TraceRecord(0, "receivers", 1.0), TraceRecord(0, "precoders", 1.5),
-        TraceRecord(1, "quantize", 1.4),
+        TraceRecord(0, "receivers", 1.0), TraceRecord(1, "precoders", 1.5),
+        TraceRecord(2, "precoders", 1.5),
     ]
     assert type(tr.records[-1].r_min) is float
-    assert tr.pre_quantize_series() == [1.0, 1.5]
+    assert tr.pre_quantize_series() == [1.0, 1.5, 1.5]
 
 
 # ---------------------------------------------------------------------------
@@ -764,7 +763,9 @@ def test_solve_simulate_and_analyze_run_with_scipy_blocked():
 
 def test_capped_filter_fit_keeps_the_refit_state():
     """Hitting the Newton iteration cap keeps the best filters found and
-    flags the solve, instead of discarding the receive-side refit."""
+    flags the solve, instead of discarding the receive-side refit.  A capped
+    first receive block ends the solve with that block's own design; at a
+    cap of 2 the solve still gets within 10% of the default r_min."""
     cfg = SystemConfig(K=3, M=2, N=2, L=1, P=14.0, epsilon=0.1, seed=5)
     ch = perturb_csi(generate_channels(cfg), 0.1, seed=6)
     capped = SolverConfig(max_inner_iters=1)
@@ -772,11 +773,15 @@ def test_capped_filter_fit_keeps_the_refit_state():
     with pytest.raises(NonConvergenceError, match=r"\(0, 0\)") as info:
         decorrelator_robust(ch, st0, 0, 0, 1, capped)
     assert info.value.best.shape == (2,)
-    (st,), _, (err,) = optimize_receivers(ch, [st0], capped)
-    assert isinstance(st, DesignState) and err is not None
+    (block,), _, (err,) = optimize_receivers(ch, [_round_coefficients(st0)], capped)
+    assert isinstance(block, DesignState) and err is not None
+    st, rep, trace = solve(ch, cfg, capped)
+    assert not trace.converged and trace.stop_reason == f"optimize_receivers: {err}"
+    assert _same_design(st, block)
+    assert _same_bits(rep.mu_tilde, rate_report(ch, block).mu_tilde)
+    assert trace.records == [TraceRecord(0, "receivers", rep.r_min)]
     _, rep_default, _ = solve(ch, cfg)
-    _, rep, trace = solve(ch, cfg, capped)
-    assert not trace.converged
+    _, rep, _ = solve(ch, cfg, SolverConfig(max_inner_iters=2))
     assert rep.r_min >= 0.9 * rep_default.r_min > 0
 
 
@@ -938,9 +943,8 @@ def test_minimize_restarts_from_the_gradient_after_a_failed_search(monkeypatch):
 
 def test_solve_stops_at_the_first_rejected_transmit_step(monkeypatch):
     """A rejected transmit step leaves the receive block's own output, so the
-    loop ends there instead of repeating the block and the barrier solve.
-    Rounding keeps its integers here, so there is no final refit either, and
-    the block's own rate report is returned, not computed again."""
+    loop ends there instead of repeating the block and the barrier solve,
+    and the block's own rate report is returned, not computed again."""
     calls = _count_calls(monkeypatch, "optimize_receivers", "optimize_precoders", "rate_report")
     ch, cfg = _random_instance(eps=0.1, seed=30)
     st, rep, trace = solve(ch, cfg)
@@ -954,23 +958,22 @@ def test_solve_stops_at_the_first_rejected_transmit_step(monkeypatch):
     series = trace.pre_quantize_series()
     assert rate_report(ch, calls["optimize_precoders"][0][0]).r_min < series[0]
     assert trace.converged and trace.stop_reason == "transmit step rejected"
-    assert [(rec.iter, rec.stage) for rec in trace.records] == [
-        (0, "receivers"), (0, "precoders"), (1, "quantize")
-    ]
-    assert series[1] >= series[0]
+    assert [(rec.iter, rec.stage) for rec in trace.records] == [(0, "receivers"), (1, "precoders")]
+    assert series[1] == series[0] == rep.r_min
 
 
 def test_solve_stop_reasons():
     ch, cfg = _random_instance(eps=0.1, seed=31)
     _, _, trace = solve(ch, cfg)
     assert trace.converged and trace.stop_reason == "rate_tol reached"
-    assert len(trace.pre_quantize_series()) > 4  # several accepted transmit steps
-    _, _, trace = solve(ch, cfg, SolverConfig(max_outer_iters=2))
+    series = trace.pre_quantize_series()
+    assert len(series) == 3 and series[1] > series[0]  # a kept step, then one within rate_tol
+    _, _, trace = solve(ch, cfg, SolverConfig(max_outer_iters=1))
     assert not trace.converged and trace.stop_reason == "max_outer_iters reached"
     _, _, trace = solve(ch, cfg, SolverConfig(max_inner_iters=1))
     assert not trace.converged
     assert trace.stop_reason.startswith("optimize_receivers: receive-side")
-    assert "final receive refit" in trace.stop_reason
+    assert len(trace.records) == 1  # the capped first block ends the solve
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.1])
@@ -1377,11 +1380,12 @@ def test_solve_returns_at_least_its_first_receive_block(shape, eps):
         assert rep.r_min >= trace.records[0].r_min
 
 
-def test_solve_keeps_a_first_receive_block_that_beats_its_final_design(monkeypatch):
+def test_solve_rejects_a_rounded_step_that_loses_rate(monkeypatch):
     """A transmit step that relaxes a badly (u and a shrunk, c grown, which
-    raises the stage-one bound of non-integer coefficients) is accepted until
-    rate_tol, and rounding then loses more than the loop gained: solve
-    returns the first receive block, integer and divisor-free."""
+    raises the stage-one bound of non-integer coefficients) passes the
+    transmit test, but rounding its coefficients loses more than it gained:
+    the refit of the rounded step is rejected and solve returns the first
+    receive block, integer and divisor-free."""
     from latticealign import solver as solver_mod
 
     def transmit(ch, st, gamma, cfg=None):
@@ -1391,14 +1395,15 @@ def test_solve_keeps_a_first_receive_block_that_beats_its_final_design(monkeypat
 
     ch, cfg = _random_instance(eps=0.1, seed=40)
     st0 = initial_state(ch, cfg)
-    first, _ = _receive_block(ch, st0)
+    first, _ = _receive_block(ch, _round_coefficients(st0))
     monkeypatch.setattr(solver_mod, "optimize_precoders", transmit)
     st, rep, trace = solve(ch, cfg, init_state=st0)
-    assert trace.stop_reason == "rate_tol reached; kept the first receive block"
+    assert rate_report(ch, transmit(ch, first, cfg.gamma)[0]).r_min >= rate_report(ch, first).r_min
+    assert trace.stop_reason == "rounded transmit step rejected"
     assert trace.converged
-    assert _same_design(st, _round_coefficients(first))
+    assert _same_design(st, first)
     assert rep.r_min == rate_report(ch, st).r_min == trace.records[-1].r_min
-    assert rep.r_min >= trace.records[0].r_min
+    assert trace.pre_quantize_series() == [rep.r_min, rep.r_min]
     assert np.array_equal(st.a, np.round(st.a.real) + 1j * np.round(st.a.imag))
     for k in range(cfg.K):
         for l in range(cfg.L):
@@ -1468,8 +1473,8 @@ def _receive_call_sizes(monkeypatch):
 
 def test_solve_batches_only_the_first_receive_blocks(monkeypatch):
     """One receive call holds every start's first block; every later block
-    and final refit is a one-design call.  A transmit step that keeps the
-    design is accepted, so every start runs a second block and a refit."""
+    is a one-design call.  A transmit step that keeps the design is
+    accepted, so every start refits it once and stops at rate_tol."""
     from latticealign import solver as solver_mod
 
     monkeypatch.setattr(solver_mod, "optimize_precoders", lambda ch, st, gamma, cfg=None: (st, 0.0))
@@ -1478,7 +1483,7 @@ def test_solve_batches_only_the_first_receive_blocks(monkeypatch):
     starts = _lockstep_starts(ch, cfg)
     _, _, traces = solve(ch, cfg, init_state=starts)
     assert [tr.stop_reason for tr in traces] == ["rate_tol reached"] * len(starts)
-    assert sizes == [len(starts)] + [1] * (2 * len(starts))
+    assert sizes == [len(starts)] + [1] * len(starts)
 
 
 def test_lockstep_raises_the_first_failing_design_in_start_order(monkeypatch):
@@ -1506,13 +1511,13 @@ def test_lockstep_raises_the_first_failing_design_in_start_order(monkeypatch):
     sizes = _receive_call_sizes(monkeypatch)
     with pytest.raises(PowerBudgetError, match="user 2"):
         solve(ch, cfg, init_state=[fine, over[2], over[0]])
-    # the shared first blocks, then fine's second block and refit; over[2]
+    # the shared first blocks, then fine's refit of its kept step; over[2]
     # stops at its rejected step and raises, so over[0] never runs
-    assert sizes == [3, 1, 1]
+    assert sizes == [3, 1]
     sizes.clear()
     with pytest.raises(PowerBudgetError, match="user 0"):
         solve(ch, cfg, init_state=[fine, over[0], over[2]])
-    assert sizes == [3, 1, 1, 1, 1]  # over[0] runs like fine before it raises
+    assert sizes == [3, 1, 1]  # over[0] runs like fine before it raises
     states, _, traces = solve(ch, cfg, init_state=[fine, fine])
     assert traces.converged and _same_design(states[0], states[1])
 
@@ -1646,70 +1651,31 @@ def test_transmit_map_matches_the_einsum_objective(shape, eps):
 
 
 # ---------------------------------------------------------------------------
-# final refit: skipped when it would return the loop's own receive block
+# every kept state integral: the whole trace never decreases
 # ---------------------------------------------------------------------------
 
 
-def _parent_refit(ch, st):
-    """The final refit a solve makes: the receive block on the rounded state."""
-    return _receive_block(ch, _round_coefficients(st))[0]
+def _assert_monotone_to_the_end(rep, trace):
+    series = trace.pre_quantize_series()
+    assert all(cur >= prev for prev, cur in zip(series, series[1:])), series
+    assert series[-1] == rep.r_min
 
 
-@pytest.mark.parametrize("eps", [0.0, 0.1])
-def test_skipped_final_refit_matches_the_refit(eps, monkeypatch):
-    """A solve that stops at a rejected step with integers that rounding
-    keeps returns its last receive block without a refit.  That design is
-    the refit design bit for bit at eps 0, and agrees with it in r_min to
-    1e-10 at eps 0.1."""
-    calls = _count_calls(monkeypatch, "optimize_receivers")
-    skipped = 0
-    for shape in _SHAPES:
-        ch, cfg = _case_instance(shape, eps)
-        for st0 in _lockstep_starts(ch, cfg):
-            calls["optimize_receivers"].clear()
-            st, rep, trace = solve(ch, cfg, init_state=st0)
-            blocks = sum(rec.stage == "receivers" for rec in trace.records)
-            if len(calls["optimize_receivers"]) == blocks + 1:
-                continue  # the solve made its final refit
-            assert trace.stop_reason == "transmit step rejected"
-            assert len(calls["optimize_receivers"]) == blocks
-            skipped += 1
-            refit = _parent_refit(ch, st)
-            rep_refit = rate_report(ch, refit)
-            assert abs(rep.r_min - rep_refit.r_min) <= 1e-10
-            if eps == 0:
-                assert _same_design(st, refit) and rep.r_min == rep_refit.r_min
-                assert _same_bits(rep.mu_tilde, rep_refit.mu_tilde)
-    assert skipped >= 10
+# the last case once reached r_min 1.19 on relaxed designs, and rounding
+# them at the end of the solve returned 0.61
+_TRACE_CASES = [
+    pytest.param(shape, eps, 900 + sum(shape), id=f"shape{i}-{eps}")
+    for i, shape in enumerate(_SHAPES)
+    for eps in (0.0, 0.1)
+] + [pytest.param((3, 1, 2, 2), 0.1, 0, id="seed0-0.1")]
 
 
-def test_final_refit_runs_when_rounding_moves_the_coefficients(monkeypatch):
-    """A rejected step after an accepted one leaves relaxed coefficients,
-    which rounding moves, so the receive side is still refit to them."""
-    from latticealign import solver as solver_mod
-
-    real = solver_mod.optimize_precoders
-    steps = []
-
-    def transmit(ch, st, gamma, cfg=None):
-        if steps:  # the second step: a worse stage-two filter, rejected
-            out = st.copy()
-            out.utilde[:] = 0.0
-            steps.append(out)
-            return out, 0.0
-        out, t = real(ch, st, gamma, cfg)
-        steps.append(out)
-        return out, t
-
-    ch, cfg = _random_instance(eps=0.1, seed=31)
-    monkeypatch.setattr(solver_mod, "optimize_precoders", transmit)
-    calls = _count_calls(monkeypatch, "optimize_receivers")
-    st, _, trace = solve(ch, cfg)
-    relaxed = steps[0].a
-    assert not np.array_equal(relaxed, np.round(relaxed.real) + 1j * np.round(relaxed.imag))
-    assert trace.stop_reason == "transmit step rejected" and len(steps) == 2
-    assert [rec.stage for rec in trace.records] == [
-        "receivers", "precoders", "receivers", "precoders", "quantize"
-    ]
-    assert len(calls["optimize_receivers"]) == 3  # two loop blocks and the final refit
-    assert np.array_equal(st.a, np.round(st.a.real) + 1j * np.round(st.a.imag))
+@pytest.mark.parametrize("shape, eps, seed", _TRACE_CASES)
+def test_solve_and_multi_start_traces_never_decrease(shape, eps, seed):
+    """Every state a solve keeps is integral, so its whole trace never
+    decreases and ends at the returned r_min, for solve and multi_start."""
+    K, L, M, N = shape
+    cfg = SystemConfig(K=K, M=M, N=N, L=L, P=10.0, epsilon=eps, seed=seed)
+    ch = perturb_csi(generate_channels(cfg), eps, seed=seed + 1000)
+    _assert_monotone_to_the_end(*solve(ch, cfg)[1:])
+    _assert_monotone_to_the_end(*multi_start(ch, cfg, n_starts=2)[1:])
