@@ -196,12 +196,17 @@ def rank_one_worst_delta(u: np.ndarray, v: np.ndarray, epsilon: float) -> np.nda
     return epsilon * np.outer(u, v.conj()) / (nu * nv)
 
 
-def _matrix_to_json(A: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in A]
+def complex_pairs(z: np.ndarray) -> np.ndarray:
+    """The [re, im] pairs of complex array z, along a new last axis."""
+    return np.stack([z.real, z.imag], -1)
 
 
-def _matrix_from_json(rows: list) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
+def from_pairs(pairs) -> np.ndarray:
+    """The complex array of nested [re, im] number pairs, -0.0 kept, or ValueError."""
+    x = np.asarray(pairs)
+    if x.dtype.kind not in "iuf" or x.shape[-1:] != (2,):
+        raise ValueError("expected nested lists of [re, im] number pairs")
+    return np.ascontiguousarray(x, dtype=float).view(complex)[..., 0]
 
 
 def channelset_to_json(ch: ChannelSet) -> str:
@@ -210,8 +215,8 @@ def channelset_to_json(ch: ChannelSet) -> str:
         "K": ch.K,
         "M": ch.M,
         "N": ch.N,
-        "H": [[_matrix_to_json(ch.H[k, i]) for i in range(ch.K)] for k in range(ch.K)],
-        "Hhat": [[_matrix_to_json(ch.Hhat[k, i]) for i in range(ch.K)] for k in range(ch.K)],
+        "H": complex_pairs(ch.H).tolist(),
+        "Hhat": complex_pairs(ch.Hhat).tolist(),
         "epsilon": float(ch.epsilon),
     }
     return json.dumps(payload)
@@ -224,10 +229,7 @@ def channelset_from_json(text: str) -> ChannelSet:
         raise ConfigurationError(f"invalid channel JSON: {exc}") from exc
     try:
         shape = (payload["K"], payload["K"], payload["N"], payload["M"])
-        H, Hhat = (
-            np.array([[_matrix_from_json(A) for A in row] for row in payload[name]], dtype=complex)
-            for name in ("H", "Hhat")
-        )
+        H, Hhat = (from_pairs(payload[name]) for name in ("H", "Hhat"))
         epsilon = float(payload["epsilon"])
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"malformed channel JSON: {exc}") from exc

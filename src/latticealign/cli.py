@@ -20,9 +20,7 @@ import functools
 import json
 import sys
 
-import numpy as np
-
-from .channel import ChannelSet, SystemConfig, channelset_from_json, snr_db_to_power
+from .channel import ChannelSet, SystemConfig, channelset_from_json, complex_pairs, snr_db_to_power
 from .closedform import (
     SymmetricInstance,
     gain_condition,
@@ -143,18 +141,8 @@ def _cmd_solve(args) -> int:
     payload = {
         "r_min": report.r_min,
         "converged": trace.converged,
-        "coefficients": [
-            [
-                [[int(st.a[k, l, i, n].real), int(st.a[k, l, i, n].imag)]
-                 for i in range(cfg.K) for n in range(cfg.L)]
-                for l in range(cfg.L)
-            ]
-            for k in range(cfg.K)
-        ],
-        "scalings": [
-            [[st.c[k, l].real, st.c[k, l].imag] for l in range(cfg.L)]
-            for k in range(cfg.K)
-        ],
+        "coefficients": complex_pairs(st.a.reshape(cfg.K, cfg.L, -1)).astype(int).tolist(),
+        "scalings": complex_pairs(st.c).tolist(),
         "per_user_power": [st.power(k) for k in range(cfg.K)],
         "report": json.loads(report.to_json()),
     }
@@ -175,10 +163,7 @@ def main(argv=None) -> int:
             return _cmd_analyze_symmetric(args)
         if args.command == "solve":
             return _cmd_solve(args)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # ConfigurationError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     raise AssertionError("unreachable")

@@ -297,19 +297,13 @@ def write_csv(rows: list[ResultRow], path: str, timing: bool = False) -> None:
 
 
 def read_csv(path: str) -> list[ResultRow]:
-    rows: list[ResultRow] = []
+    """The rows of a write_csv file, each cell parsed by its field's type."""
+    parse = {"str": str, "int": int, "float": float, "bool": lambda cell: cell == "1"}
     with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            rows.append(ResultRow(
-                method=rec["method"], K=int(rec["K"]), M=int(rec["M"]),
-                N=int(rec["N"]), L=int(rec["L"]), snr_db=float(rec["snr_db"]),
-                epsilon=float(rec["epsilon"]), trial=int(rec["trial"]),
-                seed=int(rec["seed"]), worst_goodput=float(rec["worst_goodput"]),
-                sum_goodput=float(rec["sum_goodput"]),
-                r_min_design=float(rec["r_min_design"]),
-                converged=rec["converged"] == "1", wall_ms=float(rec["wall_ms"]),
-            ))
-    return rows
+        return [
+            ResultRow(**{f.name: parse[f.type](rec[f.name]) for f in fields(ResultRow)})
+            for rec in csv.DictReader(fh)
+        ]
 
 
 def summarize(rows: list[ResultRow]) -> list[dict]:

@@ -30,6 +30,9 @@ rounding, and the transmit block is deterministic, so a further sweep
 would repeat the same rejected step.  After a kept step it stops once the
 bound rose by at most rate_tol.
 
+Only gamma P enters a bound, so solve runs every block at power budget 1 and
+power gamma P: no block sees gamma, and a design depends on gamma P alone.
+
 optimize_receivers takes a list of designs on one channel: their decoders
 are rows of the same batched fits, each design keeps its own stop test and
 cap, so it ends with the bits a block of it alone gives, and each design's
@@ -74,19 +77,19 @@ _BIG = 1e30  # penalty level for infeasible barrier trial points
 _EPS = float(np.finfo(float).eps)
 # The range of each value the solver carries.  The Newton kernel squares
 # P-scaled curvature terms of up to 1 / _DELTA^3, which overflow from about
-# P = 1e154, or eps = 1e40 at P = 1e100; precoder and filter norms near the
-# absolute _DELTA distort the fits (a design moves by 6e-4 bit at gamma = 1e18).
+# P = 1e154, or eps = 1e40 at P = 1e100; a subnormal P overflows the 1 / P
+# of the least-squares fits.  The blocks run at budget 1 and power gamma P
+# (solve), which gamma's range keeps within [1e-110, 1e110].
 _CARRIED = (
-    ("per-stream power P", 0.0, 1e100),
+    ("per-stream power P", 1e-100, 1e100),
     ("power budget gamma", 1e-10, 1e10),
     ("CSI error bound epsilon", 0.0, 1e20),
 )
 
 
 def check_carried(P: float = 1.0, gamma: float = 1.0, epsilon: float = 0.0) -> None:
-    """Raise ConfigurationError naming the first value the solver cannot
-    carry: a per-stream power P above 1e100 (an SNR of 1000 dB), a power
-    budget gamma outside [1e-10, 1e10] or a CSI error bound above 1e20."""
+    """Raise ConfigurationError naming the first of P, gamma and epsilon that
+    lies outside its range in _CARRIED, the range the solver carries."""
     for (what, lo, hi), val in zip(_CARRIED, (P, gamma, epsilon)):
         if not lo <= val <= hi:
             raise ConfigurationError(
@@ -358,6 +361,7 @@ class _Problems:
 
         terms are the _terms of the current iterates.  Returns (settled per
         row, rows with a kink step, their steps or None when there are none).
+        A row whose kink system is singular gets no kink step.
         """
         e, az, _, nxs, offset = terms
         r = az + offset
@@ -376,7 +380,11 @@ class _Problems:
         hess = hess[rows] + np.einsum("bj,bjkl->bkl", weight, self.AtA[rows])
         pull = np.einsum("bjrk,bjr->bjk", self.A[rows], e[rows])
         grad = grad[rows] + np.einsum("bj,bjk->bk", weight, pull)
-        return settled, rows, -np.linalg.solve(hess, grad[..., None])[..., 0]
+        try:
+            return settled, rows, -np.linalg.solve(hess, grad[..., None])[..., 0]
+        except np.linalg.LinAlgError:  # one singular system fails the whole batch
+            ok = np.linalg.slogdet(hess)[0] != 0  # 0 where the LU factors meet a zero pivot
+            return settled, rows[ok], -np.linalg.solve(hess[ok], grad[ok, :, None])[..., 0]
 
 
 _ARMIJO = 0.25  # sufficient-decrease fraction of the backtracking line search
@@ -703,14 +711,14 @@ def optimize_receivers(
 # ---------------------------------------------------------------------------
 
 
-def _transmit_objective(ch: ChannelSet, st: DesignState, gamma: float):
+def _transmit_objective(ch: ChannelSet, st: DesignState):
     """(fun_grad, x0): the transmit block's barrier objective and strictly feasible start.
 
     In real coordinates x = [t, Re v, Im v, Re a_free, Im a_free] (a_free: a
     off the own streams) both stages' residuals U^H H v - a and
     Utilde^H H v - (c a + e_own) are one affine map z = G x[1:] + z0 (real
     parts first), built here once.  fun_grad(x, q) is the value and gradient
-    of t - (sum log(t - g) + sum log(gamma - ||v_k||^2)) / q, with g the
+    of t - (sum log(t - g) + sum log(1 - ||v_k||^2)) / q, with g the
     smoothed bounds, or big (1 + total violation) outside its domain, with
     big = max(_BIG, 1e20 t0) for the start's epigraph value t0.
     """
@@ -740,7 +748,7 @@ def _transmit_objective(ch: ChannelSet, st: DesignState, gamma: float):
         |z| and |z| + worst-case offset, stream norms, |v|^2 and bounds g (stage, K, L)."""
         z = (G @ x[1:] + z0).reshape(2, 2, K, L, KL)
         v = x[1 : 1 + 2 * n_v].reshape(2, KL, M)
-        # |v|^2 as |complex|^2, since the power slack at the start is ~1e-8 gamma
+        # |v|^2 as |complex|^2, since the power slack at the start is ~1e-8
         n2 = np.abs(v[0] + 1j * v[1]) ** 2
         nvs = np.sqrt(n2.sum(axis=-1) + d2)
         Hs = np.sqrt(z[0] ** 2 + z[1] ** 2 + d2)
@@ -752,7 +760,7 @@ def _transmit_objective(ch: ChannelSet, st: DesignState, gamma: float):
         t = x[0]
         z, v, Hs, HS, nvs, n2, g = bounds_of(x)
         s = t - g
-        ps = gamma - n2.reshape(K, L * M).sum(axis=1)
+        ps = 1.0 - n2.reshape(K, L * M).sum(axis=1)
         if s.min() > 0 and ps.min() > 0:
             lam, lamp = 1.0 / (q * s), 1.0 / (q * ps)
             F = t - (np.sum(np.log(s)) + np.sum(np.log(ps))) / q
@@ -768,13 +776,13 @@ def _transmit_objective(ch: ChannelSet, st: DesignState, gamma: float):
         grad[: 2 * n_v] += (2 * (e / nvs + np.repeat(lamp, L))[:, None] * v).reshape(-1)
         return F, np.concatenate([[gt], grad])
 
-    # strictly feasible start: nudge any user off the power boundary,
+    # strictly feasible start: nudge any user off the unit power budget,
     # then open the epigraph slightly above the current worst bound
     V0 = st.v.copy()
     for k in range(K):
         p = float(np.sum(np.abs(V0[k]) ** 2))
-        if p >= gamma * (1 - 1e-9):
-            V0[k] *= np.sqrt(gamma * (1 - 1e-8) / p)
+        if p >= 1 - 1e-9:
+            V0[k] *= np.sqrt((1 - 1e-8) / p)
     af = st.a.reshape(-1)[free]
     x0 = np.concatenate([[0.0], V0.real.ravel(), V0.imag.ravel(), af.real, af.imag])
     m0 = float(bounds_of(x0)[-1].max())
@@ -1002,29 +1010,29 @@ def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
 
 
 def optimize_precoders(
-    ch: ChannelSet, st: DesignState, gamma: float, cfg: SolverConfig | None = None
+    ch: ChannelSet, st: DesignState, cfg: SolverConfig | None = None
 ) -> tuple[DesignState, float]:
     """Transmit-side block: minimize the epigraph bound t over (v, a, t).
 
     With the receive filters and integer scalings fixed, every residual term
     is affine in (v, a), so bounding each decoder's effective noise power by
-    t and keeping each user inside its power budget is a convex feasibility
-    region.  Both stages' residuals are one real affine map of the real
-    coordinates of (v, a), built once per call (_transmit_objective), so each
-    barrier evaluation is one product with that map and one with its
-    transpose.  A standard log-barrier sweep (multiplier nu per stage,
-    stopped when the barrier duality gap drops below barrier_tol or after
-    the first stage that stalls at one iteration or less) minimizes t; each
-    stage is one minimize call (limited-memory BFGS, at most 5 *
-    max_inner_iters iterations, ftol 1e-15, gtol newton_tol).  The
-    combination coefficients are relaxed to arbitrary complex values here;
-    solve rounds them when it accepts the step.
+    t and keeping each user's power at most 1 (solve's unit budget) is a
+    convex feasibility region.  Both stages' residuals are one real affine
+    map of the real coordinates of (v, a), built once per call
+    (_transmit_objective), so each barrier evaluation is one product with
+    that map and one with its transpose.  A standard log-barrier sweep
+    (multiplier nu per stage, stopped when the barrier duality gap drops
+    below barrier_tol or after the first stage that stalls at one iteration
+    or less) minimizes t; each stage is one minimize call (limited-memory
+    BFGS, at most 5 * max_inner_iters iterations, ftol 1e-15, gtol
+    newton_tol).  The combination coefficients are relaxed to arbitrary
+    complex values here; solve rounds them when it accepts the step.
 
     Returns the updated state and the final epigraph value.
     """
     cfg = cfg or SolverConfig()
     K, L, M = st.v.shape
-    fun_grad, x = _transmit_objective(ch, st, gamma)
+    fun_grad, x = _transmit_objective(ch, st)
     q = 1.0
     n_constraints = 2 * K * L + K
     while True:
@@ -1153,20 +1161,18 @@ def _round_coefficients(st: DesignState) -> DesignState:
     return out
 
 
-def _alternate(
-    ch: ChannelSet, cfg: SystemConfig, solver: SolverConfig, st: DesignState, err: str | None
-):
-    """The alternating solve of one design from its first receive block: that
-    block's state st and error message err (None when it converged).  Every
-    state it keeps is integral and divisor-free, and its r_min never falls.
-    Returns (state, report, trace)."""
+def _alternate(ch: ChannelSet, solver: SolverConfig, st: DesignState, err: str | None):
+    """The alternating solve of one design in solve's units from its first
+    receive block: that block's state st and error message err (None when it
+    converged).  Every state it keeps is integral and divisor-free, and its
+    r_min never falls.  Returns (state, report, trace)."""
     trace = SolveTrace()
     report = rate_report(ch, st)
     trace.add(0, "receivers", report.r_min)
     for step in range(1, solver.max_outer_iters + 1):
         if err is not None:
             break
-        st_cand, _ = optimize_precoders(ch, st, cfg.gamma, solver)
+        st_cand, _ = optimize_precoders(ch, st, solver)
         if rate_report(ch, st_cand).r_min < report.r_min:
             trace.add(step, "precoders", report.r_min)
             trace.stop_reason = "transmit step rejected"
@@ -1189,11 +1195,44 @@ def _alternate(
     if err is not None:
         trace.converged = False
         trace.stop_reason = f"optimize_receivers: {err}"
+    return st, report, trace
 
+
+def _check_problem(ch: ChannelSet, cfg: SystemConfig) -> None:
+    """Raise ConfigurationError where cfg does not fit ch or the solver's range."""
+    if (ch.K, ch.M, ch.N) != (cfg.K, cfg.M, cfg.N):
+        raise ConfigurationError(
+            f"channel dimensions {(ch.K, ch.M, ch.N)} do not match config "
+            f"{(cfg.K, cfg.M, cfg.N)}"
+        )
+    if cfg.epsilon != ch.epsilon:
+        raise ConfigurationError(
+            f"config epsilon {cfg.epsilon!r} does not match the channel's {ch.epsilon!r}"
+        )
+    check_carried(cfg.P, cfg.gamma, cfg.epsilon)
+
+
+def _in_units(cfg: SystemConfig, st: DesignState) -> DesignState:
+    """Start st at budget 1 and power gamma P, or ConfigurationError if it misfits cfg."""
+    K, L, M, N = cfg.K, cfg.L, cfg.M, cfg.N
+    if st.P != cfg.P:
+        raise ConfigurationError(f"start design has P={st.P!r}, config P={cfg.P!r}")
+    for name, shape in zip(_FIELDS, ((K, L, M), (K, L, N), (K, L, N), (K, L, K, L), (K, L))):
+        got = getattr(st, name).shape
+        if got != shape:
+            raise ConfigurationError(f"start design field {name} has shape {got}, not {shape}")
+    r, P = math.sqrt(cfg.gamma), cfg.gamma * cfg.P
+    return DesignState(v=st.v / r, u=st.u * r, utilde=st.utilde * r, a=st.a, c=st.c, P=P)
+
+
+def _from_units(cfg: SystemConfig, st: DesignState) -> DesignState:
+    """st back in cfg's units; raises PowerBudgetError for a user over budget."""
+    r = math.sqrt(cfg.gamma)
+    st = DesignState(v=st.v * r, u=st.u / r, utilde=st.utilde / r, a=st.a, c=st.c, P=cfg.P)
     for k in range(cfg.K):
         if st.power(k) > cfg.gamma * (1 + 1e-9):
             raise PowerBudgetError(k, st.power(k), cfg.gamma)
-    return st, report, trace
+    return st
 
 
 class SolveTraces(list):
@@ -1225,11 +1264,16 @@ def solve(
     cap, or once a kept step raised r_min by at most rate_tol (relative to
     max(1, |r_min|)).
 
+    The blocks run at budget 1 and power gamma P (_in_units, _from_units), so
+    a design depends on gamma P alone; report and trace are those of the
+    design in those units, whose bounds are the returned design's.
+
     Returns (state, report, trace); trace.converged is False when the outer
     loop or a sub-block hit its iteration budget, and trace.stop_reason says
     why the loop stopped.  Raises ConfigurationError when cfg's dimensions or
-    epsilon differ from the channel's, or when P, gamma or epsilon lie outside
-    the range the solver carries (check_carried).
+    epsilon differ from the channel's, when P, gamma or epsilon lie outside
+    the range the solver carries (check_carried), or when a start's P or
+    shapes do not fit cfg; PowerBudgetError for a design over budget.
 
     init_state may also be a list of start designs.  One optimize_receivers
     call over all of them makes their first receive blocks; then each start
@@ -1240,21 +1284,14 @@ def solve(
     first design in list order that raises one; later starts are not run.
     """
     solver = solver or SolverConfig()
-    if (ch.K, ch.M, ch.N) != (cfg.K, cfg.M, cfg.N):
-        raise ConfigurationError(
-            f"channel dimensions {(ch.K, ch.M, ch.N)} do not match config "
-            f"{(cfg.K, cfg.M, cfg.N)}"
-        )
-    if cfg.epsilon != ch.epsilon:
-        raise ConfigurationError(
-            f"config epsilon {cfg.epsilon!r} does not match the channel's {ch.epsilon!r}"
-        )
-    check_carried(cfg.P, cfg.gamma, cfg.epsilon)
+    _check_problem(ch, cfg)
     single = not isinstance(init_state, (list, tuple))
     starts = [init_state] if single else list(init_state)
-    starts = [_round_coefficients(initial_state(ch, cfg) if st0 is None else st0) for st0 in starts]
+    starts = [initial_state(ch, cfg) if st0 is None else st0 for st0 in starts]
+    starts = [_round_coefficients(_in_units(cfg, st0)) for st0 in starts]
     states, _, errors = optimize_receivers(ch, starts, solver)
-    results = [_alternate(ch, cfg, solver, st, err) for st, err in zip(states, errors)]
+    runs = (_alternate(ch, solver, st, err) for st, err in zip(states, errors))  # lazy, in order
+    results = [(_from_units(cfg, st), report, trace) for st, report, trace in runs]
     if single:
         return results[0]
     return [r[0] for r in results], [r[1] for r in results], SolveTraces(r[2] for r in results)
@@ -1306,6 +1343,7 @@ def multi_start(
     blocks, each with the result a solve of it alone gives; the first start
     with the best objective is returned.
     """
+    _check_problem(ch, cfg)  # before the starts are built
     starts = _starts(ch, cfg, n_starts)
     starts += [state_from_precoders(cfg, V) for V in extra_precoders]
     results = zip(*solve(ch, cfg, solver, init_state=starts))

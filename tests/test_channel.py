@@ -221,3 +221,28 @@ def test_channelset_json_rejects_malformed():
         ):
             with pytest.raises(ConfigurationError, match="malformed"):
                 channelset_from_json(json.dumps(dict(good, **{name: links})))
+
+
+def test_channelset_json_pairs_keep_signed_zeros_and_reject_non_pairs():
+    """The [re, im] codec reads the pairs as they are written, -0.0 included,
+    and a ragged list, a pair of another length or a non-number is malformed."""
+    cfg = SystemConfig(K=1, M=2, N=2, L=1, P=10.0, seed=32)
+    ch = generate_channels(cfg)
+    ch.H[0, 0, 0, 0] = ch.Hhat[0, 0, 0, 0] = complex(-0.0, -0.0)
+    text = channelset_to_json(ch)
+    assert "[-0.0, -0.0]" in text
+    back = channelset_from_json(text)
+    assert back.H.tobytes() == ch.H.tobytes() and back.Hhat.tobytes() == ch.Hhat.tobytes()
+    assert channelset_to_json(back) == text
+    good = json.loads(text)
+    link = good["H"][0][0]
+    for bad in (
+        [[[link[0], link[1][:1]]]],  # a ragged row
+        [[[[z + [0.0] for z in row] for row in link]]],  # [re, im, 0] triples
+        [[[[z[:1] for z in row] for row in link]]],  # single numbers in brackets
+        [[[[["1.0", "0.0"]] * 2] * 2]],  # numbers as strings
+        [[[[[None, 0.0]] * 2] * 2]],
+        [[[[[True, False]] * 2] * 2]],
+    ):
+        with pytest.raises(ConfigurationError, match="malformed"):
+            channelset_from_json(json.dumps(dict(good, H=bad)))

@@ -130,6 +130,16 @@ def test_solve_rejects_a_power_the_solver_cannot_carry(tmp_path, capsys, snr_db)
     assert f"per-stream power P=1e+{int(snr_db) // 10}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("snr_db", ["-1100", "-2990", "-3200"])
+def test_solve_rejects_a_power_below_the_range_it_carries(tmp_path, capsys, snr_db):
+    """A subnormal power overflowed the least-squares fits, and a tiny one
+    returned r_min 0; below -1000 dB the power is rejected, naming it."""
+    path = _channel_file(tmp_path)
+    assert main(["solve", "--channel", str(path), "--snr-db", snr_db]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "per-stream power P=1e-" in err and "[1e-100, 1e+100]" in err
+
+
 def test_solve_carries_a_power_of_1000_db(tmp_path, capsys):
     path = _channel_file(tmp_path)
     assert main(["solve", "--channel", str(path), "--snr-db", "1000"]) == EXIT_OK
@@ -301,6 +311,26 @@ def test_simulate_rejects_an_epsilon_the_solver_cannot_carry(tmp_path, capsys, m
     path = _sim_config(tmp_path, methods=methods, epsilon_grid=[0.1, 1e100])
     assert main(["simulate", "--config", str(path)]) == EXIT_CONFIG
     assert "epsilon=1e+100" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("methods", [["lattice"], ["tdma", "lattice"]])
+def test_simulate_rejects_a_power_below_the_solver_range(tmp_path, capsys, monkeypatch, methods):
+    from latticealign import cli
+
+    monkeypatch.setattr(cli, "run_experiment", _no_trials)
+    path = _sim_config(tmp_path, methods=methods, snr_db_grid=[10.0, -3200.0])
+    assert main(["simulate", "--config", str(path)]) == EXIT_CONFIG
+    assert "per-stream power P=1e-320" in capsys.readouterr().err
+
+
+def test_simulate_runs_at_a_huge_epsilon(tmp_path, capsys):
+    """At eps = 1e18 a receive fit's kink system is singular, which ended
+    the run with a bare "Singular matrix"; that fit now takes no kink step."""
+    methods = ["lattice", "tdma", "two_stage_ml", "distributive_ia", "conventional_ia"]
+    path = _sim_config(tmp_path, methods=methods, epsilon_grid=[1e18], trials=3, seed=7)
+    out = tmp_path / "rows.csv"
+    assert main(["simulate", "--config", str(path), "--output", str(out)]) == EXIT_OK
+    assert "wrote 15 rows" in capsys.readouterr().out
 
 
 def test_simulate_takes_an_epsilon_beyond_the_solver_for_baselines_only(tmp_path):

@@ -1,5 +1,6 @@
 """Alternating solver: gradients, blocks, safeguards, full pipeline."""
 
+import functools
 import os
 import re
 import subprocess
@@ -243,9 +244,9 @@ def test_optimize_precoders_stays_in_budget_and_helps():
     st = initial_state(ch, cfg, "random_unit", seed=28, init_a="round")
     st, _ = _receive_block(ch, st)
     r_before = rate_report(ch, st).r_min
-    st2, t_val = optimize_precoders(ch, st, cfg.gamma)
+    st2, t_val = optimize_precoders(ch, st)
     for k in range(cfg.K):
-        assert st2.power(k) <= cfg.gamma + 1e-9
+        assert st2.power(k) <= 1 + 1e-9  # the unit budget
     assert np.isfinite(t_val)
     # the epigraph bound equals the worst denominator up to barrier slack
     assert rate_report(ch, st2).r_min >= r_before - 0.05
@@ -301,6 +302,10 @@ def test_solve_rejects_mismatched_dimensions():
     bad = SystemConfig(K=4, M=2, N=2, L=1, P=10.0)
     with pytest.raises(ConfigurationError):
         solve(ch, bad)
+    # multi_start checks before it builds its starts, which failed in numpy
+    for bad in (replace(bad, K=2), replace(bad, K=3, M=3)):
+        with pytest.raises(ConfigurationError, match="channel dimensions"):
+            multi_start(ch, bad, n_starts=2)
 
 
 def test_solve_with_explicit_initial_state():
@@ -645,6 +650,23 @@ def test_newton_batch_rows_equal_their_solves_alone(eps, monkeypatch):
             assert _same_bits(x[i : i + 1], x1) and ok[i] == ok1[0]
 
 
+def test_a_singular_kink_system_drops_only_its_own_step():
+    """Both rows' steps cross the kink of |x_0 + i x_1 - 5|.  Row 0's kink
+    system, the kink's rank-two stiffness on a zero Hessian in four
+    dimensions, is singular, which failed the whole batched solve; it gets
+    no kink step and row 1 keeps its own."""
+    A = np.zeros((2, 1, 2, 4))
+    A[:, 0, [0, 1], [0, 1]] = 1.0
+    prob = _Problems(A, np.tile([5.0, 0.0], (2, 1, 1)), np.zeros((2, 1)), 10.0)
+    x, dx = np.zeros((2, 4)), np.tile([10.0, 0, 0, 0], (2, 1))
+    grad, hess = np.zeros((2, 4)), np.stack([np.zeros((4, 4)), np.eye(4)])
+    _, rows, steps = prob.kinks(dx, grad, hess, 1e-7, prob._terms(x))
+    assert rows.tolist() == [1] and steps.shape == (1, 4)
+    alone = prob.take([1])
+    _, rows1, steps1 = alone.kinks(dx[1:], grad[1:], hess[1:], 1e-7, alone._terms(x[1:]))
+    assert rows1.tolist() == [0] and _same_bits(steps, steps1)
+
+
 def _two_call_receive_reference(ch, st, cfg):
     """The receive block as two kinds of call: one batch of stage-one fits,
     then the stage-two sweeps, each its own batch, until the block's stop rule."""
@@ -703,7 +725,7 @@ def test_receive_block_makes_no_scipy_calls(monkeypatch):
         ch, cfg, st = _shaped_instance(*shape, 0.1, seed=990 + sum(shape))
         st, _ = _receive_block(ch, st)
         assert calls == []
-    optimize_precoders(ch, st, cfg.gamma)  # the transmit block's barrier stages
+    optimize_precoders(ch, st)  # the transmit block's barrier stages
     assert calls
 
 
@@ -791,7 +813,7 @@ def test_power_budget_violation_names_user_and_power(monkeypatch):
     ch, cfg = _random_instance(seed=46)
     st0 = state_from_precoders(cfg, np.ones((3, 1, 2), dtype=complex))
     st0.v = st0.v * 2.0
-    monkeypatch.setattr(solver_mod, "optimize_precoders", lambda ch, st, gamma, cfg=None: (st, 0.0))
+    monkeypatch.setattr(solver_mod, "optimize_precoders", lambda ch, st, cfg=None: (st, 0.0))
     with pytest.raises(PowerBudgetError, match="user 0") as info:
         solve(ch, cfg, init_state=st0)
     assert info.value.power == pytest.approx(4 * cfg.gamma)
@@ -831,7 +853,7 @@ def test_barrier_sweep_ends_at_a_stalled_first_stage(monkeypatch):
     ch, cfg, st = _receive_block_output()
     assert np.allclose([st.power(k) for k in range(cfg.K)], cfg.gamma)
     calls = _count_calls(monkeypatch, "minimize")
-    optimize_precoders(ch, st, cfg.gamma)
+    optimize_precoders(ch, st)
     assert [res.nit for res in calls["minimize"]] == [1]
 
 
@@ -841,11 +863,11 @@ def test_barrier_sweep_continues_after_a_stage_that_moves(monkeypatch):
     ch, cfg, st = _receive_block_output()
     st.v = st.v * np.sqrt(0.5)
     calls = _count_calls(monkeypatch, "minimize")
-    out, _ = optimize_precoders(ch, st, cfg.gamma)
+    out, _ = optimize_precoders(ch, st)
     nits = [res.nit for res in calls["minimize"]]
     assert len(nits) > 1
     assert min(nits[:-1]) >= 2
-    assert max(out.power(k) for k in range(cfg.K)) <= cfg.gamma
+    assert max(out.power(k) for k in range(cfg.K)) <= 1
 
 
 def _quadratic(n=25, cond=1e4, seed=0):
@@ -868,7 +890,7 @@ def _barrier_stage(scale, q):
     precoders carry scale times the power budget."""
     ch, cfg, st = _receive_block_output()
     st.v = st.v * np.sqrt(scale)
-    fun_grad, x0 = _transmit_objective(ch, st, cfg.gamma)
+    fun_grad, x0 = _transmit_objective(ch, st)
     return lambda x: fun_grad(x, q), x0
 
 
@@ -1388,7 +1410,7 @@ def test_solve_rejects_a_rounded_step_that_loses_rate(monkeypatch):
     receive block, integer and divisor-free."""
     from latticealign import solver as solver_mod
 
-    def transmit(ch, st, gamma, cfg=None):
+    def transmit(ch, st, cfg=None):
         out = st.copy()
         out.u, out.a, out.c = st.u / 4, st.a / 4, st.c * 4
         return out, 0.0
@@ -1398,7 +1420,7 @@ def test_solve_rejects_a_rounded_step_that_loses_rate(monkeypatch):
     first, _ = _receive_block(ch, _round_coefficients(st0))
     monkeypatch.setattr(solver_mod, "optimize_precoders", transmit)
     st, rep, trace = solve(ch, cfg, init_state=st0)
-    assert rate_report(ch, transmit(ch, first, cfg.gamma)[0]).r_min >= rate_report(ch, first).r_min
+    assert rate_report(ch, transmit(ch, first)[0]).r_min >= rate_report(ch, first).r_min
     assert trace.stop_reason == "rounded transmit step rejected"
     assert trace.converged
     assert _same_design(st, first)
@@ -1477,7 +1499,7 @@ def test_solve_batches_only_the_first_receive_blocks(monkeypatch):
     accepted, so every start refits it once and stops at rate_tol."""
     from latticealign import solver as solver_mod
 
-    monkeypatch.setattr(solver_mod, "optimize_precoders", lambda ch, st, gamma, cfg=None: (st, 0.0))
+    monkeypatch.setattr(solver_mod, "optimize_precoders", lambda ch, st, cfg=None: (st, 0.0))
     sizes = _receive_call_sizes(monkeypatch)
     ch, cfg = _random_instance(eps=0.1, seed=42)
     starts = _lockstep_starts(ch, cfg)
@@ -1499,11 +1521,11 @@ def test_lockstep_raises_the_first_failing_design_in_start_order(monkeypatch):
         over[user] = fine.copy()
         over[user].v[user] *= 2.0
 
-    def transmit(ch, st, gamma, cfg=None):
-        # keep the precoders; the design over budget on user 2 gets a worse
-        # step, so it stops and raises a round before the other one
+    def transmit(ch, st, cfg=None):
+        # keep the precoders; the design over the unit budget on user 2 gets
+        # a worse step, so it stops and raises a round before the other one
         st = st.copy()
-        if st.power(2) > 2 * gamma:
+        if st.power(2) > 2:
             st.utilde[:] = 0.0
         return st, 0.0
 
@@ -1527,7 +1549,7 @@ def test_lockstep_raises_the_first_failing_design_in_start_order(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _transmit_reference(ch, st, gamma):
+def _transmit_reference(ch, st):
     """The barrier objective of the transmit block in its einsum form, which
     unpacks x to complex (v, a) and rebuilds both stages' residuals per call;
     returns (fun_grad, x0) like _transmit_objective."""
@@ -1562,7 +1584,7 @@ def _transmit_reference(ch, st, gamma):
 
     def fun_grad(x, q):
         t, V, A = unpack(x)
-        ps = gamma - np.sum(np.abs(V) ** 2, axis=(1, 2))
+        ps = 1.0 - np.sum(np.abs(V) ** 2, axis=(1, 2))
         ((Z1, H1, S1, g1), (Z2, H2, S2, g2)), nvs = bounds(V, A)
         s1, s2 = t - g1, t - g2
         if s1.min() > 0 and s2.min() > 0 and ps.min() > 0:
@@ -1595,8 +1617,8 @@ def _transmit_reference(ch, st, gamma):
     V0 = st.v.copy()
     for k in range(K):
         p = float(np.sum(np.abs(V0[k]) ** 2))
-        if p >= gamma * (1 - 1e-9):
-            V0[k] *= np.sqrt(gamma * (1 - 1e-8) / p)
+        if p >= 1 - 1e-9:
+            V0[k] *= np.sqrt((1 - 1e-8) / p)
     (_, _, _, g1), (_, _, _, g2) = bounds(V0, st.a)[0]
     m0 = float(max(g1.max(), g2.max()))
     t0 = m0 + max(1e-4, 0.02 * (1 + abs(m0)))
@@ -1621,8 +1643,8 @@ def test_transmit_map_matches_the_einsum_objective(shape, eps):
     st.a[own_stream_indicator(st.K, st.L) == 0] += 0.3 * complex_gaussian(
         rng, st.a.shape
     )[own_stream_indicator(st.K, st.L) == 0]
-    fun_grad, x0 = _transmit_objective(ch, st, cfg.gamma)
-    ref, x0_ref = _transmit_reference(ch, st, cfg.gamma)
+    fun_grad, x0 = _transmit_objective(ch, st)
+    ref, x0_ref = _transmit_reference(ch, st)
     assert np.array_equal(x0[1:], x0_ref[1:])
     assert x0[0] == pytest.approx(x0_ref[0], rel=1e-12)
 
@@ -1679,3 +1701,68 @@ def test_solve_and_multi_start_traces_never_decrease(shape, eps, seed):
     ch = perturb_csi(generate_channels(cfg), eps, seed=seed + 1000)
     _assert_monotone_to_the_end(*solve(ch, cfg)[1:])
     _assert_monotone_to_the_end(*multi_start(ch, cfg, n_starts=2)[1:])
+
+
+# ---------------------------------------------------------------------------
+# power units: a design depends on gamma P alone
+# ---------------------------------------------------------------------------
+
+
+def _units_channel(L):
+    """The CI 2x2 channel (L = 1) or a K=3, M=N=4 channel (L = 2), at eps 0.1."""
+    M, seeds = (2, (5, 6)) if L == 1 else (4, (11, 12))
+    cfg = SystemConfig(K=3, M=M, N=M, L=L, P=10.0, seed=seeds[0])
+    return perturb_csi(generate_channels(cfg), 0.1, seed=seeds[1])
+
+
+@functools.cache
+def _design_at(L, power, gamma):
+    """multi_start's design on _units_channel(L) at budget gamma and gamma P = power."""
+    ch = _units_channel(L)
+    cfg = SystemConfig(K=3, M=ch.M, N=ch.N, L=L, P=power / gamma, gamma=gamma, epsilon=0.1)
+    return ch, multi_start(ch, cfg, n_starts=2)
+
+
+@pytest.mark.parametrize("j", [-16, -8, -1, 1, 3, 8, 16])
+@pytest.mark.parametrize("L, power", [(1, 10.0), (1, 1000.0), (2, np.sqrt(10.0))])
+def test_a_design_depends_on_gamma_p_alone(L, power, j):
+    """At gamma = 4^j every map between the caller's units and solve's is a
+    power of two, so the design at gamma is the gamma = 1 design with its
+    precoders times 2^j and its filters over 2^j, to the bit."""
+    _, (st1, rep1, _) = _design_at(L, power, 1.0)
+    _, (st, rep, _) = _design_at(L, power, 4.0**j)
+    assert st.P == power / 4.0**j
+    assert _same_bits(st.a, st1.a) and _same_bits(st.c, st1.c)
+    assert _same_bits(st.v * 2.0**-j, st1.v)
+    assert _same_bits(st.u * 2.0**j, st1.u) and _same_bits(st.utilde * 2.0**j, st1.utilde)
+    assert rep.r_min == rep1.r_min
+
+
+def test_the_report_of_a_mapped_design_is_its_own():
+    """solve reports the bounds of the design in its own units; the returned
+    design, mapped back to gamma = 10, has them to rounding."""
+    ch, (st, rep, _) = _design_at(1, 1000.0, 10.0)
+    assert st.P == 100.0
+    assert all(st.power(k) <= 10.0 * (1 + 1e-9) for k in range(st.K))
+    assert abs(rate_report(ch, st).r_min - rep.r_min) <= 1e-12 * max(1.0, abs(rep.r_min))
+
+
+def test_solve_rejects_a_start_that_does_not_fit_the_config():
+    """A start at another power would be solved at that power, past the
+    range check, and a start of the wrong shape failed in numpy's
+    broadcasting; both are rejected naming the field."""
+    ch = _units_channel(1)
+    cfg = SystemConfig(K=3, M=2, N=2, L=1, P=10.0, epsilon=0.1)
+    st0 = initial_state(ch, replace(cfg, P=1e150))
+    with pytest.raises(ConfigurationError, match="P=1e"):
+        solve(ch, cfg, init_state=st0)
+    st0 = initial_state(ch, cfg)
+    wrong = {"v": (3, 1, 1), "u": (3, 1, 3), "utilde": (3, 2, 2), "a": (3, 1, 3, 2), "c": (3, 2)}
+    for name, shape in wrong.items():
+        bad = st0.copy()
+        setattr(bad, name, np.zeros(shape, dtype=complex))
+        with pytest.raises(ConfigurationError, match=f"field {name} "):
+            solve(ch, cfg, init_state=[initial_state(ch, cfg), bad])
+    bad = state_from_precoders(replace(cfg, K=2), np.ones((2, 1, 2)))
+    with pytest.raises(ConfigurationError, match="field v "):
+        solve(ch, cfg, init_state=bad)
