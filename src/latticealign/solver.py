@@ -21,14 +21,16 @@ or convex:
 Every design the outer loop keeps has Gaussian-integer coefficients free
 of common divisors (dividing one out can only help the aggregate-decoding
 rate), and its worst rate bound never falls.  A transmit step is accepted
-only when it does not lower that bound; its relaxed coefficients are then
-rounded, the receive side is refit to them, and the refit is kept only
-when it does not lower the bound either.  The loop stops at the first
-rejected step or refit: the state is then the receive block's own output,
-which a second pass of that block leaves with the same rates up to
-rounding, and the transmit block is deterministic, so a further sweep
-would repeat the same rejected step.  After a kept step it stops once the
-bound rose by at most rate_tol.
+only when it raises that bound; its relaxed coefficients are then rounded,
+the receive side is refit to them, and the refit is kept only when it does
+not lower the bound.  The loop stops at the first rejected step or refit:
+the state is then the receive block's own output, which a second pass of
+that block leaves with the same rates up to rounding, and the transmit
+block is deterministic, so a further sweep would repeat the same rejected
+step.  After a kept step it stops once the bound rose by at most rate_tol.
+That is the one loop rate_tol stops: the receive block's fixed point ends
+at the first sweep that changes no scaling c.  max_inner_iters caps the
+receive side alone; each barrier stage has the fixed cap _STAGE_ITERS.
 
 Only gamma P enters a bound, so solve runs every block at power budget 1 and
 power gamma P: no block sees gamma, and a design depends on gamma P alone.
@@ -110,14 +112,13 @@ class SolverConfig:
     newton_tol: Newton-decrement tolerance of the robust filter fits, and the
         gradient tolerance (max |g|) of each barrier stage's minimize.
     max_outer_iters: cap on the receive/transmit alternations of solve.
-    max_inner_iters: caps three loops: the Newton steps of each filter fit,
-        the minimize iterations (times 5) of each barrier stage, and the
-        sweeps of the receive-side fixed point.  A receive block that hits
-        a cap ends the solve, flagged as not converged; at a cap of 1 the
-        first block always does, and solve returns that block's design.
+    max_inner_iters: caps the receive side: the Newton steps of each filter
+        fit and the sweeps of the receive-side fixed point.  A receive block
+        that hits a cap ends the solve, flagged as not converged, and solve
+        returns that block's design.  Each barrier stage has its own fixed
+        cap (_STAGE_ITERS).
     rate_tol: solve stops after a kept transmit step once r_min rose by at
-        most rate_tol * max(1, |r_min|); the receive fixed point stops once
-        no stage-two rate moves by rate_tol or more.
+        most rate_tol * max(1, |r_min|).  It stops no other loop.
     """
 
     barrier_nu: float = 10.0
@@ -610,10 +611,9 @@ def _stage2_joint_update(ch: ChannelSet, st, cfg: SolverConfig, kk, ll, k1=(), l
     one depends on neither utilde nor c.  A new u is written where it
     lowers its stage-one objective.
 
-    Returns, per decoder, its stage-two objective after the update, whether
-    a new pair was written and whether its scaling changed; then the
-    decoders (k, l) of the stage-one and of the stage-two fits that hit the
-    iteration cap.
+    Returns, per decoder, whether its scaling changed; then the decoders
+    (k, l) of the stage-one and of the stage-two fits that hit the iteration
+    cap.
     """
     cands = scaling_candidates(ch, st, kk, ll)
     # the NaN padding scores NaN, which a sort puts last
@@ -642,29 +642,27 @@ def _stage2_joint_update(ch: ChannelSet, st, cfg: SolverConfig, kk, ll, k1=(), l
     st.c[kk[take], ll[take]] = cands[best][take]
     st.utilde[kk[take], ll[take]] = u_all[best][take]
     capped = [(k1[failed[:n1]], l1[failed[:n1]]), (kr[failed[n1:]], lr[failed[n1:]])]
-    return np.where(take, f_g[best], f_cur), take, changed, capped
+    return changed, capped
 
 
 def optimize_receivers(
     ch: ChannelSet, designs: list[DesignState], cfg: SolverConfig | None = None
-) -> tuple[list[DesignState], list[list[np.ndarray]], list[str | None]]:
+) -> tuple[list[DesignState], list[str | None]]:
     """Receive-side block of each design: refit every u once, then alternate utilde and c.
 
     Precoders and combination coefficients stay fixed.  Each u is the exact
     (or Newton-refined) minimizer of its stage-one objective, fitted with the
-    first sweep's stage-two refits; each (utilde, c) pair is improved jointly
-    until a fixed point, and every update is accepted only if it lowers its
-    objective, so the per-decoder rate bounds are non-decreasing along each
-    design's trace of stage-two rate arrays.
-    The fixed point is reached after a sweep that writes nothing (a further
-    sweep would repeat it), or once no scaling changed and no stage-two rate
-    moved by rate_tol since the sweep before.
+    first sweep's stage-two refits; each (utilde, c) pair is improved jointly,
+    and every update is accepted only if it lowers its objective, so no
+    decoder's stage-one or stage-two rate bound falls.  A design's fixed
+    point ends at the first sweep that changes none of its scalings: each
+    stage-two fit is then already solved to newton_tol for its scaling.
 
     designs is a list of designs on this channel, whose decoders are rows of
     the same batches; each design keeps its own stop test and cap, so it gets
-    the bits a call on it alone gives.  Returns (states, traces, errors), one
-    entry per design; errors holds None, or the message of the design's
-    first cap: the fixed point's or a filter fit's.  No cap is raised.
+    the bits a call on it alone gives.  Returns (states, errors), one entry
+    per design; errors holds None, or the message of the design's first
+    cap: the fixed point's or a filter fit's.  No cap is raised.
     """
     cfg = cfg or SolverConfig()
     S = _Stack.of(ch, designs)
@@ -682,28 +680,19 @@ def optimize_receivers(
     S.u[kk[~live], ll[~live]] = 0.0  # no aggregate to decode
     first = kk[live], ll[live]  # the stage-one fits, made with the first sweep
 
-    traces: list[list[np.ndarray]] = [[] for _ in range(n)]
     running = np.ones(n, dtype=bool)
     for _ in range(cfg.max_inner_iters):
         rows = running[S.split(kk)[0]]
-        noise, wrote, changed, capped = _stage2_joint_update(ch, S, cfg, kk[rows], ll[rows], *first)
+        changed, capped = _stage2_joint_update(ch, S, cfg, kk[rows], ll[rows], *first)
         first = ()
         for fits in capped:  # stage one's first
             note(*fits)
-        # the rows of each running design, in design order
-        mu = np.log2(S.P / noise).reshape(-1, K, L)
-        wrote, changed = wrote.reshape(-1, K * L).any(1), changed.reshape(-1, K * L).any(1)
-        for i, d in enumerate(np.flatnonzero(running)):
-            tr = traces[d]
-            tr.append(mu[i])
-            settled = len(tr) > 1 and not changed[i]
-            settled = settled and float(np.max(np.abs(mu[i] - tr[-2]))) < cfg.rate_tol
-            running[d] = wrote[i] and not settled
+        running[running] = changed.reshape(-1, K * L).any(1)  # the running rows, in design order
         if not running.any():
             break
 
     cap = "receive-side fixed-point iteration hit the iteration cap"
-    return S.designs(), traces, [cap if running[d] else errs[d] for d in range(n)]
+    return S.designs(), [cap if running[d] else errs[d] for d in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -799,6 +788,9 @@ def _transmit_objective(ch: ChannelSet, st: DesignState):
 _MEMORY = 10
 _STEP_MAX = 1e10
 _MAX_TRIALS = 20
+# The minimize iterations of each barrier stage: the transmit block's own
+# budget, since max_inner_iters caps only the receive side.
+_STAGE_ITERS = 750
 
 
 @dataclass(frozen=True)
@@ -1024,9 +1016,9 @@ def optimize_precoders(
     (multiplier nu per stage, stopped when the barrier duality gap drops
     below barrier_tol or after the first stage that stalls at one iteration
     or less) minimizes t; each stage is one minimize call (limited-memory
-    BFGS, at most 5 * max_inner_iters iterations, ftol 1e-15, gtol
-    newton_tol).  The combination coefficients are relaxed to arbitrary
-    complex values here; solve rounds them when it accepts the step.
+    BFGS, at most _STAGE_ITERS iterations, ftol 1e-15, gtol newton_tol).
+    The combination coefficients are relaxed to arbitrary complex values
+    here; solve rounds them when it accepts the step.
 
     Returns the updated state and the final epigraph value.
     """
@@ -1039,7 +1031,7 @@ def optimize_precoders(
         res = minimize(
             functools.partial(fun_grad, q=q),
             x,
-            maxiter=cfg.max_inner_iters * 5,
+            maxiter=_STAGE_ITERS,
             ftol=1e-15,
             gtol=cfg.newton_tol,
         )
@@ -1173,11 +1165,11 @@ def _alternate(ch: ChannelSet, solver: SolverConfig, st: DesignState, err: str |
         if err is not None:
             break
         st_cand, _ = optimize_precoders(ch, st, solver)
-        if rate_report(ch, st_cand).r_min < report.r_min:
+        if rate_report(ch, st_cand).r_min <= report.r_min:
             trace.add(step, "precoders", report.r_min)
             trace.stop_reason = "transmit step rejected"
             break
-        (st_cand,), _, (err,) = optimize_receivers(ch, [_round_coefficients(st_cand)], solver)
+        (st_cand,), (err,) = optimize_receivers(ch, [_round_coefficients(st_cand)], solver)
         rep_cand = rate_report(ch, st_cand)
         if rep_cand.r_min < report.r_min:
             trace.add(step, "precoders", report.r_min)
@@ -1255,14 +1247,14 @@ def solve(
     Alternates the receive-side and transmit-side blocks from init_state, or
     from initial_state(ch, cfg) when none is given, with its coefficients
     first rounded to Gaussian integers and common divisors divided out
-    (_round_coefficients).  An accepted transmit step is rounded the same
-    way and its receive refit kept only when its r_min is at least the
-    current one, so the trace of r_min never falls and ends at the returned
-    r_min.  The loop stops at the first rejected step or refit (the state is
-    then the receive block's own output, and another sweep would repeat the
-    same rejected barrier solve), at a receive block that hits its iteration
-    cap, or once a kept step raised r_min by at most rate_tol (relative to
-    max(1, |r_min|)).
+    (_round_coefficients).  A transmit step is accepted only when it raises
+    r_min; it is then rounded the same way and its receive refit kept only
+    when its r_min is at least the current one, so the trace of r_min never
+    falls and ends at the returned r_min.  The loop stops at the first
+    rejected step or refit (the state is then the receive block's own
+    output, and another sweep would repeat the same rejected barrier
+    solve), at a receive block that hits its iteration cap, or once a kept
+    step raised r_min by at most rate_tol (relative to max(1, |r_min|)).
 
     The blocks run at budget 1 and power gamma P (_in_units, _from_units), so
     a design depends on gamma P alone; report and trace are those of the
@@ -1289,7 +1281,7 @@ def solve(
     starts = [init_state] if single else list(init_state)
     starts = [initial_state(ch, cfg) if st0 is None else st0 for st0 in starts]
     starts = [_round_coefficients(_in_units(cfg, st0)) for st0 in starts]
-    states, _, errors = optimize_receivers(ch, starts, solver)
+    states, errors = optimize_receivers(ch, starts, solver)
     runs = (_alternate(ch, solver, st, err) for st, err in zip(states, errors))  # lazy, in order
     results = [(_from_units(cfg, st), report, trace) for st, report, trace in runs]
     if single:

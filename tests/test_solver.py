@@ -28,6 +28,7 @@ from latticealign.rates import (
     own_stream_indicator,
     rate_report,
     stage1_denominators,
+    stage1_rates,
     stage2_denominators,
     stage2_rates,
     stage_targets,
@@ -69,10 +70,10 @@ def _random_instance(K=3, eps=0.0, seed=0, P=10.0):
 
 
 def _receive_block(ch, st, cfg=None):
-    """(state, trace) of one design's receive block, which must converge."""
-    (st,), (trace,), (err,) = optimize_receivers(ch, [st], cfg)
+    """The state of one design's receive block, which must converge."""
+    (st,), (err,) = optimize_receivers(ch, [st], cfg)
     assert err is None, err
-    return st, trace
+    return st
 
 
 def test_solver_config_validation():
@@ -211,21 +212,23 @@ def test_scaling_all_zero_coefficients_returns_one():
     assert optimize_scaling(ch, st, 0, 0) == GaussianInt(1, 0)
 
 
-def test_optimize_receivers_monotone_stage2_trace():
+def test_optimize_receivers_never_lowers_a_decoder_rate():
+    """No decoder's stage-one or stage-two rate bound falls from the block's
+    input to its output, and the block raises some of them."""
     for i, eps in enumerate([0.0, 0.1]):
         ch, cfg = _random_instance(eps=eps, seed=700 + i)
         st = initial_state(ch, cfg, "random_unit", seed=800 + i, init_a="round")
-        st2, trace = _receive_block(ch, st)
-        for prev, cur in zip(trace, trace[1:]):
-            assert np.all(cur >= prev - 1e-9)
-        # returned state realizes the last trace entry
-        assert np.allclose(stage2_rates(ch, st2), trace[-1])
+        st2 = _receive_block(ch, st)
+        for rates in (stage1_rates, stage2_rates):
+            before, after = rates(ch, st), rates(ch, st2)
+            assert np.all(after >= before - 1e-9)
+        assert np.any(after > before + 1e-6)
 
 
 def test_optimize_receivers_zero_coefficients_use_zero_stage1_filter():
     ch, cfg = _random_instance(seed=26)
     st = initial_state(ch, cfg, "identity_like", init_a="zero")
-    st2, _ = _receive_block(ch, st)
+    st2 = _receive_block(ch, st)
     assert np.all(st2.u == 0)
     assert np.all(st2.a == 0)
 
@@ -235,14 +238,14 @@ def test_optimize_receivers_escapes_initial_scaling():
     inst = SymmetricInstance(K=3, h=GaussianInt(2, 0), P=4.0)
     ch, cfg = symmetric_channelset(inst)
     st = initial_state(ch, cfg, "identity_like", init_a="round")
-    st2, _ = _receive_block(ch, st)
+    st2 = _receive_block(ch, st)
     assert np.allclose(st2.c, 2.0)
 
 
 def test_optimize_precoders_stays_in_budget_and_helps():
     ch, cfg = _random_instance(seed=27)
     st = initial_state(ch, cfg, "random_unit", seed=28, init_a="round")
-    st, _ = _receive_block(ch, st)
+    st = _receive_block(ch, st)
     r_before = rate_report(ch, st).r_min
     st2, t_val = optimize_precoders(ch, st)
     for k in range(cfg.K):
@@ -669,7 +672,8 @@ def test_a_singular_kink_system_drops_only_its_own_step():
 
 def _two_call_receive_reference(ch, st, cfg):
     """The receive block as two kinds of call: one batch of stage-one fits,
-    then the stage-two sweeps, each its own batch, until the block's stop rule."""
+    then the stage-two sweeps, each its own batch, until the block's stop
+    rule.  Returns the state and the number of sweeps."""
     st = st.copy()
     kk, ll = _decoder_grid(st)
     live = np.any(st.a != 0, axis=(2, 3)).reshape(-1)
@@ -681,33 +685,33 @@ def _two_call_receive_reference(ch, st, cfg):
         ch, st, k1, l1, 1, cur
     )
     st.u[k1[better], l1[better]] = cand[better]
-    trace = []
-    for _ in range(cfg.max_inner_iters):
-        noise, wrote, changed, _ = _stage2_joint_update(ch, st, cfg, kk, ll)
-        trace.append(np.log2(st.P / noise).reshape(st.K, st.L))
-        settled = len(trace) > 1 and not changed.any()
-        if not wrote.any() or settled and np.max(np.abs(trace[-1] - trace[-2])) < cfg.rate_tol:
+    for sweeps in range(1, cfg.max_inner_iters + 1):
+        changed, _ = _stage2_joint_update(ch, st, cfg, kk, ll)
+        if not changed.any():
             break
-    return st, trace
+    return st, sweeps
 
 
 @pytest.mark.parametrize("eps", [0.1, 0.25])
 @pytest.mark.parametrize("shape", _SHAPES)
-def test_shared_first_sweep_batch_equals_two_calls(shape, eps):
+def test_shared_first_sweep_batch_equals_two_calls(shape, eps, monkeypatch):
     """Fitting the stage-one filters in the first sweep's batch gives the
     bits of a stage-one call followed by the stage-two sweeps.  The start is
-    a receive block's output with fresh stage-two filters, so the stage-one
-    fits start from their warm starts and the sweeps have work to do."""
+    a receive block's output with fresh stage-two filters and scalings: the
+    stage-one fits start from their warm starts, and the sweeps have work
+    to do."""
     ch, cfg, st = _shaped_instance(*shape, eps, seed=1400 + sum(shape))
     st.a[0, 0] = 0.0  # one decoder without an aggregate
     cfg = SolverConfig()
-    st, _ = _receive_block(ch, st, cfg)
-    st.utilde = complex_gaussian(np.random.default_rng(1401), st.utilde.shape)
-    got, trace = _receive_block(ch, st, cfg)
-    want, trace_ref = _two_call_receive_reference(ch, st, cfg)
+    st = _receive_block(ch, st, cfg)
+    rng = np.random.default_rng(1401)
+    st.utilde = complex_gaussian(rng, st.utilde.shape)
+    st.c = rng.integers(-3, 4, st.c.shape) + 1j * rng.integers(-3, 4, st.c.shape)
+    want, sweeps = _two_call_receive_reference(ch, st, cfg)
+    calls = _count_calls(monkeypatch, "_stage2_joint_update")
+    got = _receive_block(ch, st, cfg)
     assert _same_design(got, want)
-    assert len(trace) == len(trace_ref) > 1
-    assert all(_same_bits(x, y) for x, y in zip(trace, trace_ref))
+    assert len(calls["_stage2_joint_update"]) == sweeps > 1
 
 
 def test_receive_block_makes_no_scipy_calls(monkeypatch):
@@ -723,7 +727,7 @@ def test_receive_block_makes_no_scipy_calls(monkeypatch):
     monkeypatch.setattr(solver_mod, "minimize", counted)
     for shape in _SHAPES[:2]:
         ch, cfg, st = _shaped_instance(*shape, 0.1, seed=990 + sum(shape))
-        st, _ = _receive_block(ch, st)
+        st = _receive_block(ch, st)
         assert calls == []
     optimize_precoders(ch, st)  # the transmit block's barrier stages
     assert calls
@@ -795,7 +799,7 @@ def test_capped_filter_fit_keeps_the_refit_state():
     with pytest.raises(NonConvergenceError, match=r"\(0, 0\)") as info:
         decorrelator_robust(ch, st0, 0, 0, 1, capped)
     assert info.value.best.shape == (2,)
-    (block,), _, (err,) = optimize_receivers(ch, [_round_coefficients(st0)], capped)
+    (block,), (err,) = optimize_receivers(ch, [_round_coefficients(st0)], capped)
     assert isinstance(block, DesignState) and err is not None
     st, rep, trace = solve(ch, cfg, capped)
     assert not trace.converged and trace.stop_reason == f"optimize_receivers: {err}"
@@ -843,7 +847,7 @@ def _count_calls(monkeypatch, *names):
 def _receive_block_output(seed=28):
     """A K=3, M=N=2 design after one receive block, every user on its power budget."""
     ch, cfg = _random_instance(eps=0.1, seed=seed)
-    st, _ = _receive_block(ch, initial_state(ch, cfg, "random_unit", seed=seed + 1, init_a="round"))
+    st = _receive_block(ch, initial_state(ch, cfg, "random_unit", seed=seed + 1, init_a="round"))
     return ch, cfg, st
 
 
@@ -868,6 +872,17 @@ def test_barrier_sweep_continues_after_a_stage_that_moves(monkeypatch):
     assert len(nits) > 1
     assert min(nits[:-1]) >= 2
     assert max(out.power(k) for k in range(cfg.K)) <= 1
+
+
+def test_barrier_stages_ignore_max_inner_iters():
+    """max_inner_iters caps the receive side only: on the half-budget
+    instance, whose stages move, the transmit block gives the same bits at
+    a cap of 1 as at the default."""
+    ch, cfg, st = _receive_block_output()
+    st.v = st.v * np.sqrt(0.5)
+    out, t = optimize_precoders(ch, st)
+    capped, t1 = optimize_precoders(ch, st, SolverConfig(max_inner_iters=1))
+    assert _same_design(capped, out) and t1 == t
 
 
 def _quadratic(n=25, cond=1e4, seed=0):
@@ -984,12 +999,29 @@ def test_solve_stops_at_the_first_rejected_transmit_step(monkeypatch):
     assert series[1] == series[0] == rep.r_min
 
 
+def test_an_idle_transmit_step_ends_the_solve(monkeypatch):
+    """A transmit step that returns its input ties r_min, which rejects it:
+    the solve makes no refit and stops after its first receive block."""
+    from latticealign import solver as solver_mod
+
+    monkeypatch.setattr(solver_mod, "optimize_precoders", lambda ch, st, cfg=None: (st, 0.0))
+    calls = _count_calls(monkeypatch, "optimize_receivers")
+    ch, cfg = _random_instance(eps=0.1, seed=30)
+    _, rep, trace = solve(ch, cfg)
+    assert len(calls["optimize_receivers"]) == 1
+    assert trace.converged and trace.stop_reason == "transmit step rejected"
+    assert trace.pre_quantize_series() == [rep.r_min] * 2
+
+
 def test_solve_stop_reasons():
     ch, cfg = _random_instance(eps=0.1, seed=31)
     _, _, trace = solve(ch, cfg)
-    assert trace.converged and trace.stop_reason == "rate_tol reached"
+    assert trace.converged and trace.stop_reason == "transmit step rejected"
     series = trace.pre_quantize_series()
-    assert len(series) == 3 and series[1] > series[0]  # a kept step, then one within rate_tol
+    assert len(series) == 3 and series[2] == series[1] > series[0]  # a kept step, then a tie
+    _, _, trace = solve(ch, cfg, SolverConfig(rate_tol=1.0))
+    assert trace.converged and trace.stop_reason == "rate_tol reached"
+    assert trace.pre_quantize_series() == series[:2]  # the kept step gained under 1 bit
     _, _, trace = solve(ch, cfg, SolverConfig(max_outer_iters=1))
     assert not trace.converged and trace.stop_reason == "max_outer_iters reached"
     _, _, trace = solve(ch, cfg, SolverConfig(max_inner_iters=1))
@@ -1005,11 +1037,11 @@ def test_receive_block_is_idempotent(shape, eps, monkeypatch):
     moves a rate: the property that lets solve stop at a rejected step.  Its
     first sweep writes nothing, so the refit stops after that one sweep."""
     ch, cfg, st = _shaped_instance(*shape, eps, seed=700 + sum(shape))
-    once, _ = _receive_block(ch, st)
+    once = _receive_block(ch, st)
     calls = _count_calls(monkeypatch, "_stage2_joint_update")
-    twice, trace = _receive_block(ch, once)
-    assert len(calls["_stage2_joint_update"]) == len(trace) == 1
-    assert not calls["_stage2_joint_update"][0][1].any()  # nothing written
+    twice = _receive_block(ch, once)
+    assert len(calls["_stage2_joint_update"]) == 1
+    assert np.array_equal(twice.utilde, once.utilde)  # nothing written
     assert np.array_equal(twice.c, once.c) and np.array_equal(twice.a, once.a)
     assert abs(rate_report(ch, twice).r_min - rate_report(ch, once).r_min) <= 1e-12
     if eps == 0:
@@ -1017,16 +1049,33 @@ def test_receive_block_is_idempotent(shape, eps, monkeypatch):
             assert np.array_equal(getattr(twice, name), getattr(once, name))
 
 
-def test_receive_fixed_point_cap_of_one():
-    """A sweep that writes nothing ends the receive fixed point whatever the
-    cap: with a cap of 1, the block on its own output returns after that one
-    sweep, while a block whose only sweep writes still hits the cap."""
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+def test_receive_block_stops_at_a_sweep_that_changes_no_scaling(eps, monkeypatch):
+    """A sweep that writes new stage-two filters but changes no scaling ends
+    the fixed point: each new filter is already fitted to its scaling."""
+    ch, cfg, st = _shaped_instance(*_SHAPES[1], eps, seed=1600)
+    once = _receive_block(ch, st)
+    moved = once.copy()
+    moved.utilde = moved.utilde * 1.1
+    calls = _count_calls(monkeypatch, "_stage2_joint_update")
+    twice = _receive_block(ch, moved)
+    ((changed, _),) = calls["_stage2_joint_update"]
+    assert not changed.any() and np.array_equal(twice.c, once.c)
+    assert not np.array_equal(twice.utilde, moved.utilde)  # the sweep wrote
+
+
+def test_receive_fixed_point_cap_of_one(monkeypatch):
+    """A sweep that changes no scaling ends the receive fixed point whatever
+    the cap: with a cap of 1, the block on its own output returns after that
+    one sweep, while a block whose only sweep changes a scaling still hits
+    the cap."""
     ch, cfg = _random_instance(eps=0.0, seed=3)
     st = initial_state(ch, cfg)
-    once, _ = _receive_block(ch, st)
-    twice, trace = _receive_block(ch, once, SolverConfig(max_inner_iters=1))
-    assert len(trace) == 1 and _same_design(twice, once)
-    _, _, errors = optimize_receivers(ch, [st], SolverConfig(max_inner_iters=1))
+    once = _receive_block(ch, st)
+    calls = _count_calls(monkeypatch, "_stage2_joint_update")
+    twice = _receive_block(ch, once, SolverConfig(max_inner_iters=1))
+    assert len(calls["_stage2_joint_update"]) == 1 and _same_design(twice, once)
+    _, errors = optimize_receivers(ch, [st], SolverConfig(max_inner_iters=1))
     assert errors == ["receive-side fixed-point iteration hit the iteration cap"]
 
 
@@ -1035,9 +1084,7 @@ def test_capped_fit_message_names_each_decoder_once():
     message of a capped block lists each decoder once, sorted."""
     cfg = SystemConfig(K=3, M=2, N=2, L=1, P=10.0, epsilon=0.1, seed=1)
     ch = perturb_csi(generate_channels(cfg), 0.1, seed=101)
-    _, _, errors = optimize_receivers(
-        ch, [initial_state(ch, cfg)], SolverConfig(max_inner_iters=3)
-    )
+    _, errors = optimize_receivers(ch, [initial_state(ch, cfg)], SolverConfig(max_inner_iters=3))
     assert errors[0].endswith("within 3 steps for decoders [(0, 0), (1, 0)]")
 
 
@@ -1191,7 +1238,7 @@ def test_scaling_array_matches_per_decoder_lists(shape, eps):
         for d, box in enumerate(_box_reference(ch, st, kk, ll)):
             assert _same_bits(cands[d, : len(box)], np.array([complex(g) for g in box]))
             assert np.all(np.isnan(cands[d, len(box):]))
-        _, _, changed, _ = _stage2_joint_update(ch, st, SolverConfig(), kk, ll)
+        changed, _ = _stage2_joint_update(ch, st, SolverConfig(), kk, ll)
         changed = bool(changed.any())
         assert changed == _joint_update_reference(ch, ref, SolverConfig())
         assert _same_bits(st.c, ref.c) and _same_bits(st.utilde, ref.utilde)
@@ -1252,9 +1299,10 @@ def test_joint_update_never_raises_an_objective_past_the_box(eps, monkeypatch):
             if not shift:
                 boxes = scaling_candidates(ch, st, kk, ll)
                 outside += int(np.sum(np.all(boxes != 7 + 7j, axis=1)))
-            f, take, _, _ = _stage2_joint_update(ch, st, SolverConfig(), kk, ll)
+            _stage2_joint_update(ch, st, SolverConfig(), kk, ll)
+            f = decorrelator_objective(ch, st, kk, ll, 2, st.utilde[kk, ll])
             assert np.all(f <= f0)
-            assert _same_bits(f, decorrelator_objective(ch, st, kk, ll, 2, st.utilde[kk, ll]))
+            take = f < f0  # a written pair has a lower objective
             kept = kk[~take], ll[~take]
             assert _same_bits(st.c[kept], before.c[kept])
             assert _same_bits(st.utilde[kept], before.utilde[kept])
@@ -1417,7 +1465,7 @@ def test_solve_rejects_a_rounded_step_that_loses_rate(monkeypatch):
 
     ch, cfg = _random_instance(eps=0.1, seed=40)
     st0 = initial_state(ch, cfg)
-    first, _ = _receive_block(ch, _round_coefficients(st0))
+    first = _receive_block(ch, _round_coefficients(st0))
     monkeypatch.setattr(solver_mod, "optimize_precoders", transmit)
     st, rep, trace = solve(ch, cfg, init_state=st0)
     assert rate_report(ch, transmit(ch, first)[0]).r_min >= rate_report(ch, first).r_min
@@ -1448,14 +1496,13 @@ def test_lockstep_capped_designs_keep_their_own_errors():
         named = re.findall(r"\((\d+), (\d+)\)", traces[d].stop_reason)
         assert all(int(k) < cfg.K for k, _ in named)
 
-    states, blocks, errors = optimize_receivers(ch, starts, capped)
-    assert len(states) == len(blocks) == len(errors) == len(starts)
+    states, errors = optimize_receivers(ch, starts, capped)
+    assert len(states) == len(errors) == len(starts)
     assert any(err is None for err in errors) and any(err is not None for err in errors)
-    for st0, st_d, block, err in zip(starts, states, blocks, errors):
-        (alone,), (trace,), (msg,) = optimize_receivers(ch, [st0], capped)
+    for st0, st_d, err in zip(starts, states, errors):
+        (alone,), (msg,) = optimize_receivers(ch, [st0], capped)
         assert err == msg
         assert _same_design(st_d, alone)
-        assert all(_same_bits(x, y) for x, y in zip(block, trace, strict=True))
 
 
 def test_receive_block_builds_each_designs_cross_vectors_once(monkeypatch):
@@ -1495,17 +1542,22 @@ def _receive_call_sizes(monkeypatch):
 
 def test_solve_batches_only_the_first_receive_blocks(monkeypatch):
     """One receive call holds every start's first block; every later block
-    is a one-design call.  A transmit step that keeps the design is
-    accepted, so every start refits it once and stops at rate_tol."""
+    is a one-design call.  A transmit step that keeps the design does not
+    raise r_min, so every start rejects it and makes no further call; with
+    the real transmit block the one kept step is refit in its own call."""
     from latticealign import solver as solver_mod
 
-    monkeypatch.setattr(solver_mod, "optimize_precoders", lambda ch, st, cfg=None: (st, 0.0))
     sizes = _receive_call_sizes(monkeypatch)
     ch, cfg = _random_instance(eps=0.1, seed=42)
     starts = _lockstep_starts(ch, cfg)
     _, _, traces = solve(ch, cfg, init_state=starts)
-    assert [tr.stop_reason for tr in traces] == ["rate_tol reached"] * len(starts)
-    assert sizes == [len(starts)] + [1] * len(starts)
+    kept = [len(tr.records) - 1 - (tr.stop_reason == "transmit step rejected") for tr in traces]
+    assert kept == [0, 0, 0, 1] and sizes == [len(starts), 1]
+    sizes.clear()
+    monkeypatch.setattr(solver_mod, "optimize_precoders", lambda ch, st, cfg=None: (st, 0.0))
+    _, _, traces = solve(ch, cfg, init_state=starts)
+    assert [tr.stop_reason for tr in traces] == ["transmit step rejected"] * len(starts)
+    assert sizes == [len(starts)]
 
 
 def test_lockstep_raises_the_first_failing_design_in_start_order(monkeypatch):
@@ -1521,25 +1573,25 @@ def test_lockstep_raises_the_first_failing_design_in_start_order(monkeypatch):
         over[user] = fine.copy()
         over[user].v[user] *= 2.0
 
+    ran = []  # the users over budget of each design that takes a transmit step
+
     def transmit(ch, st, cfg=None):
-        # keep the precoders; the design over the unit budget on user 2 gets
-        # a worse step, so it stops and raises a round before the other one
-        st = st.copy()
-        if st.power(2) > 2:
-            st.utilde[:] = 0.0
+        # keep the design: a tie, which ends each start's loop
+        ran.append([k for k in (0, 2) if st.power(k) > 2])
         return st, 0.0
 
     monkeypatch.setattr(solver_mod, "optimize_precoders", transmit)
     sizes = _receive_call_sizes(monkeypatch)
     with pytest.raises(PowerBudgetError, match="user 2"):
         solve(ch, cfg, init_state=[fine, over[2], over[0]])
-    # the shared first blocks, then fine's refit of its kept step; over[2]
-    # stops at its rejected step and raises, so over[0] never runs
-    assert sizes == [3, 1]
+    # the shared first blocks only: each start stops at its rejected step,
+    # over[2] then raises, so over[0] never runs
+    assert sizes == [3] and ran == [[], [2]]
     sizes.clear()
+    ran.clear()
     with pytest.raises(PowerBudgetError, match="user 0"):
         solve(ch, cfg, init_state=[fine, over[0], over[2]])
-    assert sizes == [3, 1, 1]  # over[0] runs like fine before it raises
+    assert sizes == [3] and ran == [[], [0]]  # over[0] runs like fine before it raises
     states, _, traces = solve(ch, cfg, init_state=[fine, fine])
     assert traces.converged and _same_design(states[0], states[1])
 
