@@ -103,15 +103,26 @@ def two_stage_ml_common_rate(
 # ---------------------------------------------------------------------------
 
 
+def _cross_links(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(G, others): G[k, j] = H_ki with i = others[k, j], receiver k's K-1 cross
+    links in order of i."""
+    K = H.shape[0]
+    others = np.flatnonzero(~np.eye(K, dtype=bool)).reshape(K, K - 1) % K
+    return H[np.arange(K)[:, None], others], others
+
+
+def _link_covariances(G: np.ndarray, X: np.ndarray, rho: float) -> np.ndarray:
+    """Q[k] = sum_j rho G_kj X_kj X_kj^H G_kj^H, summed in order of j."""
+    T = G @ X
+    return (rho * (T @ T.conj().swapaxes(-1, -2))).sum(axis=1)
+
+
 def interference_covariances(
     H: np.ndarray, V: np.ndarray, rho: float
 ) -> np.ndarray:
     """Q[k] = sum_{i != k} rho H_ki V_i V_i^H H_ki^H, summed in order of i."""
-    K = H.shape[0]
-    T = H @ V[None]  # T[k, i] = H_ki V_i
-    R = rho * (T @ T.conj().swapaxes(-1, -2))
-    R[np.arange(K), np.arange(K)] = 0.0
-    return R.sum(axis=1)
+    G, others = _cross_links(H)
+    return _link_covariances(G, V[others], rho)
 
 
 def distributive_ia_design(
@@ -124,19 +135,22 @@ def distributive_ia_design(
     links, roles swapped) recomputes the precoders the same way.  Total
     leakage is non-increasing because both half-steps minimize the same
     quantity, which is symmetric between the two directions.  Each half-step
-    treats all K users in one batch.  trace[i] is the leakage after iteration
-    i's receive half-step: the sum of each user's L smallest eigenvalues.
+    treats all K users in one batch, over each receiver's K-1 cross links,
+    gathered once for both directions.  trace[i] is the leakage after
+    iteration i's receive half-step: the sum of each user's L smallest
+    eigenvalues.
     """
     K, _, N, _ = Hhat.shape
     V = tdma_design(Hhat, L)  # deterministic start: direct-channel modes
     U = np.zeros((K, N, L), dtype=complex)
     # reciprocal direction: channel from i to k becomes Hhat[i, k]^H
-    Hrec = Hhat.conj().transpose(1, 0, 3, 2)
+    G, others = _cross_links(Hhat)
+    Grec, _ = _cross_links(Hhat.conj().transpose(1, 0, 3, 2))
     lam = np.empty((iters, K, N))  # each receive half-step's eigenvalues
     for i in range(iters):
-        lam[i], U = np.linalg.eigh(interference_covariances(Hhat, V, rho))
+        lam[i], U = np.linalg.eigh(_link_covariances(G, V[others], rho))
         U = U[..., :L]
-        V = np.linalg.eigh(interference_covariances(Hrec, U, rho))[1][..., :L]
+        V = np.linalg.eigh(_link_covariances(Grec, U[others], rho))[1][..., :L]
     return V, U, lam[..., :L].sum(axis=(1, 2)).tolist()
 
 

@@ -10,7 +10,9 @@ Three subcommands:
   channel set and print the result as JSON.
 
 Exit codes: 0 success, 2 configuration problem, 3 non-convergence under
---strict.
+--strict, 141 (128 + SIGPIPE, the status a shell reports for a process a
+broken pipe ended) when standard output was closed before all of the output
+was written, as when the reader of a pipe exits early.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .channel import ChannelSet, SystemConfig, channelset_from_json, complex_pairs, snr_db_to_power
@@ -36,6 +39,7 @@ from .solver import multi_start
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NONCONVERGED = 3
+EXIT_PIPE = 141
 
 
 @functools.cache
@@ -144,7 +148,7 @@ def _cmd_solve(args) -> int:
         "coefficients": complex_pairs(st.a.reshape(cfg.K, cfg.L, -1)).astype(int).tolist(),
         "scalings": complex_pairs(st.c).tolist(),
         "per_user_power": [st.power(k) for k in range(cfg.K)],
-        "report": json.loads(report.to_json()),
+        "report": report.payload(),
     }
     print(json.dumps(payload, indent=2))
     if args.strict and not trace.converged:
@@ -154,19 +158,20 @@ def _cmd_solve(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    command = {"simulate": _cmd_simulate, "analyze": _cmd_analyze_symmetric, "solve": _cmd_solve}
     try:
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "analyze":
-            return _cmd_analyze_symmetric(args)
-        if args.command == "solve":
-            return _cmd_solve(args)
+        code = command[args.command](args)
+        sys.stdout.flush()  # so that a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout left; send the unwritten rest to devnull, so
+        # that the interpreter's own flush at exit has nothing to report
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (OSError, ValueError) as exc:  # ConfigurationError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -191,19 +191,24 @@ class RateReport:
     r_min: float
     alignment: np.ndarray
 
-    def to_json(self) -> str:
+    def payload(self) -> dict:
+        """The report as JSON-ready Python values; infinite rates become
+        "inf" / "-inf"."""
+
         def enc(x: float):
             if math.isinf(x):
                 return "inf" if x > 0 else "-inf"
             return x
 
-        payload = {
+        return {
             "mu": [[enc(float(x)) for x in row] for row in self.mu],
             "mu_tilde": [[enc(float(x)) for x in row] for row in self.mu_tilde],
             "r_min": enc(float(self.r_min)),
             "alignment": [[float(x) for x in row] for row in self.alignment],
         }
-        return json.dumps(payload)
+
+    def to_json(self) -> str:
+        return json.dumps(self.payload())
 
 
 def rate_report(ch: ChannelSet, st: DesignState) -> RateReport:

@@ -10,7 +10,10 @@ or convex:
   a smoothed copy, all decoders of the block in one batch, which also holds
   the stage-one fits in the first sweep) plus a finite integer search for
   each c over the unit box around its least-squares point, scored as one
-  decoder x candidate array;
+  decoder x candidate array.  Each candidate c is scored by its own refit
+  filter, and a robust refit runs only where its bounds leave it a chance
+  of being written (bounding, as in branch and bound): the written pairs
+  are those of refitting every candidate;
 * transmit-side block: the epigraph problem in (v, relaxed a, t) is convex
   and is solved with a log-barrier method under the per-user power budget;
   its sweep of barrier stages ends at the duality-gap bound or at the first
@@ -61,7 +64,7 @@ from .errors import (
     is_finite_real,
     is_integer,
 )
-from .gaussint import GaussianInt, common_divisor, exact_div
+from .gaussint import CoeffVector, GaussianInt, common_divisor, exact_div
 from .rates import (
     DesignState,
     RateReport,
@@ -467,6 +470,7 @@ def decorrelator_robust(
     cfg: SolverConfig | None = None,
     u0: np.ndarray | None = None,
     c=None,
+    prune=None,
 ) -> np.ndarray:
     """Receive filter minimizing the worst-case residual objective.
 
@@ -478,6 +482,15 @@ def decorrelator_robust(
     scalings c) fit a whole stack of independent decoders at once, and stage
     may then be an array too: one stage per row.
 
+    prune, when given, is called before any Newton step as prune(lb, ub)
+    with two bounds on the exact objective of each row's fit: lb, the
+    minimum of its ridge minorant (_ridge_floor), and ub, the smoothed
+    objective at its Newton start plus P J _DELTA^2.  Newton never raises
+    the smoothed objective, even when capped, and the exact objective lies
+    at most P J _DELTA^2 above the smoothed one.  The rows of the mask that
+    prune returns are not fitted: their filters come back NaN, and they
+    never count as capped.
+
     Raises NonConvergenceError, carrying every fitted filter in ``best`` and
     the fits that hit the cap in ``failed``, when some fit does not reach
     cfg.newton_tol within cfg.max_inner_iters Newton steps.
@@ -485,17 +498,25 @@ def decorrelator_robust(
     cfg = cfg or SolverConfig()
     w, b, nv = _decoders(ch, st, k, l, stage, c)
     shape, (J, N) = b.shape[:-1], w.shape[-2:]
-    w, b = w.reshape(-1, J, N), b.reshape(-1, J)
-    prob = _Problems.from_complex(w.conj(), b.conj(), ch.epsilon * nv.reshape(-1, J), st.P)
+    w, b, nv = w.reshape(-1, J, N), b.reshape(-1, J), nv.reshape(-1, J)
+    prob = _Problems.from_complex(w.conj(), b.conj(), ch.epsilon * nv, st.P)
     starts = [
         np.broadcast_to(0.0 if u0 is None else u0, (len(w), N)),
         _least_squares_filters(w, b, st.P),
     ]
     starts = [np.concatenate([u.real, u.imag], axis=-1) for u in starts]
-    closer = prob.evaluate(starts[1]) < prob.evaluate(starts[0])
-    x, ok = _newton_batch(
-        prob, np.where(closer[:, None], starts[1], starts[0]), cfg.newton_tol, cfg.max_inner_iters
-    )
+    f0, f1 = (prob.evaluate(x) for x in starts)
+    x = np.where((f1 < f0)[:, None], starts[1], starts[0])
+    ok = np.ones(len(x), dtype=bool)
+    fit = ok.copy()
+    if prune is not None:
+        ub = np.minimum(f0, f1) + st.P * J * _DELTA**2
+        fit = ~prune(_ridge_floor(w, b, nv, ch.epsilon, st.P), ub)
+        x[~fit] = np.nan
+    if fit.all():
+        x, ok = _newton_batch(prob, x, cfg.newton_tol, cfg.max_inner_iters)
+    elif fit.any():
+        x[fit], ok[fit] = _newton_batch(prob.take(fit), x[fit], cfg.newton_tol, cfg.max_inner_iters)
     u = (x[:, :N] + 1j * x[:, N:]).reshape(shape + (N,))
     if not ok.all():
         kk, ll = (np.broadcast_to(i, shape).reshape(-1) for i in (k, l))
@@ -503,6 +524,24 @@ def decorrelator_robust(
             _fit_message(cfg, kk[~ok], ll[~ok]), best=u, failed=~ok.reshape(shape)
         )
     return u
+
+
+def _ridge_floor(w: np.ndarray, b: np.ndarray, nv: np.ndarray, eps: float, P: float) -> np.ndarray:
+    """Per stacked (w, b, nv), the minimum over u of the ridge minorant
+    g(u) = ||u||^2 (1 + P eps^2 sum_j nv_j^2) + P sum_j |u^H w_j - b_j|^2.
+
+    g lies below the robust objective everywhere, since (|r_j| + eps ||u||
+    nv_j)^2 >= |r_j|^2 + eps^2 ||u||^2 nv_j^2, so its minimum bounds every
+    fit from below.  g is evaluated at its closed-form minimizer, where a
+    rounding error in u raises g only to second order.
+    """
+    weight = 1 + P * eps**2 * np.sum(nv**2, axis=-1)
+    ridge = np.eye(w.shape[-1]) * (weight / P)[:, None, None]
+    A = np.einsum("...ja,...jb->...ab", w, w.conj()) + ridge
+    rhs = np.einsum("...j,...ja->...a", b.conj(), w)
+    u = np.linalg.solve(A, rhs[..., None])[..., 0]
+    z = np.einsum("...ja,...a->...j", w, u.conj()) - b
+    return weight * vector_norms(u) ** 2 + P * np.sum(np.abs(z) ** 2, axis=-1)
 
 
 def _fit_message(cfg: SolverConfig, k, l) -> str:
@@ -584,13 +623,14 @@ def optimize_scaling(ch: ChannelSet, st: DesignState, k: int, l: int) -> Gaussia
 # ---------------------------------------------------------------------------
 
 
-def _fit_filters(ch, st, k, l, stage, cfg, u0, c=None):
-    """Candidate filters for a stack of decoders, and which fits hit the cap."""
+def _fit_filters(ch, st, k, l, stage, cfg, u0, c=None, prune=None):
+    """Candidate filters for a stack of decoders, and which fits hit the cap.
+    prune applies to the robust fits alone (decorrelator_robust)."""
     none = np.zeros(len(k), dtype=bool)
     if ch.epsilon == 0:
         return decorrelator_closed_form(ch, st, k, l, stage, c), none
     try:
-        return decorrelator_robust(ch, st, k, l, stage, cfg, u0=u0, c=c), none
+        return decorrelator_robust(ch, st, k, l, stage, cfg, u0=u0, c=c, prune=prune), none
     except NonConvergenceError as exc:
         return exc.best, exc.failed
 
@@ -611,6 +651,13 @@ def _stage2_joint_update(ch: ChannelSet, st, cfg: SolverConfig, kk, ll, k1=(), l
     one depends on neither utilde nor c.  A new u is written where it
     lowers its stage-one objective.
 
+    The robust refits are bounded before they run (decorrelator_robust's
+    prune): a candidate whose lower bound lies above both the incumbent's
+    objective and the least upper bound among its decoder's candidates can
+    be neither the decoder's best refit nor written, so it is not fitted and
+    scores +inf.  The written pairs are those of refitting every candidate,
+    bit for bit.  Stage-one fits are never pruned.
+
     Returns, per decoder, whether its scaling changed; then the decoders
     (k, l) of the stage-one and of the stage-two fits that hit the iteration
     cap.
@@ -626,17 +673,25 @@ def _stage2_joint_update(ch: ChannelSet, st, cfg: SolverConfig, kk, ll, k1=(), l
     k1, l1 = np.asarray(k1, dtype=int), np.asarray(l1, dtype=int)
     n1, kf, lf = len(k1), np.concatenate([k1, kr]), np.concatenate([l1, lr])
     u0, cf = np.concatenate([st.u[k1, l1], st.utilde[kr, lr]]), np.concatenate([st.c[k1, l1], cr])
-    u_fit, failed = _fit_filters(ch, st, kf, lf, np.repeat([1, 2], [n1, len(kr)]), cfg, u0, cf)
+    f_cur = decorrelator_objective(ch, st, kk, ll, 2, st.utilde[kk, ll])
+
+    def hopeless(lb, ub):
+        top = f_cur.copy()  # each decoder's least upper bound on its write
+        np.minimum.at(top, owner, ub[n1:])
+        return np.concatenate([np.zeros(n1, dtype=bool), lb[n1:] > top[owner] * (1 + 1e-9)])
+
+    stages = np.repeat([1, 2], [n1, len(kr)])
+    u_fit, failed = _fit_filters(ch, st, kf, lf, stages, cfg, u0, cf, prune=hopeless)
     u1, u_g = u_fit[:n1], u_fit[n1:]
     f1 = decorrelator_objective(ch, st, *np.tile([k1, l1], 2), 1, np.concatenate([u1, u0[:n1]]))
     better = f1[:n1] < f1[n1:]
     st.u[k1[better], l1[better]] = u1[better]
     f_g = np.full(cands.shape, np.inf)
     f_g[ok] = decorrelator_objective(ch, st, kr, lr, 2, u_g, c=cr)
+    f_g[np.isnan(f_g)] = np.inf  # the pruned refits
     u_all = np.zeros(cands.shape + u_g.shape[-1:], dtype=complex)
     u_all[ok] = u_g
     best = np.arange(len(kk)), np.argmin(f_g, axis=1)  # first of the best in rank order
-    f_cur = decorrelator_objective(ch, st, kk, ll, 2, st.utilde[kk, ll])
     take = f_g[best] < f_cur
     changed = take & (cands[best] != st.c[kk, ll])
     st.c[kk[take], ll[take]] = cands[best][take]
@@ -671,6 +726,8 @@ def optimize_receivers(
     errs: list[str | None] = [None] * n  # each design's first capped fit
 
     def note(k, l):
+        if not len(k):
+            return
         design, user = S.split(k)
         for d in np.unique(design):
             mine = design == d
@@ -1140,9 +1197,11 @@ def _round_coefficients(st: DesignState) -> DesignState:
     out = st.copy()
     out.a = np.round(st.a.real) + 1j * np.round(st.a.imag)
     K, L = st.K, st.L
+    re, im = (x.reshape(K, L, -1).tolist() for x in (out.a.real, out.a.imag))
     for k in range(K):
         for l in range(L):
-            vec = out.coeff_vector(k, l)
+            ints = tuple(GaussianInt(int(x), int(y)) for x, y in zip(re[k][l], im[k][l]))
+            vec = CoeffVector(entries=ints, own_index=k * L + l)
             r = common_divisor(vec)
             if r is None:
                 continue

@@ -240,6 +240,45 @@ def test_distributive_ia_batched_equals_per_user_loop(K, L, M, N):
     assert np.all(np.abs(np.subtract(trace, leakage)) <= 1e-12 * np.array(power))
 
 
+def _distributive_ia_all_links_reference(Hhat, L, rho, iters):
+    """distributive_ia_design as it was batched over all K x K links: each
+    half-step forms every H_ki X_i, zeroes the own links' covariances and
+    sums over i.  Returns (V, U, trace)."""
+    K, _, N, _ = Hhat.shape
+
+    def covariances(H, X):
+        T = H @ X[None]
+        R = rho * (T @ T.conj().swapaxes(-1, -2))
+        R[np.arange(K), np.arange(K)] = 0.0
+        return R.sum(axis=1)
+
+    V = tdma_design(Hhat, L)
+    U = np.zeros((K, N, L), dtype=complex)
+    Hrec = Hhat.conj().transpose(1, 0, 3, 2)
+    lam = np.empty((iters, K, N))
+    for i in range(iters):
+        lam[i], U = np.linalg.eigh(covariances(Hhat, V))
+        U = U[..., :L]
+        V = np.linalg.eigh(covariances(Hrec, U))[1][..., :L]
+    return V, U, lam[..., :L].sum(axis=(1, 2)).tolist()
+
+
+@pytest.mark.parametrize("K", [2, 3, 4])
+@pytest.mark.parametrize("L", [1, 2, 3])
+def test_distributive_ia_cross_links_equal_all_links(K, L):
+    """Gathering each receiver's K-1 cross links once, for both directions,
+    gives the bits of the all-links loop with its own links zeroed."""
+    rng = np.random.default_rng(900 + 10 * K + L)
+    for M, N in ((L, L + 1), (L + 1, L), (L + 2, L + 2)):
+        ch, cfg = _instance(K=K, M=M, N=N, L=L, eps=0.1, seed=int(rng.integers(1 << 30)))
+        rho = cfg.gamma * cfg.P / cfg.L
+        V, U, trace = distributive_ia_design(ch.Hhat, L, rho, iters=25)
+        V_ref, U_ref, trace_ref = _distributive_ia_all_links_reference(ch.Hhat, L, rho, 25)
+        assert V.tobytes() == V_ref.tobytes() and V.shape == V_ref.shape
+        assert U.tobytes() == U_ref.tobytes() and U.shape == U_ref.shape
+        assert trace == trace_ref
+
+
 def test_distributive_ia_three_user_alignment_nearly_exact():
     """3-user 2x2 with one stream is alignable: leakage collapses."""
     ch, cfg = _instance(seed=9)

@@ -1,12 +1,25 @@
-"""Command-line interface, driven in process through main(argv)."""
+"""Command-line interface, driven in process through main(argv), and as a
+process where its exit status is the point."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import latticealign
 from latticealign.channel import SystemConfig, channelset_to_json, generate_channels, perturb_csi
-from latticealign.cli import EXIT_CONFIG, EXIT_NONCONVERGED, EXIT_OK, _parse_gaussian, main
+from latticealign.cli import (
+    EXIT_CONFIG,
+    EXIT_NONCONVERGED,
+    EXIT_OK,
+    EXIT_PIPE,
+    _parse_gaussian,
+    main,
+)
 from latticealign.errors import ConfigurationError
 from latticealign.gaussint import GaussianInt
 
@@ -189,6 +202,29 @@ def test_solve_carries_the_edges_of_its_range(tmp_path, capsys, args):
     assert main(["solve", "--channel", str(path), *args]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
     assert payload["converged"] is True and payload["report"]["r_min"] >= 0
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_solve_into_a_closed_pipe_is_no_configuration_error(tmp_path, unbuffered):
+    """A reader that leaves before the output is written (| head -c 1, | grep -q)
+    is no bad input: solve exits EXIT_PIPE and writes nothing to stderr, with
+    stdout unbuffered (one write for the JSON, one for its newline) or not
+    (one write at the final flush)."""
+    path = _channel_file(tmp_path)
+    src = str(Path(latticealign.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the first write
+    try:
+        out = subprocess.run(
+            [sys.executable, "-m", "latticealign.cli", "solve", "--channel", str(path),
+             "--snr-db", "200"],
+            stdout=write, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert out.returncode == EXIT_PIPE != EXIT_CONFIG
+    assert out.stderr == ""
 
 
 def test_solve_missing_file(tmp_path, capsys):

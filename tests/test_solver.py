@@ -764,6 +764,19 @@ def test_no_run_loads_scipy_optimize(run):
     assert _run_fresh(code).splitlines()[-1] == "False"
 
 
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+def test_no_solve_loads_numpy_ma(eps):
+    """A receive sweep with no capped fit notes nothing: it makes no np.unique
+    call, whose first call would import numpy.ma (about 1 MB and 30 ms)."""
+    code = (
+        "import sys; from latticealign import SystemConfig, generate_channels, perturb_csi, "
+        f"solve; cfg = SystemConfig(K=3, M=2, N=2, L=1, P=10.0, epsilon={eps}, seed=5); "
+        f"solve(perturb_csi(generate_channels(cfg), {eps}, seed=6), cfg); "
+        "print('numpy.ma' in sys.modules)"
+    )
+    assert _run_fresh(code).splitlines()[-1] == "False"
+
+
 def test_solve_simulate_and_analyze_run_with_scipy_blocked():
     """With every scipy import failing, a solve, a five-method simulate and
     analyze symmetric still run: scipy is needed by the tests only."""
@@ -1818,3 +1831,125 @@ def test_solve_rejects_a_start_that_does_not_fit_the_config():
     bad = state_from_precoders(replace(cfg, K=2), np.ones((2, 1, 2)))
     with pytest.raises(ConfigurationError, match="field v "):
         solve(ch, cfg, init_state=bad)
+
+
+# ---------------------------------------------------------------------------
+# bound-pruned stage-two refits
+# ---------------------------------------------------------------------------
+
+
+def _spy_on_pruning(monkeypatch, fit_all=False):
+    """Wrap decorrelator_robust.  Each call that prunes records its bounds
+    and mask; with fit_all, no call prunes (the reference that refits every
+    candidate)."""
+    from latticealign import solver as solver_mod
+
+    real, log = solver_mod.decorrelator_robust, []
+
+    def spy(*args, prune=None, **kwargs):
+        if prune is None or fit_all:
+            return real(*args, **kwargs)
+
+        def recorded(lb, ub):
+            mask = prune(lb, ub)
+            log.append({"args": args, "kwargs": kwargs, "lb": lb, "ub": ub, "pruned": mask})
+            return mask
+
+        return real(*args, prune=recorded, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "decorrelator_robust", spy)
+    return log
+
+
+def _pruning_designs(K, L, eps, seed):
+    """A channel, its config and three designs with random filters and scalings."""
+    ch, cfg, st = _shaped_instance(K, L, L + 1, L + 1, eps, seed)
+    rng = np.random.default_rng(seed + 3)
+    designs = [st] + [
+        initial_state(ch, cfg, "random_unit", seed=seed + 4 + i, init_a="round") for i in range(2)
+    ]
+    for d in designs:
+        d.c = rng.integers(-3, 4, d.c.shape) + 1j * rng.integers(-3, 4, d.c.shape)
+    return ch, cfg, designs
+
+
+_PRUNE_CASES = [
+    pytest.param(K, L, eps, id=f"K{K}-L{L}-{eps}")
+    for K in (3, 4) for L in (1, 2) for eps in (0.05, 0.1, 0.3)
+]
+
+
+@pytest.mark.parametrize("K, L, eps", _PRUNE_CASES)
+def test_pruned_refits_give_the_bits_of_refitting_every_candidate(K, L, eps, monkeypatch):
+    """Receive blocks on one design and on a stack of three, and a full
+    solve, give the bits of a reference that refits every stage-two
+    candidate, errors and traces included, while some refits are pruned."""
+    ch, cfg, designs = _pruning_designs(K, L, eps, seed=2300 + 10 * K + L)
+    runs = [
+        lambda: optimize_receivers(ch, [d.copy() for d in designs]),
+        lambda: optimize_receivers(ch, [designs[1].copy()]),
+        lambda: solve(ch, cfg),
+    ]
+    log = _spy_on_pruning(monkeypatch)
+    got = [run() for run in runs]
+    assert sum(int(rec["pruned"].sum()) for rec in log) > 0
+    monkeypatch.undo()
+    _spy_on_pruning(monkeypatch, fit_all=True)
+    want = [run() for run in runs]
+    for (states, errs), (ref_states, ref_errs) in zip(got[:2], want[:2]):
+        assert errs == ref_errs
+        assert all(_same_design(x, y) for x, y in zip(states, ref_states))
+    _assert_same_solve(got[2], want[2])
+
+
+@pytest.mark.parametrize("K, L, eps", _PRUNE_CASES[::2])
+def test_every_pruned_refit_lies_at_or_above_its_threshold(K, L, eps, monkeypatch):
+    """lb bounds the exact objective of every full refit from below and ub
+    bounds every fitted row's from above.  A pruned row's full refit is at
+    or above its threshold: the least of its decoder's incumbent objective
+    and its candidates' upper bounds.  Stage-one rows are never pruned."""
+    from latticealign import solver as solver_mod
+
+    real = solver_mod.decorrelator_robust
+    ch, cfg, designs = _pruning_designs(K, L, eps, seed=2400 + 10 * K + L)
+    log = _spy_on_pruning(monkeypatch)
+    optimize_receivers(ch, designs)
+    assert sum(int(rec["pruned"].sum()) for rec in log) > 0
+    for rec in log:
+        (ch_, S, k, l, stage, cfg_), kw = rec["args"], rec["kwargs"]
+        try:
+            full = real(ch_, S, k, l, stage, cfg_, **kw)
+        except NonConvergenceError as exc:
+            full = exc.best
+        c = np.where(stage == 2, kw["c"], S.c[k, l])
+        f_full = np.array([
+            decorrelator_objective(ch, S, k[i], l[i], stage[i], full[i], c=c[i])
+            for i in range(len(k))
+        ])
+        lb, ub, pruned = rec["lb"], rec["ub"], rec["pruned"]
+        assert not pruned[stage == 1].any()
+        assert np.all(lb <= f_full * (1 + 1e-12))
+        assert np.all(f_full[~pruned] <= ub[~pruned] * (1 + 1e-12))
+        for i in np.flatnonzero(pruned):
+            mine = (stage == 2) & (k == k[i]) & (l == l[i])
+            f_cur = decorrelator_objective(ch, S, k[i], l[i], 2, S.utilde[k[i], l[i]])
+            assert f_full[i] >= min(f_cur, ub[mine].min())
+
+
+@pytest.mark.parametrize("P", [1e-100, 1e100])
+@pytest.mark.parametrize("eps", [0.1, 1e20])
+def test_refit_bounds_raise_no_warning_at_the_carried_corners(P, eps, monkeypatch):
+    """At the corners of the carried range (check_carried) the bound
+    arithmetic raises no RuntimeWarning (the suite turns each one into an
+    error), and every bound is a finite number.  As solve --epsilon does,
+    the error bound is set on a channel estimated at 0.1."""
+    ch, cfg, designs = _pruning_designs(3, 2, 0.1, seed=2500)
+    ch = ChannelSet(H=ch.H, Hhat=ch.Hhat, epsilon=eps)
+    for d in designs:
+        d.P = P
+    log = _spy_on_pruning(monkeypatch)
+    optimize_receivers(ch, designs)
+    solve(ch, replace(cfg, P=P, epsilon=eps))
+    assert log
+    for rec in log:
+        assert np.all(np.isfinite(rec["lb"])) and np.all(np.isfinite(rec["ub"]))
