@@ -40,7 +40,7 @@ for P in (1e3, 4e3):
 
 # The iterative variant reaches the same subspaces without the closed form:
 # leakage decreases monotonically and collapses for this feasible geometry.
-rho = cfg.gamma * cfg.P / cfg.L
+rho = cfg.P / cfg.L
 _, _, trace = distributive_ia_design(ch.Hhat, cfg.L, rho, iters=2000)
 marks = [0, 1, 2, 10, 100, 1999]
 print("\nmin-leakage alternation (iteration: total leakage):")

@@ -1,7 +1,7 @@
 """Reference transmission schemes the lattice design is compared against.
 
-All baselines design on the channel estimates, spend the same per-user power
-budget gamma with per-stream power gamma P / L, and are scored with the same
+All baselines design on the channel estimates, spend the same unit per-user
+power budget with per-stream power P / L, and are scored with the same
 outage rule as the lattice scheme: a stream's nominal rate is delivered only
 if the true channels support it.  Every scheme's post-filter gains
 u^H H_ki v_in come from rates.cross_vectors, the kernel that also scores
@@ -48,12 +48,10 @@ def tdma_design(Hhat: np.ndarray, L: int) -> np.ndarray:
     return vh.conj().swapaxes(1, 2)[..., :L]
 
 
-def tdma_per_user_rates(
-    H: np.ndarray, V: np.ndarray, P: float, gamma: float, L: int
-) -> np.ndarray:
+def tdma_per_user_rates(H: np.ndarray, V: np.ndarray, P: float, L: int) -> np.ndarray:
     """Time-shared MIMO rates: each user gets a 1/K slot, interference-free."""
     K, _, N, _ = H.shape
-    rho = gamma * P / L
+    rho = P / L
     HV = _direct(H) @ V
     _, logdet = np.linalg.slogdet(np.eye(N) + rho * (HV @ HV.conj().swapaxes(1, 2)))
     return logdet / np.log(2) / K
@@ -64,10 +62,10 @@ def tdma_per_user_rates(
 # ---------------------------------------------------------------------------
 
 
-def two_stage_ml_design(Hhat: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+def two_stage_ml_design(Hhat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Matched single-stream transceivers: dominant singular pair per user."""
     uu, _, vh = np.linalg.svd(_direct(Hhat))
-    return np.sqrt(gamma) * vh[:, 0].conj(), uu[..., 0]
+    return vh[:, 0].conj(), uu[..., 0]
 
 
 def two_stage_ml_constraints(

@@ -9,7 +9,7 @@ design.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 import json
 
 import numpy as np
@@ -22,9 +22,9 @@ class SystemConfig:
     """Static system parameters.
 
     K users, M transmit / N receive antennas, L streams per user, per-stream
-    transmit power P, per-user power budget gamma (sum of squared precoder
-    norms), CSI error bound epsilon, base RNG seed.  Each bad value raises
-    ConfigurationError naming its field.
+    transmit power P under a unit power budget per user (its squared precoder
+    norms sum to at most 1), CSI error bound epsilon, base RNG seed.  Each
+    bad value raises ConfigurationError naming its field.
     """
 
     K: int
@@ -32,7 +32,6 @@ class SystemConfig:
     N: int
     L: int
     P: float
-    gamma: float = 1.0
     epsilon: float = 0.0
     seed: int = 0
 
@@ -46,7 +45,7 @@ class SystemConfig:
             raise ConfigurationError(
                 f"L={self.L} streams do not fit in min(M, N)={min(self.M, self.N)}"
             )
-        for name in ("P", "gamma", "epsilon"):
+        for name in ("P", "epsilon"):
             val = getattr(self, name)
             zero_ok = name == "epsilon"
             if not (is_finite_real(val) and (val >= 0 if zero_ok else val > 0)):

@@ -7,7 +7,8 @@ Three subcommands:
 * ``analyze symmetric ...``        closed-form rates for the symmetric
   integer-gain network;
 * ``solve --channel ch.json``      run the robust design on one saved
-  channel set and print the result as JSON.
+  channel set and print the result as JSON.  ``--gamma`` is folded into the
+  power: the design runs at power gamma P, and only per_user_power scales.
 
 Exit codes: 0 success, 2 configuration problem, 3 non-convergence under
 --strict, 141 (128 + SIGPIPE, the status a shell reports for a process a
@@ -34,7 +35,7 @@ from .closedform import (
 from .errors import ConfigurationError
 from .gaussint import GaussianInt
 from .harness import experiment_from_json, run_experiment, summarize, write_csv
-from .solver import multi_start
+from .solver import check_carried, multi_start
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -137,9 +138,16 @@ def _cmd_solve(args) -> int:
     if args.epsilon is not None:
         ch = ChannelSet(H=ch.H, Hhat=ch.Hhat, epsilon=args.epsilon)
     P = args.power if args.power is not None else snr_db_to_power(args.snr_db)
+    check_carried(P=P)
+    if not 1e-10 <= args.gamma <= 1e10:
+        raise ConfigurationError(f"power budget gamma={args.gamma!r} is outside [1e-10, 1e+10]")
+    try:
+        check_carried(P=args.gamma * P)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"--gamma {args.gamma!r} folded into the power: {exc}") from None
     cfg = SystemConfig(
         K=ch.K, M=ch.M, N=ch.N, L=args.streams,
-        P=P, gamma=args.gamma, epsilon=ch.epsilon, seed=args.seed,
+        P=args.gamma * P, epsilon=ch.epsilon, seed=args.seed,
     )
     st, report, trace = multi_start(ch, cfg, n_starts=args.n_starts)
     payload = {
@@ -147,7 +155,7 @@ def _cmd_solve(args) -> int:
         "converged": trace.converged,
         "coefficients": complex_pairs(st.a.reshape(cfg.K, cfg.L, -1)).astype(int).tolist(),
         "scalings": complex_pairs(st.c).tolist(),
-        "per_user_power": [st.power(k) for k in range(cfg.K)],
+        "per_user_power": [args.gamma * st.power(k) for k in range(cfg.K)],
         "report": report.payload(),
     }
     print(json.dumps(payload, indent=2))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .channel import ChannelSet, SystemConfig
 from .errors import ConfigurationError, is_finite_real, is_integer
-from .gaussint import GaussianInt, nearest_gaussian
+from .gaussint import GaussianInt
 from .rates import DesignState
 
 
@@ -55,7 +55,7 @@ def symmetric_channelset(inst: SymmetricInstance) -> tuple[ChannelSet, SystemCon
     for k in range(K):
         H[k, k, 0, 0] = 1.0
     ch = ChannelSet(H=H, Hhat=H.copy(), epsilon=0.0)
-    cfg = SystemConfig(K=K, M=1, N=1, L=1, P=inst.P, gamma=1.0, epsilon=0.0)
+    cfg = SystemConfig(K=K, M=1, N=1, L=1, P=inst.P, epsilon=0.0)
     return ch, cfg
 
 
@@ -89,9 +89,9 @@ def _ml_rate(K: int, habs2: float, P: float) -> float:
 
 
 def _lattice_rate(K: int, habs2: float, P: float) -> float:
-    gamma = 1 + (K - 1) * habs2
-    stage2 = math.log2(P + 1 / gamma)
-    stage1 = math.log2((1 + gamma * P) / ((K - 1) * (1 + P)))
+    gain = 1 + (K - 1) * habs2  # the receiver's total channel gain
+    stage2 = math.log2(P + 1 / gain)
+    stage1 = math.log2((1 + gain * P) / ((K - 1) * (1 + P)))
     return min(stage2, stage1)
 
 

@@ -34,10 +34,9 @@ class NonConvergenceError(RuntimeError):
 
 
 class PowerBudgetError(RuntimeError):
-    """Raised when a finished design spends more than a user's power budget."""
+    """Raised when a finished design spends more than a user's unit power budget."""
 
-    def __init__(self, user, power, budget):
-        super().__init__(f"user {user} transmits power {power!r}, over its budget {budget!r}")
+    def __init__(self, user, power):
+        super().__init__(f"user {user} transmits power {power!r}, over its unit budget")
         self.user = user
         self.power = power
-        self.budget = budget

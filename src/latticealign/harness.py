@@ -163,7 +163,7 @@ class _Trial:
     @cached_property
     def ia_design(self):
         """Min-leakage alignment (V, U, leakage trace) on the estimates."""
-        rho = self.cfg.gamma * self.cfg.P / self.cfg.L
+        rho = self.cfg.P / self.cfg.L
         return baselines.distributive_ia_design(
             self.ch.Hhat, self.cfg.L, rho, self.spec.dist_ia_iters
         )
@@ -193,15 +193,15 @@ def _run_lattice(trial: _Trial):
 def _run_tdma(trial: _Trial):
     ch, cfg = trial.ch, trial.cfg
     V = baselines.tdma_design(ch.Hhat, cfg.L)
-    nominal = baselines.tdma_per_user_rates(ch.Hhat, V, cfg.P, cfg.gamma, cfg.L)
-    achieved = baselines.tdma_per_user_rates(ch.H, V, cfg.P, cfg.gamma, cfg.L)
+    nominal = baselines.tdma_per_user_rates(ch.Hhat, V, cfg.P, cfg.L)
+    achieved = baselines.tdma_per_user_rates(ch.H, V, cfg.P, cfg.L)
     g = _per_user_goodput(nominal, achieved)
     return float(g.min()), float(g.sum()), float(nominal.min()), True
 
 
 def _run_two_stage_ml(trial: _Trial):
     ch, cfg = trial.ch, trial.cfg
-    V, U = baselines.two_stage_ml_design(ch.Hhat, cfg.gamma)
+    V, U = baselines.two_stage_ml_design(ch.Hhat)
     designed = baselines.two_stage_ml_common_rate(ch.Hhat, V, U, cfg.P)
     s1, s2 = baselines.two_stage_ml_constraints(ch.H, V, U, cfg.P)
     sustained = np.minimum(s1, s2)
@@ -212,7 +212,7 @@ def _run_two_stage_ml(trial: _Trial):
 def _score_alignment(trial: _Trial, V: np.ndarray, U: np.ndarray):
     """Goodput of an alignment design (V, U), with per-user rates as in ia_stream_rates."""
     ch, cfg = trial.ch, trial.cfg
-    rho = cfg.gamma * cfg.P / cfg.L
+    rho = cfg.P / cfg.L
     nominal = baselines.ia_stream_rates(ch.Hhat, V, U, rho).sum(axis=1)
     achieved = baselines.ia_stream_rates(ch.H, V, U, rho).sum(axis=1)
     g = _per_user_goodput(nominal, achieved)

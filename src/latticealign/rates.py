@@ -113,7 +113,7 @@ class DesignState:
         )
 
     def power(self, k: int) -> float:
-        """Sum of squared precoder norms of user k (budgeted by gamma)."""
+        """Sum of squared precoder norms of user k (at most its unit budget)."""
         return float(np.sum(np.abs(self.v[k]) ** 2))
 
     def coeff_vector(self, k: int, l: int) -> CoeffVector:

@@ -35,9 +35,6 @@ That is the one loop rate_tol stops: the receive block's fixed point ends
 at the first sweep that changes no scaling c.  max_inner_iters caps the
 receive side alone; each barrier stage has the fixed cap _STAGE_ITERS.
 
-Only gamma P enters a bound, so solve runs every block at power budget 1 and
-power gamma P: no block sees gamma, and a design depends on gamma P alone.
-
 optimize_receivers takes a list of designs on one channel: their decoders
 are rows of the same batched fits, each design keeps its own stop test and
 cap, so it ends with the bits a block of it alone gives, and each design's
@@ -83,19 +80,17 @@ _EPS = float(np.finfo(float).eps)
 # The range of each value the solver carries.  The Newton kernel squares
 # P-scaled curvature terms of up to 1 / _DELTA^3, which overflow from about
 # P = 1e154, or eps = 1e40 at P = 1e100; a subnormal P overflows the 1 / P
-# of the least-squares fits.  The blocks run at budget 1 and power gamma P
-# (solve), which gamma's range keeps within [1e-110, 1e110].
+# of the least-squares fits.
 _CARRIED = (
     ("per-stream power P", 1e-100, 1e100),
-    ("power budget gamma", 1e-10, 1e10),
     ("CSI error bound epsilon", 0.0, 1e20),
 )
 
 
-def check_carried(P: float = 1.0, gamma: float = 1.0, epsilon: float = 0.0) -> None:
-    """Raise ConfigurationError naming the first of P, gamma and epsilon that
-    lies outside its range in _CARRIED, the range the solver carries."""
-    for (what, lo, hi), val in zip(_CARRIED, (P, gamma, epsilon)):
+def check_carried(P: float = 1.0, epsilon: float = 0.0) -> None:
+    """Raise ConfigurationError naming the first of P and epsilon that lies
+    outside its range in _CARRIED, the range the solver carries."""
+    for (what, lo, hi), val in zip(_CARRIED, (P, epsilon)):
         if not lo <= val <= hi:
             raise ConfigurationError(
                 f"{what}={val!r} is outside [{lo:g}, {hi:g}], the range the solver carries"
@@ -1125,11 +1120,15 @@ def _blank_state(cfg: SystemConfig, V: np.ndarray) -> DesignState:
     )
 
 
-def _onto_budget(V: np.ndarray, gamma: float) -> np.ndarray:
-    """A copy of the (K, L, M) precoders V with each user's power rescaled to gamma."""
+def _onto_budget(V: np.ndarray) -> np.ndarray:
+    """A copy of the (K, L, M) precoders V with each user's power rescaled to
+    1, or ConfigurationError naming a user whose power is zero or not finite."""
     V = np.array(V, dtype=complex)
     for k in range(len(V)):
-        V[k] *= np.sqrt(gamma / np.sum(np.abs(V[k]) ** 2))
+        power = np.sum(np.abs(V[k]) ** 2)
+        if not (np.isfinite(power) and power > 0):
+            raise ConfigurationError(f"user {k} precoder power {float(power)!r} is not in (0, inf)")
+        V[k] *= np.sqrt(1 / power)
     return V
 
 
@@ -1151,11 +1150,11 @@ def initial_state(
     K, L, M, N = cfg.K, cfg.L, cfg.M, cfg.N
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
     if strategy == "random_unit":
-        V = _onto_budget(complex_gaussian(rng, (K, L, M)), cfg.gamma)
+        V = _onto_budget(complex_gaussian(rng, (K, L, M)))
     elif strategy == "identity_like":
         V = np.zeros((K, L, M), dtype=complex)
         V[:, np.arange(L), np.arange(L) % M] = 1.0
-        V = _onto_budget(V, cfg.gamma)
+        V = _onto_budget(V)
     elif strategy == "ia_seed":
         from .baselines import conventional_ia_design
 
@@ -1165,7 +1164,7 @@ def initial_state(
                 "ia_seed needs the 3-user geometry with M == N even and L == M/2"
             )
         # baseline designs store streams as unit-norm matrix columns (K, M, L)
-        V = design[0].transpose(0, 2, 1) * np.sqrt(cfg.gamma / L)
+        V = design[0].transpose(0, 2, 1) * np.sqrt(1 / L)
         init_a = "zero"
     else:
         raise ConfigurationError(f"unknown init strategy {strategy!r}")
@@ -1213,10 +1212,11 @@ def _round_coefficients(st: DesignState) -> DesignState:
 
 
 def _alternate(ch: ChannelSet, solver: SolverConfig, st: DesignState, err: str | None):
-    """The alternating solve of one design in solve's units from its first
-    receive block: that block's state st and error message err (None when it
-    converged).  Every state it keeps is integral and divisor-free, and its
-    r_min never falls.  Returns (state, report, trace)."""
+    """The alternating solve of one design from its first receive block:
+    that block's state st and error message err (None when it converged).
+    Every state it keeps is integral and divisor-free, and its r_min never
+    falls.  Returns (state, report, trace), or raises PowerBudgetError for a
+    user of the state above its unit budget."""
     trace = SolveTrace()
     report = rate_report(ch, st)
     trace.add(0, "receivers", report.r_min)
@@ -1246,6 +1246,9 @@ def _alternate(ch: ChannelSet, solver: SolverConfig, st: DesignState, err: str |
     if err is not None:
         trace.converged = False
         trace.stop_reason = f"optimize_receivers: {err}"
+    for k in range(st.K):
+        if st.power(k) > 1 + 1e-9:
+            raise PowerBudgetError(k, st.power(k))
     return st, report, trace
 
 
@@ -1260,30 +1263,23 @@ def _check_problem(ch: ChannelSet, cfg: SystemConfig) -> None:
         raise ConfigurationError(
             f"config epsilon {cfg.epsilon!r} does not match the channel's {ch.epsilon!r}"
         )
-    check_carried(cfg.P, cfg.gamma, cfg.epsilon)
+    check_carried(cfg.P, cfg.epsilon)
 
 
-def _in_units(cfg: SystemConfig, st: DesignState) -> DesignState:
-    """Start st at budget 1 and power gamma P, or ConfigurationError if it misfits cfg."""
+def _check_starts(cfg: SystemConfig, starts: list[DesignState]) -> None:
+    """Raise ConfigurationError unless starts is a non-empty list of designs
+    with cfg's P, the shapes cfg gives each field, and finite entries."""
+    if not starts:
+        raise ConfigurationError("init_state is an empty list; solve needs a start design")
     K, L, M, N = cfg.K, cfg.L, cfg.M, cfg.N
-    if st.P != cfg.P:
-        raise ConfigurationError(f"start design has P={st.P!r}, config P={cfg.P!r}")
-    for name, shape in zip(_FIELDS, ((K, L, M), (K, L, N), (K, L, N), (K, L, K, L), (K, L))):
-        got = getattr(st, name).shape
-        if got != shape:
-            raise ConfigurationError(f"start design field {name} has shape {got}, not {shape}")
-    r, P = math.sqrt(cfg.gamma), cfg.gamma * cfg.P
-    return DesignState(v=st.v / r, u=st.u * r, utilde=st.utilde * r, a=st.a, c=st.c, P=P)
-
-
-def _from_units(cfg: SystemConfig, st: DesignState) -> DesignState:
-    """st back in cfg's units; raises PowerBudgetError for a user over budget."""
-    r = math.sqrt(cfg.gamma)
-    st = DesignState(v=st.v * r, u=st.u / r, utilde=st.utilde / r, a=st.a, c=st.c, P=cfg.P)
-    for k in range(cfg.K):
-        if st.power(k) > cfg.gamma * (1 + 1e-9):
-            raise PowerBudgetError(k, st.power(k), cfg.gamma)
-    return st
+    for st in starts:
+        if st.P != cfg.P:
+            raise ConfigurationError(f"start design has P={st.P!r}, config P={cfg.P!r}")
+        for name, shape in zip(_FIELDS, ((K, L, M), (K, L, N), (K, L, N), (K, L, K, L), (K, L))):
+            x = getattr(st, name)
+            if x.shape != shape or not np.isfinite(x).all():
+                what = f"shape {x.shape}, not {shape}" if x.shape != shape else "a non-finite entry"
+                raise ConfigurationError(f"start design field {name} has {what}")
 
 
 class SolveTraces(list):
@@ -1314,17 +1310,16 @@ def solve(
     output, and another sweep would repeat the same rejected barrier
     solve), at a receive block that hits its iteration cap, or once a kept
     step raised r_min by at most rate_tol (relative to max(1, |r_min|)).
-
-    The blocks run at budget 1 and power gamma P (_in_units, _from_units), so
-    a design depends on gamma P alone; report and trace are those of the
-    design in those units, whose bounds are the returned design's.
+    Every design has a unit power budget per user and per-stream power
+    cfg.P.
 
     Returns (state, report, trace); trace.converged is False when the outer
     loop or a sub-block hit its iteration budget, and trace.stop_reason says
     why the loop stopped.  Raises ConfigurationError when cfg's dimensions or
-    epsilon differ from the channel's, when P, gamma or epsilon lie outside
-    the range the solver carries (check_carried), or when a start's P or
-    shapes do not fit cfg; PowerBudgetError for a design over budget.
+    epsilon differ from the channel's, when P or epsilon lie outside the
+    range the solver carries (check_carried), when init_state is an empty
+    list, or when a start's P or shapes do not fit cfg or an entry of it is
+    not finite; PowerBudgetError for a design above the unit budget.
 
     init_state may also be a list of start designs.  One optimize_receivers
     call over all of them makes their first receive blocks; then each start
@@ -1339,10 +1334,9 @@ def solve(
     single = not isinstance(init_state, (list, tuple))
     starts = [init_state] if single else list(init_state)
     starts = [initial_state(ch, cfg) if st0 is None else st0 for st0 in starts]
-    starts = [_round_coefficients(_in_units(cfg, st0)) for st0 in starts]
-    states, errors = optimize_receivers(ch, starts, solver)
-    runs = (_alternate(ch, solver, st, err) for st, err in zip(states, errors))  # lazy, in order
-    results = [(_from_units(cfg, st), report, trace) for st, report, trace in runs]
+    _check_starts(cfg, starts)
+    states, errors = optimize_receivers(ch, [_round_coefficients(st0) for st0 in starts], solver)
+    results = [_alternate(ch, solver, st, err) for st, err in zip(states, errors)]
     if single:
         return results[0]
     return [r[0] for r in results], [r[1] for r in results], SolveTraces(r[2] for r in results)
@@ -1360,12 +1354,12 @@ def state_from_precoders(cfg: SystemConfig, V: np.ndarray) -> DesignState:
     """Design state around precoders V: no aggregate decoding, c = 1.
 
     V has the layout of DesignState.v, one row per stream (K, L, M); each
-    user's power is rescaled onto the budget.
+    user's power is rescaled onto the unit budget.
     """
     V = np.asarray(V)
     if V.shape != (cfg.K, cfg.L, cfg.M):
         raise ConfigurationError(f"precoders must have shape {(cfg.K, cfg.L, cfg.M)}")
-    return _blank_state(cfg, _onto_budget(V, cfg.gamma))
+    return _blank_state(cfg, _onto_budget(V))
 
 
 def multi_start(
@@ -1403,8 +1397,8 @@ def multi_start(
 
 def _starts(ch: ChannelSet, cfg: SystemConfig, n_starts: int) -> list[DesignState]:
     """The start designs of multi_start (see there), in order."""
-    if n_starts < 1:
-        raise ConfigurationError("n_starts must be at least 1")
+    if not (is_integer(n_starts) and n_starts >= 1):
+        raise ConfigurationError(f"n_starts must be a positive integer, got {n_starts!r}")
     starts = [initial_state(ch, cfg, "identity_like")]
     if n_starts > 1:
         try:

@@ -50,9 +50,9 @@ def _tdma_design_reference(Hhat, L):
     return V
 
 
-def _tdma_per_user_rates_reference(H, V, P, gamma, L):
+def _tdma_per_user_rates_reference(H, V, P, L):
     K, N = H.shape[0], H.shape[2]
-    rho = gamma * P / L
+    rho = P / L
     rates = np.zeros(K)
     for k in range(K):
         HV = H[k, k] @ V[k]
@@ -61,13 +61,13 @@ def _tdma_per_user_rates_reference(H, V, P, gamma, L):
     return rates
 
 
-def _two_stage_ml_design_reference(Hhat, gamma):
+def _two_stage_ml_design_reference(Hhat):
     K, _, N, M = Hhat.shape
     V = np.zeros((K, M), dtype=complex)
     U = np.zeros((K, N), dtype=complex)
     for k in range(K):
         uu, _, vh = np.linalg.svd(Hhat[k, k])
-        V[k] = np.sqrt(gamma) * vh.conj().T[:, 0]
+        V[k] = vh.conj().T[:, 0]
         U[k] = uu[:, 0]
     return V, U
 
@@ -123,8 +123,8 @@ def test_tdma_single_stream_matches_top_mode_formula():
     for seed in range(10):
         ch, cfg = _instance(seed=seed, P=float(5 + seed))
         V = tdma_design(ch.Hhat, cfg.L)
-        rates = tdma_per_user_rates(ch.H, V, cfg.P, cfg.gamma, cfg.L)
-        rho = cfg.gamma * cfg.P / cfg.L
+        rates = tdma_per_user_rates(ch.H, V, cfg.P, cfg.L)
+        rho = cfg.P / cfg.L
         for k in range(cfg.K):
             smax = np.linalg.svd(ch.H[k, k], compute_uv=False)[0]
             expect = math.log2(1 + rho * smax**2) / cfg.K
@@ -134,8 +134,8 @@ def test_tdma_single_stream_matches_top_mode_formula():
 def test_tdma_multistream_determinant_oracle():
     ch, cfg = _instance(M=3, N=3, L=2, seed=3)
     V = tdma_design(ch.Hhat, cfg.L)
-    rates = tdma_per_user_rates(ch.H, V, cfg.P, cfg.gamma, cfg.L)
-    rho = cfg.gamma * cfg.P / cfg.L
+    rates = tdma_per_user_rates(ch.H, V, cfg.P, cfg.L)
+    rho = cfg.P / cfg.L
     for k in range(cfg.K):
         G = ch.H[k, k] @ V[k]
         gram = np.eye(cfg.N) + rho * G @ G.conj().T
@@ -147,7 +147,7 @@ def test_two_stage_ml_symmetric_oracle():
     """Scalar symmetric case: both stage bounds known in closed form."""
     inst = SymmetricInstance(K=3, h=GaussianInt(2, 0), P=4.0)
     ch, cfg = symmetric_channelset(inst)
-    V, U = two_stage_ml_design(ch.Hhat, cfg.gamma)
+    V, U = two_stage_ml_design(ch.Hhat)
     s1, s2 = two_stage_ml_constraints(ch.H, V, U, cfg.P)
     # interference power at each receiver: P * (K-1) h^2 = 32; desired-as-noise 1 + P
     assert s1[0] == pytest.approx(math.log2(1 + 32 / 5) / 2, rel=1e-12)
@@ -158,7 +158,7 @@ def test_two_stage_ml_symmetric_oracle():
 
 def test_two_stage_ml_single_user_skips_interference_stage():
     ch, cfg = _instance(K=1, seed=5)
-    V, U = two_stage_ml_design(ch.Hhat, cfg.gamma)
+    V, U = two_stage_ml_design(ch.Hhat)
     s1, s2 = two_stage_ml_constraints(ch.H, V, U, cfg.P)
     assert np.isinf(s1[0])
     assert np.isfinite(s2[0]) and s2[0] > 0
@@ -182,7 +182,7 @@ def test_interference_covariances_exclude_own_link():
 def test_distributive_ia_leakage_non_increasing():
     for seed in range(8):
         ch, cfg = _instance(seed=100 + seed)
-        rho = cfg.gamma * cfg.P / cfg.L
+        rho = cfg.P / cfg.L
         V, U, trace = distributive_ia_design(ch.Hhat, cfg.L, rho, iters=60)
         assert len(trace) == 60
         for prev, cur in zip(trace, trace[1:]):
@@ -229,7 +229,7 @@ def _distributive_ia_reference(Hhat, L, rho, iters):
 @pytest.mark.parametrize("K,L,M,N", [(3, 1, 2, 2), (4, 2, 3, 4), (3, 1, 3, 2)])
 def test_distributive_ia_batched_equals_per_user_loop(K, L, M, N):
     ch, cfg = _instance(K=K, M=M, N=N, L=L, eps=0.1, seed=60 + K + M + N)
-    rho = cfg.gamma * cfg.P / cfg.L
+    rho = cfg.P / cfg.L
     V, U, trace = distributive_ia_design(ch.Hhat, L, rho, iters=40)
     V_ref, U_ref, trace_ref, leakage, power = _distributive_ia_reference(ch.Hhat, L, rho, 40)
     assert np.array_equal(V, V_ref)
@@ -271,7 +271,7 @@ def test_distributive_ia_cross_links_equal_all_links(K, L):
     rng = np.random.default_rng(900 + 10 * K + L)
     for M, N in ((L, L + 1), (L + 1, L), (L + 2, L + 2)):
         ch, cfg = _instance(K=K, M=M, N=N, L=L, eps=0.1, seed=int(rng.integers(1 << 30)))
-        rho = cfg.gamma * cfg.P / cfg.L
+        rho = cfg.P / cfg.L
         V, U, trace = distributive_ia_design(ch.Hhat, L, rho, iters=25)
         V_ref, U_ref, trace_ref = _distributive_ia_all_links_reference(ch.Hhat, L, rho, 25)
         assert V.tobytes() == V_ref.tobytes() and V.shape == V_ref.shape
@@ -282,14 +282,14 @@ def test_distributive_ia_cross_links_equal_all_links(K, L):
 def test_distributive_ia_three_user_alignment_nearly_exact():
     """3-user 2x2 with one stream is alignable: leakage collapses."""
     ch, cfg = _instance(seed=9)
-    rho = cfg.gamma * cfg.P / cfg.L
+    rho = cfg.P / cfg.L
     _, _, trace = distributive_ia_design(ch.Hhat, cfg.L, rho, iters=4000)
     assert trace[-1] < 1e-6 * trace[0]
 
 
 def test_distributive_ia_columns_unit_norm():
     ch, cfg = _instance(M=3, N=3, L=2, seed=10)
-    rho = cfg.gamma * cfg.P / cfg.L
+    rho = cfg.P / cfg.L
     V, U, _ = distributive_ia_design(ch.Hhat, cfg.L, rho, iters=30)
     assert np.allclose(np.linalg.norm(V, axis=1), 1.0)
     assert np.allclose(np.linalg.norm(U, axis=1), 1.0)
@@ -382,16 +382,16 @@ def test_tdma_batched_equals_per_user_loop(K, L, M, N):
     assert np.array_equal(V, _tdma_design_reference(ch.Hhat, L))
     for H in (ch.Hhat, ch.H):
         _assert_rel(
-            tdma_per_user_rates(H, V, cfg.P, cfg.gamma, L),
-            _tdma_per_user_rates_reference(H, V, cfg.P, cfg.gamma, L),
+            tdma_per_user_rates(H, V, cfg.P, L),
+            _tdma_per_user_rates_reference(H, V, cfg.P, L),
         )
 
 
 @pytest.mark.parametrize("K,L,M,N", SHAPES)
 def test_two_stage_ml_batched_equals_per_user_loop(K, L, M, N):
     ch, cfg = _instance(K=K, M=M, N=N, L=L, eps=0.1, seed=80 + K)
-    V, U = two_stage_ml_design(ch.Hhat, 2.0)
-    V_ref, U_ref = _two_stage_ml_design_reference(ch.Hhat, 2.0)
+    V, U = two_stage_ml_design(ch.Hhat)
+    V_ref, U_ref = _two_stage_ml_design_reference(ch.Hhat)
     assert np.array_equal(V, V_ref) and np.array_equal(U, U_ref)
     for H in (ch.Hhat, ch.H):
         s1, s2 = two_stage_ml_constraints(H, V, U, cfg.P)
@@ -404,7 +404,7 @@ def test_two_stage_ml_batched_equals_per_user_loop(K, L, M, N):
 @pytest.mark.parametrize("K,L,M,N", SHAPES)
 def test_ia_stream_rates_batched_equals_per_user_loop(K, L, M, N):
     ch, cfg = _instance(K=K, M=M, N=N, L=L, eps=0.1, seed=90 + K)
-    rho = cfg.gamma * cfg.P / L
+    rho = cfg.P / L
     V, U, _ = distributive_ia_design(ch.Hhat, L, rho, iters=20)
     for H in (ch.Hhat, ch.H):
         _assert_rel(ia_stream_rates(H, V, U, rho), _ia_stream_rates_reference(H, V, U, rho))

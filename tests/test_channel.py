@@ -33,7 +33,9 @@ def test_system_config_validation():
     with pytest.raises(ConfigurationError):
         SystemConfig(K=3, M=2, N=2, L=1, P=10.0, epsilon=-0.1)
     with pytest.raises(ConfigurationError):
-        SystemConfig(K=3, M=2, N=2, L=1, P=10.0, gamma=0.0)
+        SystemConfig(K=3, M=2, N=2, L=1, P=0.0)
+    with pytest.raises(TypeError):  # every user has the unit budget; there is no other
+        SystemConfig(K=3, M=2, N=2, L=1, P=10.0, gamma=1.0)
     for name in ("K", "M", "N", "L"):  # a bool is an int
         with pytest.raises(ConfigurationError, match=f"{name} must be a positive integer"):
             SystemConfig(**{**dict(K=3, M=2, N=2, L=1, P=10.0), name: True})
@@ -45,7 +47,7 @@ _GOOD_CONFIG = dict(K=3, M=2, N=2, L=1, P=10.0)
 @pytest.mark.parametrize(
     "field, bad",
     [("K", 3.0), ("M", "2"), ("N", None), ("L", True), ("P", "10"), ("P", None),
-     ("P", True), ("gamma", "1"), ("gamma", -1.0), ("epsilon", None), ("epsilon", "0.1"),
+     ("P", True), ("P", 0.0), ("P", -1.0), ("epsilon", None), ("epsilon", "0.1"),
      ("epsilon", False), ("seed", -1), ("seed", 1.5), ("seed", True), ("seed", "7")],
 )
 def test_system_config_names_the_bad_field(field, bad):
@@ -61,7 +63,7 @@ def test_system_config_takes_numpy_scalars():
 
 @pytest.mark.parametrize(
     "over",
-    [{"P": float("inf")}, {"P": float("nan")}, {"gamma": float("inf")},
+    [{"P": float("inf")}, {"P": float("nan")}, {"P": float("-inf")},
      {"epsilon": float("nan")}, {"epsilon": float("inf")}],
 )
 def test_system_config_rejects_non_finite(over):

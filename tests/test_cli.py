@@ -41,8 +41,8 @@ def _sim_config(tmp_path, **over):
     return path
 
 
-def _channel_file(tmp_path, eps=0.1, seed=5):
-    cfg = SystemConfig(K=3, M=2, N=2, L=1, P=10.0, epsilon=eps, seed=seed)
+def _channel_file(tmp_path, eps=0.1, seed=5, M=2):
+    cfg = SystemConfig(K=3, M=M, N=M, L=1, P=10.0, epsilon=eps, seed=seed)
     ch = generate_channels(cfg)
     if eps > 0:
         ch = perturb_csi(ch, eps, seed=seed + 1)
@@ -186,6 +186,37 @@ def test_solve_rejects_a_value_the_solver_cannot_carry(tmp_path, capsys, flag, v
     path = _channel_file(tmp_path)
     assert main(["solve", "--channel", str(path), flag, value]) == EXIT_CONFIG
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "gamma, power", [("1e10", "1e100"), ("1e-10", "1e-100"), ("1e-5", "1e-96")]
+)
+def test_solve_rejects_a_gamma_p_the_solver_cannot_carry(tmp_path, capsys, gamma, power):
+    """Each value lies in its own range, but their product, the power solve
+    runs at, does not; the error names --gamma and that product."""
+    path = _channel_file(tmp_path)
+    args = ["--gamma", gamma, "--power", power]
+    assert main(["solve", "--channel", str(path), *args]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"--gamma {float(gamma)!r} folded into the power" in err
+    assert f"P={float(gamma) * float(power)!r}" in err
+
+
+@pytest.mark.parametrize("gamma", [4.0**-8, 0.25, 4.0, 10.0, 4.0**8])
+@pytest.mark.parametrize("M, streams, power", [(2, 1, 10.0), (2, 1, 1000.0), (4, 2, 4.0)])
+def test_solve_depends_on_gamma_p_alone(tmp_path, capsys, M, streams, power, gamma):
+    """--gamma is folded into the power: at gamma P = power solve prints what
+    --power power prints, with per_user_power exactly gamma times its."""
+    assert gamma * (power / gamma) == power
+    path = _channel_file(tmp_path, M=M)
+    common = ["solve", "--channel", str(path), "--streams", str(streams)]
+    assert main([*common, "--power", repr(power)]) == EXIT_OK
+    ref = json.loads(capsys.readouterr().out)
+    assert main([*common, "--gamma", repr(gamma), "--power", repr(power / gamma)]) == EXIT_OK
+    got = json.loads(capsys.readouterr().out)
+    assert got.keys() == ref.keys()
+    assert all(got[k] == ref[k] for k in ref if k != "per_user_power")
+    assert got["per_user_power"] == [gamma * p for p in ref["per_user_power"]]
 
 
 @pytest.mark.parametrize(

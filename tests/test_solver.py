@@ -1,6 +1,5 @@
 """Alternating solver: gradients, blocks, safeguards, full pipeline."""
 
-import functools
 import os
 import re
 import subprocess
@@ -286,7 +285,7 @@ def test_solve_returns_integer_coefficients_and_budget():
         assert np.allclose(st.a.real, np.round(st.a.real))
         assert np.allclose(st.a.imag, np.round(st.a.imag))
         for k in range(cfg.K):
-            assert st.power(k) <= cfg.gamma + 1e-9
+            assert st.power(k) <= 1 + 1e-9
 
 
 def test_solve_final_coefficients_divisor_free():
@@ -324,7 +323,7 @@ def test_state_from_precoders_normalizes_and_validates():
     V = complex_gaussian(rng, (3, 1, 2))
     st = state_from_precoders(cfg, V)
     for k in range(3):
-        assert st.power(k) == pytest.approx(cfg.gamma)
+        assert st.power(k) == pytest.approx(1.0)
     assert np.all(st.a == 0) and np.all(st.c == 1.0)
     with pytest.raises(ConfigurationError):
         state_from_precoders(cfg, np.ones((2, 1, 2), dtype=complex))
@@ -345,7 +344,7 @@ def test_multi_start_extra_precoders_floor():
     from latticealign.baselines import distributive_ia_design, ia_stream_rates
 
     ch, cfg = _random_instance(seed=42, P=20.0)
-    rho = cfg.gamma * cfg.P / cfg.L
+    rho = cfg.P / cfg.L
     V, U, _ = distributive_ia_design(ch.Hhat, cfg.L, rho, 80)
     ia_worst = ia_stream_rates(ch.Hhat, V, U, rho).sum(axis=1).min()
     _, rep, _ = multi_start(ch, cfg, n_starts=1, extra_precoders=(V.transpose(0, 2, 1),))
@@ -368,9 +367,9 @@ def test_multi_start_objective_sum_vs_worst():
 def test_initial_state_strategies():
     ch, cfg = _random_instance(seed=44)
     st_id = initial_state(ch, cfg, "identity_like")
-    assert st_id.power(0) == pytest.approx(cfg.gamma)
+    assert st_id.power(0) == pytest.approx(1.0)
     st_rnd = initial_state(ch, cfg, "random_unit", seed=1)
-    assert st_rnd.power(0) == pytest.approx(cfg.gamma)
+    assert st_rnd.power(0) == pytest.approx(1.0)
     st_ia = initial_state(ch, cfg, "ia_seed")
     assert np.all(st_ia.a == 0)
     with pytest.raises(ConfigurationError):
@@ -833,7 +832,7 @@ def test_power_budget_violation_names_user_and_power(monkeypatch):
     monkeypatch.setattr(solver_mod, "optimize_precoders", lambda ch, st, cfg=None: (st, 0.0))
     with pytest.raises(PowerBudgetError, match="user 0") as info:
         solve(ch, cfg, init_state=st0)
-    assert info.value.power == pytest.approx(4 * cfg.gamma)
+    assert info.value.power == pytest.approx(4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -868,7 +867,7 @@ def test_barrier_sweep_ends_at_a_stalled_first_stage(monkeypatch):
     """With every user on the budget the first barrier stage stalls, and the
     sweep ends there instead of running its remaining stages from the same x."""
     ch, cfg, st = _receive_block_output()
-    assert np.allclose([st.power(k) for k in range(cfg.K)], cfg.gamma)
+    assert np.allclose([st.power(k) for k in range(cfg.K)], 1.0)
     calls = _count_calls(monkeypatch, "minimize")
     optimize_precoders(ch, st)
     assert [res.nit for res in calls["minimize"]] == [1]
@@ -1132,7 +1131,7 @@ def test_multi_start_runs_each_extra_precoder_set_as_one_start(monkeypatch):
     from latticealign.baselines import distributive_ia_design
 
     ch, cfg = _random_instance(eps=0.1, seed=42, P=20.0)
-    V, _, _ = distributive_ia_design(ch.Hhat, cfg.L, cfg.gamma * cfg.P / cfg.L, 80)
+    V, _, _ = distributive_ia_design(ch.Hhat, cfg.L, cfg.P / cfg.L, 80)
     V = V.transpose(0, 2, 1)  # alignment columns -> stream rows
     expect, _, _ = solve(ch, cfg, init_state=state_from_precoders(cfg, V))
 
@@ -1405,7 +1404,7 @@ def test_multi_start_invariants_on_every_shape(shape, eps):
     st, _, trace = multi_start(ch, cfg, n_starts=2)
     series = trace.pre_quantize_series()
     assert all(cur >= prev - 1e-9 for prev, cur in zip(series, series[1:]))
-    assert all(st.power(k) <= cfg.gamma + 1e-9 for k in range(K))
+    assert all(st.power(k) <= 1 + 1e-9 for k in range(K))
     for k in range(K):
         for l in range(L):
             assert common_divisor(st.coeff_vector(k, l)) is None
@@ -1769,54 +1768,21 @@ def test_solve_and_multi_start_traces_never_decrease(shape, eps, seed):
 
 
 # ---------------------------------------------------------------------------
-# power units: a design depends on gamma P alone
+# start designs
 # ---------------------------------------------------------------------------
 
 
-def _units_channel(L):
-    """The CI 2x2 channel (L = 1) or a K=3, M=N=4 channel (L = 2), at eps 0.1."""
-    M, seeds = (2, (5, 6)) if L == 1 else (4, (11, 12))
-    cfg = SystemConfig(K=3, M=M, N=M, L=L, P=10.0, seed=seeds[0])
-    return perturb_csi(generate_channels(cfg), 0.1, seed=seeds[1])
-
-
-@functools.cache
-def _design_at(L, power, gamma):
-    """multi_start's design on _units_channel(L) at budget gamma and gamma P = power."""
-    ch = _units_channel(L)
-    cfg = SystemConfig(K=3, M=ch.M, N=ch.N, L=L, P=power / gamma, gamma=gamma, epsilon=0.1)
-    return ch, multi_start(ch, cfg, n_starts=2)
-
-
-@pytest.mark.parametrize("j", [-16, -8, -1, 1, 3, 8, 16])
-@pytest.mark.parametrize("L, power", [(1, 10.0), (1, 1000.0), (2, np.sqrt(10.0))])
-def test_a_design_depends_on_gamma_p_alone(L, power, j):
-    """At gamma = 4^j every map between the caller's units and solve's is a
-    power of two, so the design at gamma is the gamma = 1 design with its
-    precoders times 2^j and its filters over 2^j, to the bit."""
-    _, (st1, rep1, _) = _design_at(L, power, 1.0)
-    _, (st, rep, _) = _design_at(L, power, 4.0**j)
-    assert st.P == power / 4.0**j
-    assert _same_bits(st.a, st1.a) and _same_bits(st.c, st1.c)
-    assert _same_bits(st.v * 2.0**-j, st1.v)
-    assert _same_bits(st.u * 2.0**j, st1.u) and _same_bits(st.utilde * 2.0**j, st1.utilde)
-    assert rep.r_min == rep1.r_min
-
-
-def test_the_report_of_a_mapped_design_is_its_own():
-    """solve reports the bounds of the design in its own units; the returned
-    design, mapped back to gamma = 10, has them to rounding."""
-    ch, (st, rep, _) = _design_at(1, 1000.0, 10.0)
-    assert st.P == 100.0
-    assert all(st.power(k) <= 10.0 * (1 + 1e-9) for k in range(st.K))
-    assert abs(rate_report(ch, st).r_min - rep.r_min) <= 1e-12 * max(1.0, abs(rep.r_min))
+def _ci_channel():
+    """The CI 2x2 channel at eps 0.1."""
+    cfg = SystemConfig(K=3, M=2, N=2, L=1, P=10.0, seed=5)
+    return perturb_csi(generate_channels(cfg), 0.1, seed=6)
 
 
 def test_solve_rejects_a_start_that_does_not_fit_the_config():
     """A start at another power would be solved at that power, past the
     range check, and a start of the wrong shape failed in numpy's
     broadcasting; both are rejected naming the field."""
-    ch = _units_channel(1)
+    ch = _ci_channel()
     cfg = SystemConfig(K=3, M=2, N=2, L=1, P=10.0, epsilon=0.1)
     st0 = initial_state(ch, replace(cfg, P=1e150))
     with pytest.raises(ConfigurationError, match="P=1e"):
@@ -1831,6 +1797,49 @@ def test_solve_rejects_a_start_that_does_not_fit_the_config():
     bad = state_from_precoders(replace(cfg, K=2), np.ones((2, 1, 2)))
     with pytest.raises(ConfigurationError, match="field v "):
         solve(ch, cfg, init_state=bad)
+
+
+def test_solve_rejects_an_empty_start_list_and_a_non_finite_start():
+    """An empty list failed in numpy's concatenate, and a start with a NaN ran
+    every Newton fit to its cap and returned r_min NaN; both are rejected,
+    naming the list or the field."""
+    ch = _ci_channel()
+    cfg = SystemConfig(K=3, M=2, N=2, L=1, P=10.0, epsilon=0.1)
+    for empty in ([], ()):
+        with pytest.raises(ConfigurationError, match="empty list"):
+            solve(ch, cfg, init_state=empty)
+    st0 = initial_state(ch, cfg)
+    entries = {"v": (0, 0, 1), "u": (1, 0, 0), "utilde": (2, 0, 1), "a": (0, 0, 1, 0), "c": (2, 0)}
+    for name, at in entries.items():
+        for value in (np.nan, np.inf):
+            bad = st0.copy()
+            getattr(bad, name)[at] = value
+            with pytest.raises(ConfigurationError, match=f"field {name} has a non-finite entry"):
+                solve(ch, cfg, init_state=[st0, bad])
+
+
+def test_a_start_user_without_power_is_named():
+    """Precoders of zero power divided by zero (a RuntimeWarning), and
+    multi_start dropped such an extra start as a NaN design; the user is
+    named instead."""
+    ch = _ci_channel()
+    cfg = SystemConfig(K=3, M=2, N=2, L=1, P=10.0, epsilon=0.1)
+    for user, value in ((0, 0.0), (1, np.nan), (2, np.inf)):
+        V = np.ones((3, 1, 2), dtype=complex)
+        V[user] = value
+        with pytest.raises(ConfigurationError, match=f"user {user} "):
+            state_from_precoders(cfg, V)
+        with pytest.raises(ConfigurationError, match=f"user {user} "):
+            multi_start(ch, cfg, n_starts=1, extra_precoders=(V,))
+
+
+@pytest.mark.parametrize("n_starts", [True, 2.5, "2", 0, -1, None, np.float64(2.0)])
+def test_multi_start_names_an_n_starts_that_is_no_positive_integer(n_starts):
+    """True ran one start, and 2.5 or "2" raised a bare TypeError."""
+    ch = _ci_channel()
+    cfg = SystemConfig(K=3, M=2, N=2, L=1, P=10.0, epsilon=0.1)
+    with pytest.raises(ConfigurationError, match="n_starts must be a positive integer"):
+        multi_start(ch, cfg, n_starts=n_starts)
 
 
 # ---------------------------------------------------------------------------
